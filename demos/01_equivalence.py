@@ -22,11 +22,11 @@ print("noise rows 0-1:\n", noise.data[0, :2])
 
 woven = interleave_rows(image, noise)
 print("\nwoven rows 0-3 (image row, noise row, image row, noise row):")
-print(woven.woven.data[0, :4])
+print(woven.data[0, :4])
 
 dup = duplicate_filter_rows(filters)
 print("\nfilter kernel_h", filters.kernel_h, "-> duplicated kernel_h",
-      dup.duplicated.kernel_h, "(bias untouched)")
+      dup.kernel_h, "(bias untouched)")
 
 direct = conv2d(image + noise, filters, geom)
 attacked = attacked_conv(image, noise, filters, geom)

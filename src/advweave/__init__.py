@@ -14,15 +14,15 @@ from .accel import (FootprintComparison, MemoryImage, RowDescriptor, SimReport,
                     layout_rows, preset_config, stream_rows)
 from .adversary import (FoolingReport, PerturbBudget, TinyCNN, TrainConfig,
                         backward, clip_adversarial, craft_uap, fgsm,
-                        fooling_report, forward, forward_attacked, init_model,
-                        load_model, make_corpus, predict, random_noise,
-                        save_model, softmax, train)
+                        fooling_report, forward, init_model, load_model,
+                        make_corpus, predict, random_noise, save_model,
+                        softmax, train)
 from .conv import ConvGeometry, FilterBank, conv2d, dense, maxpool2, relu
 from .errors import BadGeometry, EmptyDataset, OutOfRange, ShapeMismatch
 from .tensor import (BitStats, QuantSpec, Tensor3, bit_stats, dequantize,
                      linf_norm, quantize, read_t3b, write_t3b)
-from .weave import (AttackedFilter, EquivalenceReport, InterleavedInput,
-                    attacked_conv, attacked_geometry, deinterleave_rows,
-                    duplicate_filter_rows, equivalence_report, interleave_rows)
+from .weave import (EquivalenceReport, attacked_conv, attacked_geometry,
+                    deinterleave_rows, duplicate_filter_rows,
+                    equivalence_report, interleave_rows)
 
 __version__ = "0.1.0"

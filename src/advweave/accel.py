@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import ConvGeometry, FilterBank, _padded, _windows
-from .errors import BadGeometry, ShapeMismatch
+from .conv import ConvGeometry, FilterBank, conv2d
+from .errors import ShapeMismatch
 from .tensor import Tensor3
 from .weave import attacked_geometry, duplicate_filter_rows, interleave_rows
 
@@ -117,7 +117,10 @@ def stream_rows(mem: MemoryImage, image: Tensor3, noise: Tensor3 | None = None) 
 
 def count_macs(input: Tensor3, filters: FilterBank, geom: ConvGeometry,
                cfg: SystolicConfig) -> SimReport:
-    """Count MACs for one conv layer; skips apply when either operand is zero."""
+    """Count MACs for one conv layer; skips apply when either operand is zero.
+
+    Executed MACs are the convolution of the two nonzero masks, summed.
+    """
     if input.channels != filters.in_channels:
         raise ShapeMismatch(
             f"input has {input.channels} channels, filters expect "
@@ -127,12 +130,10 @@ def count_macs(input: Tensor3, filters: FilterBank, geom: ConvGeometry,
     issued = oh * ow * filters.out_channels * filters.in_channels \
         * filters.kernel_h * filters.kernel_w
     if cfg.zero_skip:
-        x = _padded(input, geom)
-        win = _windows(x, filters.kernel_h, filters.kernel_w,
-                       geom.stride_v, geom.stride_h)
-        win_nz = (win != 0).astype(np.int64)
-        w_nz = (filters.weights != 0).astype(np.int64)
-        executed = int(np.einsum("chwjk,ocjk->", win_nz, w_nz))
+        w_nz = FilterBank((filters.weights != 0).astype(np.int64),
+                          np.zeros(filters.out_channels, dtype=np.int64))
+        x_nz = Tensor3((input.data != 0).astype(np.int64))
+        executed = int(conv2d(x_nz, w_nz, geom).data.sum())
     else:
         executed = issued
     skipped = issued - executed
@@ -152,11 +153,9 @@ def compare_attack_footprint(image: Tensor3, noise: Tensor3, filters: FilterBank
     with zero-skip on the attacked executed count decomposes into the
     clean count plus the noise-only count.
     """
-    if geom.pad_h != 0:
-        raise BadGeometry("attack footprint is defined only for pad_h == 0")
-    clean = count_macs(image, filters, geom, cfg)
-    woven = interleave_rows(image, noise).woven
-    dup = duplicate_filter_rows(filters).duplicated
-    attacked = count_macs(woven, dup, attacked_geometry(geom), cfg)
-    noise_only = count_macs(noise, filters, geom, cfg)
-    return FootprintComparison(clean=clean, attacked=attacked, noise_only=noise_only)
+    return FootprintComparison(
+        clean=count_macs(image, filters, geom, cfg),
+        attacked=count_macs(interleave_rows(image, noise),
+                            duplicate_filter_rows(filters),
+                            attacked_geometry(geom), cfg),
+        noise_only=count_macs(noise, filters, geom, cfg))

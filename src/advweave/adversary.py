@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import ConvGeometry, FilterBank, conv2d, dense
+from .conv import FilterBank, conv2d, dense
 from .errors import EmptyDataset, ShapeMismatch
 from .tensor import Tensor3, read_t3b_stream, write_t3b_stream
 from .weave import attacked_conv
@@ -165,25 +165,21 @@ class ForwardCache:
     logits: np.ndarray
 
 
-def forward(model: TinyCNN, x: Tensor3) -> tuple[np.ndarray, ForwardCache]:
+def forward(model: TinyCNN, x: Tensor3,
+            noise: Tensor3 | None = None) -> tuple[np.ndarray, ForwardCache]:
+    """Logits and backward cache. With `noise`, the first layer runs the
+    noise-interleaved attacked convolution; the cache then holds the clean x."""
     if x.shape != model.input_shape:
         raise ShapeMismatch(f"input {x.shape} != model {model.input_shape}")
-    z1 = conv2d(x, model.conv1).data.astype(np.float64)
+    z1 = conv2d(x, model.conv1) if noise is None \
+        else attacked_conv(x, noise, model.conv1)
+    z1 = z1.data.astype(np.float64)
     a1 = np.maximum(z1, 0)
     pooled, idx = _pool_forward(a1)
     flat = pooled.ravel()
     logits = dense(flat, model.fc_w, model.fc_b)
     return logits, ForwardCache(x=x.data.astype(np.float64), z1=z1, a1=a1,
                                 pool_idx=idx, flat=flat, logits=logits)
-
-
-def forward_attacked(model: TinyCNN, x: Tensor3, noise: Tensor3) -> np.ndarray:
-    """Forward pass with the first layer routed through the noise-interleaved
-    convolution; downstream layers are unchanged."""
-    z1 = attacked_conv(x, noise, model.conv1, ConvGeometry()).data.astype(np.float64)
-    a1 = np.maximum(z1, 0)
-    pooled, _ = _pool_forward(a1)
-    return dense(pooled.ravel(), model.fc_w, model.fc_b)
 
 
 @dataclass
@@ -315,7 +311,7 @@ def craft_uap(model: TinyCNN, sample_set: list[Tensor3], budget: PerturbBudget,
         fooled = 0
         for x, pred in zip(sample_set, clean_preds):
             xv = Tensor3(x.data + v)
-            if int(np.argmax(forward(model, xv)[0])) != pred:
+            if predict(model, xv) != pred:
                 fooled += 1
                 continue
             eta = fgsm(model, xv, pred, step)
@@ -344,9 +340,9 @@ def fooling_report(model: TinyCNN, dataset: list[tuple[Tensor3, int]],
         v = perturbation(x) if callable(perturbation) else perturbation
         clean_logits, _ = forward(model, x)
         if path == "direct":
-            pert_logits, _ = forward(model, Tensor3(x.data + v.data))
+            pert_logits, _ = forward(model, x + v)
         else:
-            pert_logits = forward_attacked(model, x, v)
+            pert_logits, _ = forward(model, x, v)
         pc, pp = int(np.argmax(clean_logits)), int(np.argmax(pert_logits))
         flips += pc != pp
         top1c += pc == y
@@ -422,17 +418,25 @@ def load_model(path) -> TinyCNN:
         magic = f.read(4)
         if magic != TCNN_MAGIC:
             raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != TCNN_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        version = f.read(4)
+        if version != struct.pack("<I", TCNN_VERSION):
+            raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
         meta = read_t3b_stream(f).data.ravel()
-        c, h, w, _num_classes = (int(v) for v in meta)
+        c, h, w, num_classes = (int(v) for v in meta)
         conv_w = read_t3b_stream(f).data
         conv_b = read_t3b_stream(f).data.ravel()
-        fc_w = read_t3b_stream(f).data[0]
+        fc_w = read_t3b_stream(f).data
         fc_b = read_t3b_stream(f).data.ravel()
+        if f.read(1):
+            raise ValueError(f"{path}: trailing bytes after checkpoint")
     o, ikh, kw = conv_w.shape
-    kh = ikh // c
-    conv_w = conv_w.reshape(o, c, kh, kw)
-    return TinyCNN(conv1=FilterBank(conv_w, conv_b), fc_w=fc_w, fc_b=fc_b,
-                   input_shape=(c, h, w))
+    if c < 1 or ikh % c:
+        raise ValueError(f"{path}: conv rows {ikh} do not divide by in_c {c}")
+    conv_w = conv_w.reshape(o, c, ikh // c, kw)
+    model = TinyCNN(conv1=FilterBank(conv_w, conv_b), fc_w=fc_w[0], fc_b=fc_b,
+                    input_shape=(c, h, w))
+    if fc_w.shape != (1, num_classes, model.flat_features()):
+        raise ValueError(f"{path}: fc_w block {fc_w.shape} != (1, num_classes, "
+                         f"flat features) = (1, {num_classes}, "
+                         f"{model.flat_features()})")
+    return model

@@ -6,11 +6,13 @@ Every report embeds a manifest (command, seed, inputs, output, parameters,
 version); nothing time-based is emitted, so re-running a command from its
 manifest reproduces the payload byte-for-byte.
 
-Exit codes: 0 success, 1 verification/metric/model failure, 2 usage error.
+Exit codes: 0 success; 1 failed verification or empty dataset; 2 bad file,
+shape or parameter. `main` maps every error to its code in one place.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -18,15 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .accel import compare_attack_footprint, preset_config, SystolicConfig
+from .accel import PRESETS, compare_attack_footprint, preset_config
 from .adversary import (IMAGENET_FOOLING_RATES, PerturbBudget, TrainConfig,
                         craft_uap, fooling_report, init_model, load_model,
-                        make_corpus, random_noise, save_model, train)
+                        make_corpus, predict, random_noise, save_model, train)
 from .conv import ConvGeometry, FilterBank
 from .errors import EmptyDataset, ShapeMismatch
 from .tensor import QuantSpec, Tensor3, bit_stats, linf_norm, quantize, \
     read_t3b, write_t3b
-from .weave import attacked_conv, equivalence_report, interleave_rows
+from .weave import attacked_conv, equivalence_report
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -49,24 +51,9 @@ def _emit(obj: dict, stream=None) -> None:
     print(json.dumps(obj, sort_keys=True), file=stream or sys.stdout)
 
 
-def _load_tensor(path: str) -> Tensor3:
-    try:
-        return read_t3b(path)
-    except (OSError, ValueError) as e:
-        print(f"error: cannot read tensor {path}: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
-def _parse_config(text: str, zero_skip: bool) -> SystolicConfig:
-    if text in ("tpu", "small"):
-        return preset_config(text, zero_skip=zero_skip)
-    try:
-        r, c = (int(v) for v in text.lower().split("x"))
-        return SystolicConfig(rows=r, cols=c, zero_skip=zero_skip)
-    except ValueError:
-        print(f"error: bad --config {text!r} (use tpu, small, or RxC)",
-              file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+def _output(path: str | None):
+    """The --out file opened for writing, or stdout (left open) without one."""
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
 
 
 def random_instance(rng: np.random.Generator, max_dim: int = 16,
@@ -99,28 +86,23 @@ def random_instance(rng: np.random.Generator, max_dim: int = 16,
 
 def cmd_verify_equivalence(args) -> int:
     if args.trials < 1:
-        print("error: --trials must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--trials must be >= 1")
     manifest = _manifest("verify-equivalence", args.seed, [], args.out, {
         "trials": args.trials, "max_dim": args.max_dim,
         "float": args.float_mode, "sabotage": args.sabotage,
     })
     rng = np.random.default_rng(args.seed)
-    out = open(args.out, "w") if args.out else sys.stdout
     failures = 0
-    try:
+    with _output(args.out) as out:
         for i in range(args.trials):
             image, noise, filters, geom = random_instance(
                 rng, args.max_dim, args.float_mode)
             attacked = None
             if args.sabotage:
-                woven = interleave_rows(image, noise).woven.data.copy()
-                woven[:, 1, :] += 1  # flip one noise row off its true value
-                from .weave import attacked_geometry, duplicate_filter_rows
-                from .conv import conv2d
-                attacked = conv2d(Tensor3(woven),
-                                  duplicate_filter_rows(filters).duplicated,
-                                  attacked_geometry(geom))
+                # raise noise row 0 (woven row 1) off its true value
+                wrong = noise.data.copy()
+                wrong[:, 0, :] += 1
+                attacked = attacked_conv(image, Tensor3(wrong), filters, geom)
             rep = equivalence_report(image, noise, filters, geom,
                                      attacked_output=attacked)
             failures += not rep.exact
@@ -131,86 +113,56 @@ def cmd_verify_equivalence(args) -> int:
                   out)
         _emit({"manifest": manifest,
                "payload": {"trials": args.trials, "failures": failures}}, out)
-    finally:
-        if args.out:
-            out.close()
     print(f"verify-equivalence: {args.trials - failures}/{args.trials} exact",
           file=sys.stderr)
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 
-def _simulate_one(image, noise, filters, cfg):
-    cmp = compare_attack_footprint(image, noise, filters, ConvGeometry(), cfg)
-    return {"clean": cmp.clean.to_dict(), "attacked": cmp.attacked.to_dict(),
-            "noise_only": cmp.noise_only.to_dict()}
-
-
 def cmd_simulate(args) -> int:
-    zero_skip = args.zero_skip == "on"
-    cfg = _parse_config(args.config, zero_skip)
-    noise = _load_tensor(args.noise)
-    filters_t = _load_tensor(args.filters)
-
-    def build_filters(in_channels: int) -> FilterBank:
+    cfg = preset_config(args.config, zero_skip=args.zero_skip == "on")
+    if args.corpus:
+        paths = sorted(Path(args.corpus).glob("*.t3b"))
+        if not paths:
+            raise ValueError(f"no .t3b files in {args.corpus}")
+        inputs = [args.noise, args.filters, args.corpus]
+    elif args.image:
+        paths = [Path(args.image)]
+        inputs = [args.image, args.noise, args.filters]
+    else:
+        raise ValueError("simulate needs --image or --corpus")
+    manifest = _manifest("simulate", None, inputs, args.out, {
+        "config": args.config, "zero_skip": args.zero_skip,
+        "noise": args.noise, "filters": args.filters})
+    noise = read_t3b(args.noise)
+    filters_t = read_t3b(args.filters)
+    lines = []
+    for p in paths:
+        image = read_t3b(p)
         o_i, kh, kw = filters_t.shape
-        if o_i % in_channels:
-            print(f"error: filter tensor channels {o_i} not divisible by "
-                  f"image channels {in_channels}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-        w = filters_t.data.reshape(o_i // in_channels, in_channels, kh, kw)
-        return FilterBank(w, np.zeros(o_i // in_channels, dtype=w.dtype))
-
-    params = {"config": args.config, "zero_skip": args.zero_skip,
-              "noise": args.noise, "filters": args.filters}
-    try:
-        if args.corpus:
-            corpus = sorted(Path(args.corpus).glob("*.t3b"))
-            if not corpus:
-                print(f"error: no .t3b files in {args.corpus}", file=sys.stderr)
-                return EXIT_USAGE
-            manifest = _manifest("simulate", None, [args.noise, args.filters,
-                                                    args.corpus], args.out, params)
-            executed_clean, executed_attacked = [], []
-            lines = []
-            for p in corpus:
-                image = _load_tensor(str(p))
-                payload = _simulate_one(image, noise, build_filters(image.channels),
-                                        cfg)
-                executed_clean.append(payload["clean"]["mac_executed"])
-                executed_attacked.append(payload["attacked"]["mac_executed"])
-                lines.append({"image": p.name, "payload": payload})
-            summary = {
-                "n_images": len(corpus),
-                "clean_executed": _dist_stats(executed_clean),
-                "attacked_executed": _dist_stats(executed_attacked),
-                "attacked_within_clean_range": [
-                    int(v) for v in executed_attacked
-                    if min(executed_clean) <= v <= max(executed_clean)],
-            }
-            out = open(args.out, "w") if args.out else sys.stdout
-            try:
-                for line in lines:
-                    _emit(line, out)
-                _emit({"manifest": manifest, "payload": summary}, out)
-            finally:
-                if args.out:
-                    out.close()
-        else:
-            image = _load_tensor(args.image)
-            manifest = _manifest("simulate", None,
-                                 [args.image, args.noise, args.filters],
-                                 args.out, params)
-            payload = _simulate_one(image, noise, build_filters(image.channels),
-                                    cfg)
-            report = {"manifest": manifest, "payload": payload}
-            if args.out:
-                with open(args.out, "w") as f:
-                    _emit(report, f)
-            else:
-                _emit(report)
-    except (ShapeMismatch, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        if o_i % image.channels:
+            raise ShapeMismatch(f"filter tensor channels {o_i} not divisible "
+                                f"by image channels {image.channels}")
+        w = filters_t.data.reshape(o_i // image.channels, image.channels, kh, kw)
+        filters = FilterBank(w, np.zeros(w.shape[0], dtype=w.dtype))
+        cmp = compare_attack_footprint(image, noise, filters, ConvGeometry(), cfg)
+        lines.append({"image": p.name, "payload": {
+            part: getattr(cmp, part).to_dict()
+            for part in ("clean", "attacked", "noise_only")}})
+    if args.corpus:
+        clean, attacked = ([line["payload"][part]["mac_executed"]
+                            for line in lines] for part in ("clean", "attacked"))
+        payload = {
+            "n_images": len(paths),
+            "clean_executed": _dist_stats(clean),
+            "attacked_executed": _dist_stats(attacked),
+            "attacked_within_clean_range": [
+                int(v) for v in attacked if min(clean) <= v <= max(clean)],
+        }
+    else:
+        payload = lines.pop()["payload"]
+    with _output(args.out) as out:
+        for line in lines + [{"manifest": manifest, "payload": payload}]:
+            _emit(line, out)
     print("simulate: done", file=sys.stderr)
     return EXIT_OK
 
@@ -226,17 +178,12 @@ def cmd_train(args) -> int:
         "epochs": args.epochs, "lr": args.lr, "batch_size": args.batch_size,
         "samples": args.samples,
     })
-    try:
-        corpus = make_corpus(args.samples, seed=args.seed)
-        model = init_model(seed=args.seed)
-        cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs,
-                          batch_size=args.batch_size, seed=args.seed)
-        model = train(model, corpus, cfg)
-    except EmptyDataset as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_FAIL
+    corpus = make_corpus(args.samples, seed=args.seed)
+    model = init_model(seed=args.seed)
+    cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs,
+                      batch_size=args.batch_size, seed=args.seed)
+    model = train(model, corpus, cfg)
     save_model(model, args.model)
-    from .adversary import predict
     acc = sum(predict(model, x) == y for x, y in corpus) / len(corpus)
     _emit({"manifest": manifest,
            "payload": {"train_accuracy": acc, "n_samples": len(corpus)}})
@@ -249,19 +196,10 @@ def cmd_craft(args) -> int:
     manifest = _manifest("craft", args.seed, [args.model], args.out, {
         "epsilon": args.epsilon, "iters": args.iters, "samples": args.samples,
     })
-    try:
-        model = load_model(args.model)
-    except (OSError, ValueError) as e:
-        print(f"error: cannot load model: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    model = load_model(args.model)
     budget = PerturbBudget(epsilon=args.epsilon)
     corpus = make_corpus(args.samples, seed=args.seed)
-    try:
-        v = craft_uap(model, [x for x, _ in corpus], budget,
-                      max_iters=args.iters)
-    except EmptyDataset as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_FAIL
+    v = craft_uap(model, [x for x, _ in corpus], budget, max_iters=args.iters)
     write_t3b(v, args.out)
     rep = fooling_report(model, corpus, v)
     # digitize on the 8-bit image scale to report the storage footprint
@@ -280,35 +218,22 @@ def cmd_craft(args) -> int:
 
 def cmd_eval(args) -> int:
     if (args.noise is None) == (args.random is None):
-        print("error: give exactly one of --noise or --random", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        model = load_model(args.model)
-    except (OSError, ValueError) as e:
-        print(f"error: cannot load model: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("give exactly one of --noise or --random")
+    model = load_model(args.model)
     inputs = [args.model] + ([args.noise] if args.noise else [])
     manifest = _manifest("eval", args.seed, inputs, args.out, {
         "path": args.path, "random": args.random, "epsilon": args.epsilon,
         "samples": args.samples,
     })
     if args.noise:
-        v = _load_tensor(args.noise)
+        v = read_t3b(args.noise)
     else:
         budget = PerturbBudget(epsilon=args.epsilon)
         v = random_noise(model.input_shape, budget, args.random, args.seed)
     corpus = make_corpus(args.samples, seed=args.seed + 1)
-    try:
-        rep = fooling_report(model, corpus, v, path=args.path)
-    except (EmptyDataset, ShapeMismatch) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_FAIL
-    report = {"manifest": manifest, "payload": rep.to_dict()}
-    if args.out:
-        with open(args.out, "w") as f:
-            _emit(report, f)
-    else:
-        _emit(report)
+    rep = fooling_report(model, corpus, v, path=args.path)
+    with _output(args.out) as out:
+        _emit({"manifest": manifest, "payload": rep.to_dict()}, out)
     print(f"eval: fooling_rate {rep.fooling_rate:.3f} "
           f"(path={args.path})", file=sys.stderr)
     return EXIT_OK
@@ -336,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--noise", required=True)
     s.add_argument("--filters", required=True,
                    help="T3B tensor (out*in channels, kernel_h, kernel_w)")
-    s.add_argument("--config", default="small")
+    s.add_argument("--config", choices=sorted(PRESETS), default="small")
     s.add_argument("--zero-skip", choices=["on", "off"], default="on")
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_simulate)
@@ -375,10 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "simulate" and not (args.image or args.corpus):
-        print("error: simulate needs --image or --corpus", file=sys.stderr)
-        return EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_FAIL if isinstance(e, EmptyDataset) else EXIT_USAGE
 
 
 if __name__ == "__main__":

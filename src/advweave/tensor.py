@@ -125,7 +125,10 @@ def linf_norm(t: Tensor3) -> float:
 def bit_stats(t: Tensor3) -> BitStats:
     if not t.is_integer():
         raise TypeError("bit_stats requires an integer tensor")
-    mags = np.abs(t.data.ravel())
+    x = t.data.ravel()
+    # uint64 holds |int64 min|; negating a uint64 wraps to the magnitude
+    mags = x.astype(np.uint64)
+    np.negative(mags, out=mags, where=x < 0)
     nonzero = int(np.count_nonzero(mags))
     max_bits = int(mags.max()).bit_length() if nonzero else 0
     total_bits = sum(int(v).bit_count() for v in mags)
@@ -154,7 +157,10 @@ def read_t3b_stream(f) -> Tensor3:
     magic = f.read(4)
     if magic != T3B_MAGIC:
         raise ValueError(f"bad T3B magic {magic!r}")
-    c, h, w, tag = struct.unpack("<IIIB", f.read(13))
+    header = f.read(13)
+    if len(header) != 13:
+        raise ValueError(f"truncated T3B header: {len(header)} of 13 bytes")
+    c, h, w, tag = struct.unpack("<IIIB", header)
     if tag not in _DTYPE_TAGS:
         raise ValueError(f"unknown T3B dtype tag {tag}")
     dtype = _DTYPE_TAGS[tag]
@@ -175,7 +181,10 @@ def write_t3b(t: Tensor3, path) -> None:
 
 def read_t3b(path) -> Tensor3:
     with open(path, "rb") as f:
-        t = read_t3b_stream(f)
+        try:
+            t = read_t3b_stream(f)
+        except ValueError as e:  # name the file; keep the error class
+            raise type(e)(f"{path}: {e}") from e
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after tensor payload")
     return t

@@ -20,37 +20,25 @@ from .tensor import Tensor3
 
 
 @dataclass(frozen=True)
-class InterleavedInput:
-    """woven row 2r is image row r, woven row 2r+1 is noise row r, per channel."""
-
-    base: Tensor3
-    noise: Tensor3
-    woven: Tensor3
-
-
-@dataclass(frozen=True)
-class AttackedFilter:
-    """duplicated rows 2j and 2j+1 both equal source row j; bias copied, not doubled."""
-
-    source: FilterBank
-    duplicated: FilterBank
-
-
-@dataclass(frozen=True)
 class EquivalenceReport:
     max_abs_diff: float
     exact: bool
 
 
-def interleave_rows(image: Tensor3, noise: Tensor3) -> InterleavedInput:
+def interleave_rows(image: Tensor3, noise: Tensor3) -> Tensor3:
+    """Woven row 2r is image row r, woven row 2r+1 is noise row r, per channel."""
     if image.shape != noise.shape:
-        raise ShapeMismatch(f"image {image.shape} vs noise {noise.shape}")
+        raise ShapeMismatch(f"{image.shape} vs {noise.shape}")
     c, h, w = image.shape
     dtype = np.result_type(image.data, noise.data)
+    if image.is_integer() and noise.is_integer() \
+            and not np.issubdtype(dtype, np.integer):
+        raise TypeError(f"{image.data.dtype} and {noise.data.dtype} promote to "
+                        f"{dtype}, which is not exact")
     woven = np.empty((c, 2 * h, w), dtype=dtype)
     woven[:, 0::2, :] = image.data
     woven[:, 1::2, :] = noise.data
-    return InterleavedInput(base=image, noise=noise, woven=Tensor3(woven))
+    return Tensor3(woven)
 
 
 def deinterleave_rows(woven: Tensor3) -> tuple[Tensor3, Tensor3]:
@@ -59,12 +47,14 @@ def deinterleave_rows(woven: Tensor3) -> tuple[Tensor3, Tensor3]:
     return Tensor3(woven.data[:, 0::2, :]), Tensor3(woven.data[:, 1::2, :])
 
 
-def duplicate_filter_rows(f: FilterBank) -> AttackedFilter:
-    dup = np.repeat(f.weights, 2, axis=2)
-    return AttackedFilter(source=f, duplicated=FilterBank(weights=dup, bias=f.bias))
+def duplicate_filter_rows(f: FilterBank) -> FilterBank:
+    """Duplicated rows 2j and 2j+1 both equal source row j; bias copied, not doubled."""
+    return FilterBank(weights=np.repeat(f.weights, 2, axis=2), bias=f.bias)
 
 
 def attacked_geometry(g: ConvGeometry) -> ConvGeometry:
+    if g.pad_h != 0:
+        raise BadGeometry("attacked convolution is defined only for pad_h == 0")
     return ConvGeometry(stride_v=2 * g.stride_v, stride_h=g.stride_h,
                         pad_h=g.pad_h, pad_w=g.pad_w)
 
@@ -72,11 +62,8 @@ def attacked_geometry(g: ConvGeometry) -> ConvGeometry:
 def attacked_conv(image: Tensor3, noise: Tensor3, filters: FilterBank,
                   geom: ConvGeometry = ConvGeometry()) -> Tensor3:
     """Convolution over the woven input; equals conv2d(image + noise, ...)."""
-    if geom.pad_h != 0:
-        raise BadGeometry("attacked convolution is defined only for pad_h == 0")
-    woven = interleave_rows(image, noise).woven
-    dup = duplicate_filter_rows(filters).duplicated
-    return conv2d(woven, dup, attacked_geometry(geom))
+    return conv2d(interleave_rows(image, noise), duplicate_filter_rows(filters),
+                  attacked_geometry(geom))
 
 
 def equivalence_report(image: Tensor3, noise: Tensor3, filters: FilterBank,

@@ -72,7 +72,7 @@ class TestLayoutRows:
         rng = np.random.default_rng(seed)
         img, noi, _, _ = rand_attack_instance(rng, max_dim=8)
         mem = layout_rows(img, noi)
-        assert stream_rows(mem, img, noi) == interleave_rows(img, noi).woven
+        assert stream_rows(mem, img, noi) == interleave_rows(img, noi)
 
     def test_streaming_regular_reconstructs_image(self):
         rng = np.random.default_rng(1)

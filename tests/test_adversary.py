@@ -4,12 +4,12 @@ import pytest
 from advweave.adversary import (FoolingReport, PerturbBudget, TrainConfig,
                                 backward, clip_adversarial, craft_uap,
                                 cross_entropy, fgsm, fooling_report, forward,
-                                forward_attacked, init_model, load_model,
-                                make_corpus, predict, random_noise, save_model,
-                                softmax, train)
+                                init_model, load_model, make_corpus, predict,
+                                random_noise, save_model, softmax, train)
 from advweave.conv import FilterBank
 from advweave.errors import EmptyDataset, ShapeMismatch
-from advweave.tensor import Tensor3, linf_norm
+from advweave.tensor import (Tensor3, linf_norm, read_t3b_stream,
+                             write_t3b_stream)
 
 
 def loss_of(model, x, y):
@@ -311,12 +311,12 @@ class TestFoolingReport:
         woven = fooling_report(m, held, v, path="interleaved")
         assert direct == woven
 
-    def test_forward_attacked_matches_direct(self, trained):
+    def test_forward_with_noise_matches_direct(self, trained):
         m, _, held = trained
         v = random_noise(m.input_shape, PerturbBudget(epsilon=0.05), "low", 3)
         for x, _ in held[:20]:
             direct, _ = forward(m, Tensor3(x.data + v.data))
-            attacked = forward_attacked(m, x, v)
+            attacked, _ = forward(m, x, v)
             assert np.allclose(direct, attacked, rtol=1e-12, atol=1e-12)
 
 
@@ -345,5 +345,50 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.tcnn"
         p.write_bytes(b"XXXX" + bytes(64))
+        with pytest.raises(ValueError):
+            load_model(p)
+
+    @pytest.mark.parametrize("blob", [b"TCNN", b"TCNN\x01\x00"])
+    def test_truncated_version_is_value_error(self, tmp_path, blob):
+        p = tmp_path / "short.tcnn"
+        p.write_bytes(blob)
+        with pytest.raises(ValueError):
+            load_model(p)
+
+    @staticmethod
+    def _corrupt(path, case):
+        """Rewrite the checkpoint at `path` with one defect."""
+        with open(path, "rb") as f:
+            head = f.read(8)
+            meta, conv_w, conv_b, fc_w, fc_b = (read_t3b_stream(f).data
+                                                for _ in range(5))
+        tail = b""
+        if case == "trailing bytes":
+            tail = b"\x00"
+        elif case == "conv rows not a multiple of in_c":
+            conv_w = conv_w[:, 1:, :]
+        elif case == "num_classes differs from fc_w rows":
+            meta = meta.copy()
+            meta[0, 0, 3] += 1
+        elif case == "fc_w columns differ from flat features":
+            fc_w = fc_w[:, :, 1:]
+        elif case == "fc_w block has a second channel":
+            fc_w = np.concatenate([fc_w, fc_w])
+        with open(path, "wb") as f:
+            f.write(head)
+            for block in (meta, conv_w, conv_b, fc_w, fc_b):
+                write_t3b_stream(Tensor3(block), f)
+            f.write(tail)
+
+    @pytest.mark.parametrize("case", [
+        "trailing bytes", "conv rows not a multiple of in_c",
+        "num_classes differs from fc_w rows",
+        "fc_w columns differ from flat features",
+        "fc_w block has a second channel"])
+    def test_inconsistent_checkpoint_rejected(self, tmp_path, case):
+        p = tmp_path / "model.tcnn"
+        save_model(init_model(0, input_shape=(2, 8, 8)), p)
+        assert load_model(p).input_shape == (2, 8, 8)
+        self._corrupt(p, case)
         with pytest.raises(ValueError):
             load_model(p)

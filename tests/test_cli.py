@@ -104,10 +104,20 @@ class TestSimulate:
         paths, _ = sim_files
         bad = tmp_path / "bad.t3b"
         bad.write_bytes(b"garbage")
-        with pytest.raises(SystemExit) as e:
-            run(capsys, "simulate", "--image", str(bad), "--noise",
-                paths["noise"], "--filters", paths["filters"])
-        assert e.value.code == 2
+        code, _, err = run(capsys, "simulate", "--image", str(bad), "--noise",
+                           paths["noise"], "--filters", paths["filters"])
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_short_header_usage_error(self, capsys, sim_files, tmp_path):
+        paths, _ = sim_files
+        short = tmp_path / "short.t3b"
+        short.write_bytes(b"T3B1\x01\x00")
+        code, _, err = run(capsys, "simulate", "--image", str(short),
+                           "--noise", paths["noise"], "--filters",
+                           paths["filters"])
+        assert code == 2
+        assert err.startswith(f"error: {short}: truncated T3B header")
 
     def test_missing_image_and_corpus(self, capsys, sim_files):
         paths, _ = sim_files
@@ -195,6 +205,50 @@ class TestTrainCraftEval:
         code, _, _ = run(capsys, "eval", "--model", "/nonexistent.tcnn",
                          "--random", "low")
         assert code == 2
+
+    def test_short_checkpoint_usage_error(self, capsys, tmp_path):
+        short = tmp_path / "short.tcnn"
+        short.write_bytes(b"TCNN\x01\x00")
+        code, _, err = run(capsys, "eval", "--model", str(short),
+                           "--random", "low")
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_noise_shape_rejected_on_both_paths(self, capsys, trained_ckpt,
+                                                tmp_path):
+        # a (1, 1, 8) pattern would broadcast over an 8x8 image if added
+        row = str(tmp_path / "row.t3b")
+        write_t3b(Tensor3(np.full((1, 1, 8), 0.01)), row)
+        errors = []
+        for path in ("direct", "interleaved"):
+            code, out, err = run(capsys, "eval", "--model", trained_ckpt,
+                                 "--noise", row, "--path", path,
+                                 "--samples", "10")
+            assert code == 2 and out == ""
+            errors.append(err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error:")
+
+    def test_epsilon_over_budget_usage_error(self, capsys, trained_ckpt,
+                                             tmp_path):
+        out_v = str(tmp_path / "v.t3b")
+        for argv in (["craft", "--model", trained_ckpt, "--out", out_v],
+                     ["eval", "--model", trained_ckpt, "--random", "low"]):
+            code, _, err = run(capsys, *argv, "--epsilon", "0.2")
+            assert code == 2
+            assert err.startswith("error:")
+
+    def test_zero_epochs_usage_error(self, capsys, tmp_path):
+        code, _, err = run(capsys, "train", "--model",
+                           str(tmp_path / "m.tcnn"), "--epochs", "0")
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_empty_dataset_exits_one(self, capsys, tmp_path):
+        code, _, err = run(capsys, "train", "--model",
+                           str(tmp_path / "m.tcnn"), "--samples", "0")
+        assert code == 1
+        assert err.startswith("error:")
 
 
 class TestManifestDeterminism:

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from advweave.errors import OutOfRange, ShapeMismatch
 from advweave.tensor import (BitStats, QuantSpec, Tensor3, bit_stats,
                              dequantize, linf_norm, quantize, read_t3b,
-                             write_t3b)
+                             read_t3b_stream, write_t3b)
 
 
 def t3(arr):
@@ -129,6 +131,10 @@ class TestBitStats:
         with pytest.raises(TypeError):
             bit_stats(t3(np.zeros((1, 1, 1))))
 
+    def test_int64_min_has_64_magnitude_bits(self):
+        s = bit_stats(t3(np.array([[[np.iinfo(np.int64).min, 3]]])))
+        assert s == BitStats(2, 2, 64, 3)
+
     @given(st.lists(st.integers(-255, 255), min_size=1, max_size=40))
     def test_matches_popcount_oracle(self, values):
         t = t3(np.asarray(values, dtype=np.int64).reshape(1, 1, -1))
@@ -183,6 +189,12 @@ class TestT3B:
         p.write_bytes(b"NOPE" + bytes(20))
         with pytest.raises(ValueError):
             read_t3b(p)
+
+    @pytest.mark.parametrize("blob", [b"T3B1", b"T3B1\x01\x00",
+                                      b"T3B1" + bytes(12)])
+    def test_truncated_header_is_value_error(self, blob):
+        with pytest.raises(ValueError, match="truncated T3B header"):
+            read_t3b_stream(io.BytesIO(blob))
 
     def test_truncated_rejected(self, tmp_path):
         p = tmp_path / "x.t3b"

@@ -35,13 +35,13 @@ class TestInterleave:
     def test_rows_alternate(self):
         img = Tensor3(np.array([[[1, 1], [2, 2]]]))
         noi = Tensor3(np.array([[[7, 7], [8, 8]]]))
-        woven = interleave_rows(img, noi).woven
+        woven = interleave_rows(img, noi)
         assert woven.shape == (1, 4, 2)
         assert [list(r) for r in woven.data[0]] == [[1, 1], [7, 7], [2, 2], [8, 8]]
 
     def test_zero_noise(self):
         img = Tensor3(np.arange(4).reshape(1, 2, 2))
-        woven = interleave_rows(img, Tensor3(np.zeros((1, 2, 2), dtype=np.int64))).woven
+        woven = interleave_rows(img, Tensor3(np.zeros((1, 2, 2), dtype=np.int64)))
         assert np.all(woven.data[0, 1::2] == 0)
         assert np.array_equal(woven.data[0, 0::2], img.data[0])
 
@@ -50,11 +50,22 @@ class TestInterleave:
             interleave_rows(Tensor3(np.zeros((1, 2, 2))),
                             Tensor3(np.zeros((1, 2, 3))))
 
+    def test_integer_promotion_to_float_rejected(self):
+        # uint64 with int64 promotes to float64, which cannot hold both exactly
+        img = Tensor3(np.full((1, 2, 2), 2**63 + 1, dtype=np.uint64))
+        with pytest.raises(TypeError):
+            interleave_rows(img, Tensor3(np.ones((1, 2, 2), dtype=np.int64)))
+
+    def test_mixed_integer_widths_stay_integer(self):
+        img = Tensor3(np.ones((1, 2, 2), dtype=np.int32))
+        woven = interleave_rows(img, Tensor3(np.ones((1, 2, 2), dtype=np.int64)))
+        assert woven.data.dtype == np.int64
+
     @pytest.mark.parametrize("seed", range(10))
     def test_roundtrip(self, seed):
         rng = np.random.default_rng(seed)
         img, noi, _, _ = rand_attack_instance(rng)
-        back_img, back_noi = deinterleave_rows(interleave_rows(img, noi).woven)
+        back_img, back_noi = deinterleave_rows(interleave_rows(img, noi))
         assert back_img == img
         assert back_noi == noi
 
@@ -62,21 +73,21 @@ class TestInterleave:
 class TestDuplicateFilterRows:
     def test_single_row(self):
         f = FilterBank(np.array([[[[1.0, 2.0]]]]), np.array([3.0]))
-        dup = duplicate_filter_rows(f).duplicated
+        dup = duplicate_filter_rows(f)
         assert dup.kernel_h == 2
         assert np.array_equal(dup.weights[0, 0], [[1.0, 2.0], [1.0, 2.0]])
         assert np.array_equal(dup.bias, f.bias)  # bias copied, never doubled
 
     def test_two_rows_interleaved_order(self):
         w = np.arange(4, dtype=float).reshape(1, 1, 2, 2)
-        dup = duplicate_filter_rows(FilterBank(w, np.zeros(1))).duplicated
+        dup = duplicate_filter_rows(FilterBank(w, np.zeros(1)))
         got = dup.weights[0, 0]
         assert np.array_equal(got, [w[0, 0, 0], w[0, 0, 0], w[0, 0, 1], w[0, 0, 1]])
 
     def test_weight_count_doubles(self):
         rng = np.random.default_rng(0)
         f = FilterBank(rng.uniform(-1, 1, (3, 2, 3, 4)), np.zeros(3))
-        dup = duplicate_filter_rows(f).duplicated
+        dup = duplicate_filter_rows(f)
         assert dup.weights.size == 2 * f.weights.size
 
 
@@ -92,6 +103,11 @@ class TestAttackedGeometry:
     def test_not_idempotent(self):
         g = attacked_geometry(attacked_geometry(ConvGeometry(1, 1)))
         assert g.stride_v == 4  # applying twice keeps doubling
+
+    def test_vertical_padding_rejected(self):
+        with pytest.raises(BadGeometry):
+            attacked_geometry(ConvGeometry(1, 1, pad_h=1))
+        assert attacked_geometry(ConvGeometry(1, 1, pad_w=2)).pad_w == 2
 
 
 class TestAttackedConv:
@@ -171,9 +187,9 @@ class TestEquivalenceReport:
         noi = Tensor3(rng.integers(1, 5, (1, 4, 4)))
         f = FilterBank(np.ones((1, 1, 2, 2), dtype=np.int64), np.zeros(1, dtype=np.int64))
         g = ConvGeometry(1, 1)
-        woven = interleave_rows(img, noi).woven.data.copy()
+        woven = interleave_rows(img, noi).data.copy()
         woven[0, 1, :] += 100  # flip one noise row
         corrupted = conv2d(Tensor3(woven),
-                           duplicate_filter_rows(f).duplicated, ag(g))
+                           duplicate_filter_rows(f), ag(g))
         rep = equivalence_report(img, noi, f, g, attacked_output=corrupted)
         assert not rep.exact
