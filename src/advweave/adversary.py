@@ -17,13 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import FilterBank, conv2d, dense
+from .conv import (ConvGeometry, FilterBank, conv2d_nchw, dense,
+                   maxpool2_argmax, relu)
 from .errors import EmptyDataset, ShapeMismatch
 from .tensor import Tensor3, read_t3b_stream, write_t3b_stream
-from .weave import attacked_conv
+from .weave import attacked_conv_nchw
 
 TCNN_MAGIC = b"TCNN"
 TCNN_VERSION = 1
+
+# Samples per batched forward in fooling_report: large enough to amortise
+# per-call overhead, small enough that a 2000-sample eval adds no memory.
+EVAL_BLOCK = 64
 
 # Reference-only context: published ImageNet fooling rates for pretrained
 # models under a universal perturbation. Not reproducible at desk scale.
@@ -128,9 +133,10 @@ def init_model(seed: int, input_shape: tuple[int, int, int] = (1, 8, 8),
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max()
+    """Softmax over the last axis: one vector of logits, or one per row."""
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def cross_entropy(logits: np.ndarray, label: int) -> float:
@@ -138,48 +144,50 @@ def cross_entropy(logits: np.ndarray, label: int) -> float:
     return float(np.log(np.exp(z).sum()) - z[label])
 
 
-def _pool_forward(a: np.ndarray):
-    c, h, w = a.shape
-    win = a.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4)
-    win = win.reshape(c, h // 2, w // 2, 4)
-    idx = win.argmax(axis=-1)
-    pooled = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-    return pooled, idx
-
-
-def _pool_backward(dpooled: np.ndarray, idx: np.ndarray, in_shape) -> np.ndarray:
-    c, h, w = in_shape
-    dwin = np.zeros((c, h // 2, w // 2, 4))
-    np.put_along_axis(dwin, idx[..., None], dpooled[..., None], axis=-1)
-    dwin = dwin.reshape(c, h // 2, w // 2, 2, 2).transpose(0, 1, 3, 2, 4)
-    return dwin.reshape(c, h, w)
-
-
 @dataclass
 class ForwardCache:
-    x: np.ndarray
-    z1: np.ndarray        # conv pre-activation
-    a1: np.ndarray        # relu output
-    pool_idx: np.ndarray
-    flat: np.ndarray
-    logits: np.ndarray
+    x: np.ndarray          # (N, C, H, W) float64 input
+    pool_mask: np.ndarray  # where each 2x2 window's conv maximum sits
+    pooled: np.ndarray     # pooled conv output, before ReLU
+    flat: np.ndarray       # (N, features) ReLU output
+
+
+def _stack(model: TinyCNN, samples: list[Tensor3]) -> np.ndarray:
+    """One (N, C, H, W) array of samples that each have the model's input shape."""
+    for x in samples:
+        if x.shape != model.input_shape:
+            raise ShapeMismatch(f"input {x.shape} != model {model.input_shape}")
+    return np.stack([x.data for x in samples])
+
+
+def forward_batch(model: TinyCNN, xs: np.ndarray,
+                  noise: np.ndarray | None = None) -> tuple[np.ndarray, ForwardCache]:
+    """Logits (N, num_classes) and backward cache of an (N, C, H, W) batch.
+
+    With `noise` (a (C, H, W) pattern, or a batch of them that broadcasts
+    over xs) the first layer runs the noise-interleaved attacked
+    convolution; the cache then holds the clean inputs. ReLU runs after pooling, with which it commutes.
+    """
+    if xs.shape[1:] != model.input_shape:
+        raise ShapeMismatch(f"input {xs.shape[1:]} != model {model.input_shape}")
+    z1 = conv2d_nchw(xs, model.conv1) if noise is None \
+        else attacked_conv_nchw(xs, noise, model.conv1)
+    z1 = np.asarray(z1, dtype=np.float64)
+    pooled, mask = maxpool2_argmax(z1)
+    n, c, ph, pw = pooled.shape
+    # conv.relu on the batch viewed as one (N * C)-channel tensor
+    flat = relu(Tensor3(pooled.reshape(n * c, ph, pw))).data.reshape(n, -1)
+    logits = dense(flat, model.fc_w, model.fc_b)
+    return logits, ForwardCache(x=np.asarray(xs, dtype=np.float64),
+                                pool_mask=mask, pooled=pooled, flat=flat)
 
 
 def forward(model: TinyCNN, x: Tensor3,
             noise: Tensor3 | None = None) -> tuple[np.ndarray, ForwardCache]:
-    """Logits and backward cache. With `noise`, the first layer runs the
-    noise-interleaved attacked convolution; the cache then holds the clean x."""
-    if x.shape != model.input_shape:
-        raise ShapeMismatch(f"input {x.shape} != model {model.input_shape}")
-    z1 = conv2d(x, model.conv1) if noise is None \
-        else attacked_conv(x, noise, model.conv1)
-    z1 = z1.data.astype(np.float64)
-    a1 = np.maximum(z1, 0)
-    pooled, idx = _pool_forward(a1)
-    flat = pooled.ravel()
-    logits = dense(flat, model.fc_w, model.fc_b)
-    return logits, ForwardCache(x=x.data.astype(np.float64), z1=z1, a1=a1,
-                                pool_idx=idx, flat=flat, logits=logits)
+    """Logits and backward cache of one sample: forward_batch with N=1."""
+    logits, cache = forward_batch(model, x.data[None],
+                                  None if noise is None else noise.data)
+    return logits[0], cache
 
 
 @dataclass
@@ -191,37 +199,52 @@ class Gradients:
     input: np.ndarray
 
 
-def backward(model: TinyCNN, x: Tensor3, label: int) -> Gradients:
-    """Gradients of the cross-entropy loss w.r.t. every parameter and the input."""
-    if not 0 <= label < model.num_classes:
-        raise ValueError(f"label {label} out of range")
-    logits, cache = forward(model, x)
-    p = softmax(logits)
-    dlogits = p.copy()
-    dlogits[label] -= 1.0
+def backward_batch(model: TinyCNN, xs: np.ndarray, labels) -> Gradients:
+    """Gradients of the summed cross-entropy loss of an (N, C, H, W) batch.
 
-    dfc_w = np.outer(dlogits, cache.flat)
-    dfc_b = dlogits
-    dflat = model.fc_w.T @ dlogits
+    Parameter gradients are summed over the batch; `input` holds each
+    sample's own input gradient, shape (N, C, H, W).
+    """
+    labels = np.asarray(labels)
+    bad = (labels < 0) | (labels >= model.num_classes)
+    if bad.any():
+        raise ValueError(f"label {labels[bad][0]} out of range")
+    logits, cache = forward_batch(model, xs)
+    dlogits = softmax(logits)
+    dlogits[np.arange(len(labels)), labels] -= 1.0
 
-    c_out = model.conv1.out_channels
-    oh, ow = cache.a1.shape[1], cache.a1.shape[2]
-    dpooled = dflat.reshape(c_out, oh // 2, ow // 2)
-    da1 = _pool_backward(dpooled, cache.pool_idx, cache.a1.shape)
-    dz1 = da1 * (cache.z1 > 0)
+    dfc_w = dlogits.T @ cache.flat
+    dfc_b = dlogits.sum(axis=0)
+    dflat = dlogits @ model.fc_w
+    dpooled = dflat.reshape(cache.pooled.shape) * (cache.pooled > 0)
+    dz1 = cache.pool_mask * dpooled.repeat(2, axis=-2).repeat(2, axis=-1)
 
     w = model.conv1.weights
-    kh, kw = model.conv1.kernel_h, model.conv1.kernel_w
-    dconv_b = dz1.sum(axis=(1, 2))
-    dconv_w = np.zeros_like(w, dtype=np.float64)
-    dx = np.zeros_like(cache.x)
-    for j in range(kh):
-        for k in range(kw):
-            patch = cache.x[:, j:j + oh, k:k + ow]
-            dconv_w[:, :, j, k] = np.einsum("ohw,chw->oc", dz1, patch)
-            dx[:, j:j + oh, k:k + ow] += np.einsum("ohw,oc->chw", dz1, w[:, :, j, k])
+    c_out, c_in, kh, kw = w.shape
+    dconv_b = dz1.sum(axis=(0, 2, 3))
+    # dW[o, c, j, k] = sum over n, y, x of dz1[n, o, y, x] * x[n, c, y+j, x+k]:
+    # the inputs convolved by dz1, with batch and channel axes swapped
+    dconv_w = conv2d_nchw(cache.x.transpose(1, 0, 2, 3),
+                          FilterBank(dz1.transpose(1, 0, 2, 3),
+                                     np.zeros(c_out))).transpose(1, 0, 2, 3)
+    # dx: the full (fully padded) convolution of dz1 by the flipped filters
+    flipped = FilterBank(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
+                         np.zeros(c_in))
+    dx = conv2d_nchw(dz1, flipped, ConvGeometry(pad_h=kh - 1, pad_w=kw - 1))
     return Gradients(conv_w=dconv_w, conv_b=dconv_b, fc_w=dfc_w, fc_b=dfc_b,
                      input=dx)
+
+
+def backward(model: TinyCNN, x: Tensor3, label: int) -> Gradients:
+    """Gradients of one sample's loss w.r.t. every parameter and its input."""
+    g = backward_batch(model, x.data[None], [label])
+    g.input = g.input[0]
+    return g
+
+
+def predict_batch(model: TinyCNN, samples: list[Tensor3]) -> np.ndarray:
+    """Predicted labels of many samples, from one batched forward."""
+    return forward_batch(model, _stack(model, samples))[0].argmax(axis=1)
 
 
 def predict(model: TinyCNN, x: Tensor3) -> int:
@@ -233,6 +256,8 @@ def train(model: TinyCNN, dataset: list[tuple[Tensor3, int]],
     """Minibatch SGD: w <- w - lr * dLoss/dw, deterministic per seed."""
     if not dataset:
         raise EmptyDataset("training set is empty")
+    xs = _stack(model, [x for x, _ in dataset])
+    ys = np.array([y for _, y in dataset])
     rng = np.random.default_rng(cfg.seed)
     conv_w = model.conv1.weights.astype(np.float64).copy()
     conv_b = model.conv1.bias.astype(np.float64).copy()
@@ -243,23 +268,13 @@ def train(model: TinyCNN, dataset: list[tuple[Tensor3, int]],
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            g_cw = np.zeros_like(conv_w)
-            g_cb = np.zeros_like(conv_b)
-            g_fw = np.zeros_like(fc_w)
-            g_fb = np.zeros_like(fc_b)
             cur = TinyCNN(FilterBank(conv_w, conv_b), fc_w, fc_b, model.input_shape)
-            for i in batch:
-                x, y = dataset[i]
-                g = backward(cur, x, y)
-                g_cw += g.conv_w
-                g_cb += g.conv_b
-                g_fw += g.fc_w
-                g_fb += g.fc_b
+            g = backward_batch(cur, xs[batch], ys[batch])
             lr = cfg.learning_rate / len(batch)
-            conv_w -= lr * g_cw
-            conv_b -= lr * g_cb
-            fc_w -= lr * g_fw
-            fc_b -= lr * g_fb
+            conv_w -= lr * g.conv_w
+            conv_b -= lr * g.conv_b
+            fc_w -= lr * g.fc_w
+            fc_b -= lr * g.fc_b
     return TinyCNN(FilterBank(conv_w, conv_b), fc_w, fc_b, model.input_shape)
 
 
@@ -304,7 +319,7 @@ def craft_uap(model: TinyCNN, sample_set: list[Tensor3], budget: PerturbBudget,
     v = np.zeros(shape)
     if eps == 0:
         return Tensor3(v)
-    clean_preds = [predict(model, x) for x in sample_set]
+    clean_preds = predict_batch(model, sample_set)
     step = PerturbBudget(epsilon=eps / 4, relative_cap=budget.relative_cap,
                          max_magnitude=budget.max_magnitude)
     for _ in range(max_iters):
@@ -328,7 +343,8 @@ def fooling_report(model: TinyCNN, dataset: list[tuple[Tensor3, int]],
 
     `perturbation` is a Tensor3 applied to every sample, or a callable
     sample -> Tensor3. `path` selects explicit noise addition ("direct")
-    or the interleaved first-layer attack ("interleaved").
+    or the interleaved first-layer attack ("interleaved"). Samples are
+    evaluated in batches of EVAL_BLOCK, which bounds the memory used.
     """
     if not dataset:
         raise EmptyDataset("evaluation set is empty")
@@ -336,20 +352,28 @@ def fooling_report(model: TinyCNN, dataset: list[tuple[Tensor3, int]],
         raise ValueError(f"unknown path {path!r}")
     k5 = model.num_classes >= 5
     flips = top1c = top1p = top5c = top5p = 0
-    for x, y in dataset:
-        v = perturbation(x) if callable(perturbation) else perturbation
-        clean_logits, _ = forward(model, x)
+    for start in range(0, len(dataset), EVAL_BLOCK):
+        block = dataset[start:start + EVAL_BLOCK]
+        xs = _stack(model, [x for x, _ in block])
+        ys = np.array([y for _, y in block])
+        vs = [perturbation(x) for x, _ in block] if callable(perturbation) \
+            else [perturbation]
+        for v in vs:  # checked here: the direct sum would broadcast
+            if v.shape != model.input_shape:
+                raise ShapeMismatch(f"{model.input_shape} vs {v.shape}")
+        noise = np.stack([v.data for v in vs])  # broadcasts over the block
+        clean_logits, _ = forward_batch(model, xs)
         if path == "direct":
-            pert_logits, _ = forward(model, x + v)
+            pert_logits, _ = forward_batch(model, xs + noise)
         else:
-            pert_logits, _ = forward(model, x, v)
-        pc, pp = int(np.argmax(clean_logits)), int(np.argmax(pert_logits))
-        flips += pc != pp
-        top1c += pc == y
-        top1p += pp == y
+            pert_logits, _ = forward_batch(model, xs, noise)
+        pc, pp = clean_logits.argmax(axis=1), pert_logits.argmax(axis=1)
+        flips += int((pc != pp).sum())
+        top1c += int((pc == ys).sum())
+        top1p += int((pp == ys).sum())
         if k5:
-            top5c += y in np.argsort(clean_logits)[-5:]
-            top5p += y in np.argsort(pert_logits)[-5:]
+            top5c += _in_top5(clean_logits, ys)
+            top5p += _in_top5(pert_logits, ys)
     n = len(dataset)
     return FoolingReport(
         fooling_rate=flips / n,
@@ -359,6 +383,12 @@ def fooling_report(model: TinyCNN, dataset: list[tuple[Tensor3, int]],
         top5_perturbed=top5p / n if k5 else None,
         n_samples=n,
     )
+
+
+def _in_top5(logits: np.ndarray, labels: np.ndarray) -> int:
+    """How many rows rank their label among their five largest logits."""
+    return int((np.argsort(logits, axis=1)[:, -5:] == labels[:, None])
+               .any(axis=1).sum())
 
 
 # ---------------------------------------------------------------------------

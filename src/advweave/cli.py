@@ -23,7 +23,8 @@ from . import __version__
 from .accel import PRESETS, compare_attack_footprint, preset_config
 from .adversary import (IMAGENET_FOOLING_RATES, PerturbBudget, TrainConfig,
                         craft_uap, fooling_report, init_model, load_model,
-                        make_corpus, predict, random_noise, save_model, train)
+                        make_corpus, predict_batch, random_noise, save_model,
+                        train)
 from .conv import ConvGeometry, FilterBank
 from .errors import EmptyDataset, ShapeMismatch
 from .tensor import QuantSpec, Tensor3, bit_stats, linf_norm, quantize, \
@@ -184,7 +185,8 @@ def cmd_train(args) -> int:
                       batch_size=args.batch_size, seed=args.seed)
     model = train(model, corpus, cfg)
     save_model(model, args.model)
-    acc = sum(predict(model, x) == y for x, y in corpus) / len(corpus)
+    preds = predict_batch(model, [x for x, _ in corpus])
+    acc = int(sum(p == y for p, (_, y) in zip(preds, corpus))) / len(corpus)
     _emit({"manifest": manifest,
            "payload": {"train_accuracy": acc, "n_samples": len(corpus)}})
     print(f"train: accuracy {acc:.3f}, checkpoint -> {args.model}",
@@ -198,7 +200,7 @@ def cmd_craft(args) -> int:
     })
     model = load_model(args.model)
     budget = PerturbBudget(epsilon=args.epsilon)
-    corpus = make_corpus(args.samples, seed=args.seed)
+    corpus = make_corpus(args.samples, seed=args.seed, shape=model.input_shape)
     v = craft_uap(model, [x for x, _ in corpus], budget, max_iters=args.iters)
     write_t3b(v, args.out)
     rep = fooling_report(model, corpus, v)
@@ -230,7 +232,8 @@ def cmd_eval(args) -> int:
     else:
         budget = PerturbBudget(epsilon=args.epsilon)
         v = random_noise(model.input_shape, budget, args.random, args.seed)
-    corpus = make_corpus(args.samples, seed=args.seed + 1)
+    corpus = make_corpus(args.samples, seed=args.seed + 1,
+                         shape=model.input_shape)
     rep = fooling_report(model, corpus, v, path=args.path)
     with _output(args.out) as out:
         _emit({"manifest": manifest, "payload": rep.to_dict()}, out)

@@ -2,16 +2,17 @@
 
 conv2d is a cross-correlation (no kernel flip), the deep-learning
 convention; every equivalence oracle in this repo uses the same
-convention on both sides. Integer inputs are computed in int64 and are
-bit-exact; reduction order within one output element is the row-major
-scan, so results are deterministic.
+convention on both sides. One batched (N, C, H, W) kernel, conv2d_nchw,
+computes every convolution; conv2d is its N=1 wrapper on a Tensor3.
+Integer inputs are computed in int64 and are bit-exact; float results are
+summed kernel row by kernel row, so they are deterministic for a given
+input shape.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadGeometry, ShapeMismatch
 from .tensor import Tensor3
@@ -78,62 +79,94 @@ class ConvGeometry:
         return oh, ow
 
 
-def _windows(x: np.ndarray, kh: int, kw: int, sv: int, sh: int) -> np.ndarray:
-    # shape (C, out_h, out_w, kh, kw)
-    win = sliding_window_view(x, (kh, kw), axis=(1, 2))
-    return win[:, ::sv, ::sh, :, :]
+def conv2d_nchw(x: np.ndarray, filters: FilterBank,
+                geom: ConvGeometry = ConvGeometry()) -> np.ndarray:
+    """Batched conv2d: (N, C, H, W) input -> (N, out_channels, oh, ow), plus bias.
 
-
-def _padded(input: Tensor3, geom: ConvGeometry) -> np.ndarray:
-    x = input.data
-    if input.is_integer():
-        x = x.astype(np.int64)
+    im2col split by kernel row: for each kernel row j the strided input
+    windows are copied into a (C*kernel_w, N*oh*ow) column matrix, which
+    that row's (out_channels, C*kernel_w) weights multiply, so the column
+    buffer is kernel_h times smaller than a full im2col. Integer operands
+    are computed in int64 and are bit-exact; anything else in float64.
+    """
+    if x.ndim != 4:
+        raise ShapeMismatch(f"batched input needs 4 dims, got {x.ndim}")
+    n, c, h, w = x.shape
+    if c != filters.in_channels:
+        raise ShapeMismatch(
+            f"input has {c} channels, filters expect {filters.in_channels}")
+    o, _, kh, kw = filters.weights.shape
+    oh, ow = geom.out_shape(h, w, kh, kw)
+    integer = x.dtype.kind in "iu" and filters.weights.dtype.kind in "iu"
+    dtype = np.int64 if integer else np.float64
     if geom.pad_h or geom.pad_w:
-        x = np.pad(x, ((0, 0), (geom.pad_h, geom.pad_h), (geom.pad_w, geom.pad_w)))
-    return x
+        ph, pw = geom.pad_h, geom.pad_w
+        padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=dtype)
+        padded[:, :, ph:ph + h, pw:pw + w] = x
+        x = padded
+    else:
+        x = np.ascontiguousarray(x, dtype=dtype)
+    sn, sc, sy, sx = x.strides
+    # win[j, c, k, n, y, x] = x[n, c, y * stride_v + j, x * stride_h + k]; a
+    # read-only view of the contiguous x (ndarray() is cheaper than as_strided)
+    win = np.ndarray((kh, c, kw, n, oh, ow), dtype=dtype, buffer=x,
+                     strides=(sy, sc, sx, sn, sy * geom.stride_v,
+                              sx * geom.stride_h))
+    win.flags.writeable = False
+    weights = filters.weights.astype(dtype, copy=False)
+    out = np.zeros((o, n * oh * ow), dtype=dtype)
+    for j in range(kh):
+        out += weights[:, :, j, :].reshape(o, c * kw) \
+            @ win[j].reshape(c * kw, n * oh * ow)
+    out += filters.bias.astype(dtype, copy=False)[:, None]
+    return out.reshape(o, n, oh, ow).transpose(1, 0, 2, 3)
 
 
 def conv2d(input: Tensor3, filters: FilterBank, geom: ConvGeometry = ConvGeometry()) -> Tensor3:
     """Sliding dot product of each filter over the input, plus bias."""
-    if input.channels != filters.in_channels:
-        raise ShapeMismatch(
-            f"input has {input.channels} channels, filters expect "
-            f"{filters.in_channels}")
-    geom.out_shape(input.height, input.width, filters.kernel_h, filters.kernel_w)
-    x = _padded(input, geom)
-    win = _windows(x, filters.kernel_h, filters.kernel_w, geom.stride_v, geom.stride_h)
-    w = filters.weights
-    if np.issubdtype(x.dtype, np.integer) and np.issubdtype(w.dtype, np.integer):
-        w = w.astype(np.int64)
-        b = filters.bias.astype(np.int64)
-    else:
-        win = win.astype(np.float64)
-        w = w.astype(np.float64)
-        b = filters.bias.astype(np.float64)
-    out = np.einsum("chwjk,ocjk->ohw", win, w)
-    out += b[:, None, None]
-    return Tensor3(out)
+    return Tensor3(conv2d_nchw(input.data[None], filters, geom)[0])
 
 
 def relu(t: Tensor3) -> Tensor3:
     return Tensor3(np.maximum(t.data, 0))
 
 
+def maxpool2_argmax(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """2x2 max pooling with stride 2 over the last two axes of `a`.
+
+    Returns the pooled array and a boolean mask of `a`'s shape that marks
+    where each window's maximum sits (the first in row-major order on
+    ties); backprop routes the pooled gradient through that mask.
+    """
+    *lead, h, w = a.shape
+    if h % 2 or w % 2:
+        raise BadGeometry(f"maxpool2 needs even dims, got {h}x{w}")
+    win = a.reshape(*lead, h // 2, 2, w // 2, 2)
+    offsets = ((0, 0), (0, 1), (1, 0), (1, 1))  # row-major window order
+    q = [win[..., dy, :, dx] for dy, dx in offsets]
+    pooled = np.maximum(np.maximum(q[0], q[1]), np.maximum(q[2], q[3]))
+    mask = np.empty(win.shape, dtype=bool)
+    taken = np.zeros(pooled.shape, dtype=bool)
+    for (dy, dx), quarter in zip(offsets, q):
+        hit = (quarter == pooled) & ~taken
+        mask[..., dy, :, dx] = hit
+        taken |= hit
+    return pooled, mask.reshape(a.shape)
+
+
 def maxpool2(t: Tensor3) -> Tensor3:
     """2x2 max pooling with stride 2; requires even spatial dims."""
-    if t.height % 2 or t.width % 2:
-        raise BadGeometry(f"maxpool2 needs even dims, got {t.height}x{t.width}")
-    win = t.data.reshape(t.channels, t.height // 2, 2, t.width // 2, 2)
-    return Tensor3(win.max(axis=(2, 4)))
+    return Tensor3(maxpool2_argmax(t.data)[0])
 
 
 def dense(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Affine map W @ x + b."""
+    """Affine map W @ x + b of a vector x, or of each row of an (N, F) batch."""
     x, W, b = np.asarray(x), np.asarray(W), np.asarray(b)
-    if W.ndim != 2 or x.ndim != 1 or b.ndim != 1:
-        raise ShapeMismatch("dense expects matrix W, vectors x and b")
-    if W.shape[1] != x.shape[0]:
-        raise ShapeMismatch(f"W has {W.shape[1]} columns, x has {x.shape[0]}")
+    if W.ndim != 2 or x.ndim not in (1, 2) or b.ndim != 1:
+        raise ShapeMismatch("dense expects matrix W, vector or batch x, "
+                            "vector b")
+    if W.shape[1] != x.shape[-1]:
+        raise ShapeMismatch(f"W has {W.shape[1]} columns, x has {x.shape[-1]}")
     if b.shape[0] != W.shape[0]:
         raise ShapeMismatch(f"b has {b.shape[0]} rows, W has {W.shape[0]}")
-    return W @ x + b
+    return x @ W.T + b

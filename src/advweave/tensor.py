@@ -131,7 +131,7 @@ def bit_stats(t: Tensor3) -> BitStats:
     np.negative(mags, out=mags, where=x < 0)
     nonzero = int(np.count_nonzero(mags))
     max_bits = int(mags.max()).bit_length() if nonzero else 0
-    total_bits = sum(int(v).bit_count() for v in mags)
+    total_bits = int(np.bitwise_count(mags).sum())
     return BitStats(
         total_elements=mags.size,
         nonzero_elements=nonzero,

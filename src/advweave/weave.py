@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import ConvGeometry, FilterBank, conv2d
+from .conv import ConvGeometry, FilterBank, conv2d, conv2d_nchw
 from .errors import BadGeometry, ShapeMismatch
 from .tensor import Tensor3
 
@@ -25,20 +25,29 @@ class EquivalenceReport:
     exact: bool
 
 
+def weave_rows(images: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Array form of interleave_rows over the last three (C, H, W) axes.
+
+    `images` may carry a leading batch axis, over which `noise` broadcasts:
+    one pattern for every image, or one pattern per image.
+    """
+    if noise.shape[-3:] != images.shape[-3:]:
+        raise ShapeMismatch(f"{images.shape[-3:]} vs {noise.shape[-3:]}")
+    dtype = np.result_type(images, noise)
+    if images.dtype.kind in "iu" and noise.dtype.kind in "iu" \
+            and dtype.kind not in "iu":
+        raise TypeError(f"{images.dtype} and {noise.dtype} promote to "
+                        f"{dtype}, which is not exact")
+    *lead, h, w = images.shape
+    woven = np.empty((*lead, 2 * h, w), dtype=dtype)
+    woven[..., 0::2, :] = images
+    woven[..., 1::2, :] = noise
+    return woven
+
+
 def interleave_rows(image: Tensor3, noise: Tensor3) -> Tensor3:
     """Woven row 2r is image row r, woven row 2r+1 is noise row r, per channel."""
-    if image.shape != noise.shape:
-        raise ShapeMismatch(f"{image.shape} vs {noise.shape}")
-    c, h, w = image.shape
-    dtype = np.result_type(image.data, noise.data)
-    if image.is_integer() and noise.is_integer() \
-            and not np.issubdtype(dtype, np.integer):
-        raise TypeError(f"{image.data.dtype} and {noise.data.dtype} promote to "
-                        f"{dtype}, which is not exact")
-    woven = np.empty((c, 2 * h, w), dtype=dtype)
-    woven[:, 0::2, :] = image.data
-    woven[:, 1::2, :] = noise.data
-    return Tensor3(woven)
+    return Tensor3(weave_rows(image.data, noise.data))
 
 
 def deinterleave_rows(woven: Tensor3) -> tuple[Tensor3, Tensor3]:
@@ -59,11 +68,19 @@ def attacked_geometry(g: ConvGeometry) -> ConvGeometry:
                         pad_h=g.pad_h, pad_w=g.pad_w)
 
 
+def attacked_conv_nchw(images: np.ndarray, noise: np.ndarray,
+                       filters: FilterBank,
+                       geom: ConvGeometry = ConvGeometry()) -> np.ndarray:
+    """Batched attacked_conv: (N, C, H, W) images, noise as in weave_rows."""
+    return conv2d_nchw(weave_rows(images, noise),
+                       duplicate_filter_rows(filters), attacked_geometry(geom))
+
+
 def attacked_conv(image: Tensor3, noise: Tensor3, filters: FilterBank,
                   geom: ConvGeometry = ConvGeometry()) -> Tensor3:
     """Convolution over the woven input; equals conv2d(image + noise, ...)."""
-    return conv2d(interleave_rows(image, noise), duplicate_filter_rows(filters),
-                  attacked_geometry(geom))
+    return Tensor3(attacked_conv_nchw(image.data[None], noise.data, filters,
+                                      geom)[0])
 
 
 def equivalence_report(image: Tensor3, noise: Tensor3, filters: FilterBank,

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advweave.adversary import (FoolingReport, PerturbBudget, TrainConfig,
-                                backward, clip_adversarial, craft_uap,
-                                cross_entropy, fgsm, fooling_report, forward,
+                                backward, backward_batch, clip_adversarial,
+                                craft_uap, cross_entropy, fgsm,
+                                fooling_report, forward, forward_batch,
                                 init_model, load_model, make_corpus, predict,
-                                random_noise, save_model, softmax, train)
+                                predict_batch, random_noise, save_model,
+                                softmax, train)
 from advweave.conv import FilterBank
 from advweave.errors import EmptyDataset, ShapeMismatch
 from advweave.tensor import (Tensor3, linf_norm, read_t3b_stream,
@@ -72,6 +76,29 @@ class TestForward:
         with pytest.raises(ShapeMismatch):
             forward(m, Tensor3(np.zeros((2, 8, 8))))
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 70), st.integers(1, 2),
+           st.sampled_from([(8, 8), (9, 7), (6, 10)]), st.integers(2, 6))
+    @settings(max_examples=25, deadline=None)
+    def test_batch_matches_per_sample(self, seed, n, c, hw, classes):
+        # (h, w) - kernel + 1 must be even for pooling: 3x3 on 8x8, 2x2 on
+        # 9x7, 1x1 on 6x10
+        kernel = {(8, 8): 3, (9, 7): 2, (6, 10): 1}[hw]
+        m = init_model(seed % 1000, input_shape=(c, *hw),
+                       num_classes=classes, kernel=kernel)
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(0, 1, (n, c, *hw))
+        v = rng.uniform(-0.05, 0.05, (c, *hw))
+        batched, _ = forward_batch(m, xs)
+        single = np.stack([forward(m, Tensor3(x))[0] for x in xs])
+        scale = max(np.abs(single).max(), 1e-300)
+        assert np.abs(batched - single).max() <= 1e-12 * scale
+        direct, _ = forward_batch(m, xs + v)
+        woven, _ = forward_batch(m, xs, v)
+        scale = max(np.abs(direct).max(), 1e-300)
+        assert np.abs(direct - woven).max() <= 1e-12 * scale
+        assert np.array_equal(predict_batch(m, [Tensor3(x) for x in xs]),
+                              single.argmax(axis=1))
+
     def test_cross_entropy_nonnegative(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -132,6 +159,21 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(m, Tensor3(np.zeros(m.input_shape)), 99)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_batch_sums_per_sample_gradients(self, seed):
+        m = init_model(seed, input_shape=(2, 8, 8))
+        rng = np.random.default_rng(seed + 200)
+        xs = rng.uniform(0, 1, (5, 2, 8, 8))
+        ys = rng.integers(0, m.num_classes, 5)
+        g = backward_batch(m, xs, ys)
+        singles = [backward(m, Tensor3(x), int(y)) for x, y in zip(xs, ys)]
+        for name in ("conv_w", "conv_b", "fc_w", "fc_b"):
+            want = sum(getattr(s, name) for s in singles)
+            assert np.allclose(getattr(g, name), want, rtol=1e-12,
+                               atol=1e-14), name
+        assert np.allclose(g.input, np.stack([s.input for s in singles]),
+                           rtol=1e-12, atol=1e-14)
+
 
 class TestTrain:
     def make_separable_2class(self, n=60, seed=0):
@@ -176,6 +218,19 @@ class TestTrain:
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
             train(init_model(0), [], TrainConfig())
+
+    def test_wrongly_shaped_sample(self):
+        data = self.make_separable_2class(n=10)
+        data[7] = (Tensor3(np.zeros((1, 8, 7))), 0)
+        with pytest.raises(ShapeMismatch):
+            train(init_model(0), data, TrainConfig(0.1, 1, 4, 0))
+
+    @pytest.mark.parametrize("label", [-1, 4])
+    def test_out_of_range_label(self, label):
+        data = self.make_separable_2class(n=10)
+        data[7] = (data[7][0], label)
+        with pytest.raises(ValueError, match="out of range"):
+            train(init_model(0), data, TrainConfig(0.1, 1, 4, 0))
 
 
 class TestFGSM:
@@ -301,6 +356,50 @@ class TestFoolingReport:
         m, _, _ = trained
         with pytest.raises(EmptyDataset):
             fooling_report(m, [], Tensor3(np.zeros(m.input_shape)))
+
+    @pytest.mark.parametrize("path", ["direct", "interleaved"])
+    def test_callable_matches_per_sample_reference(self, trained, path):
+        m, _, held = trained
+        held = held[:150]  # more than two evaluation blocks
+
+        def per_sample(x):
+            return fgsm(m, x, predict(m, x), PerturbBudget(epsilon=0.05))
+
+        flips = top1c = top1p = 0
+        for x, y in held:
+            pc = int(np.argmax(forward(m, x)[0]))
+            pp = int(np.argmax(forward(m, x + per_sample(x))[0]))
+            flips += pc != pp
+            top1c += pc == y
+            top1p += pp == y
+        n = len(held)
+        want = FoolingReport(flips / n, top1c / n, top1p / n, None, None, n)
+        assert fooling_report(m, held, per_sample, path=path) == want
+        assert want.fooling_rate > 0
+
+    def test_top5_matches_per_sample_reference(self):
+        m = init_model(4, num_classes=7)
+        data = make_corpus(100, seed=4, num_classes=7)
+        v = random_noise(m.input_shape, PerturbBudget(epsilon=0.05), "low", 4)
+        top5c = top5p = 0
+        for x, y in data:
+            top5c += y in np.argsort(forward(m, x)[0])[-5:]
+            top5p += y in np.argsort(forward(m, x + v)[0])[-5:]
+        rep = fooling_report(m, data, v)
+        assert (rep.top5_clean, rep.top5_perturbed) == (top5c / 100,
+                                                        top5p / 100)
+        assert 0 < rep.top5_clean < 1
+
+    def test_noise_shape_mismatch_same_error_on_both_paths(self, trained):
+        m, _, held = trained
+        row = Tensor3(np.full((1, 1, 8), 0.01))  # would broadcast if added
+        messages = []
+        for path in ("direct", "interleaved"):
+            for perturbation in (row, lambda x: row):
+                with pytest.raises(ShapeMismatch) as e:
+                    fooling_report(m, held[:10], perturbation, path=path)
+                messages.append(str(e.value))
+        assert len(set(messages)) == 1
 
     @pytest.mark.parametrize("seed", range(3))
     def test_attack_path_equivalence(self, trained, seed):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from advweave.adversary import init_model, save_model
 from advweave.cli import main
 from advweave.tensor import Tensor3, write_t3b
 
@@ -228,6 +229,20 @@ class TestTrainCraftEval:
             errors.append(err)
         assert errors[0] == errors[1]
         assert errors[0].startswith("error:")
+
+    def test_craft_and_eval_use_the_model_input_shape(self, capsys,
+                                                       tmp_path):
+        ckpt = str(tmp_path / "two_channel.tcnn")
+        save_model(init_model(0, input_shape=(2, 8, 8)), ckpt)
+        v_path = str(tmp_path / "v.t3b")
+        code, _, err = run(capsys, "craft", "--model", ckpt, "--out", v_path,
+                           "--iters", "2", "--samples", "20")
+        assert code == 0, err
+        for source in (["--random", "low"], ["--noise", v_path]):
+            code, out, err = run(capsys, "eval", "--model", ckpt, *source,
+                                 "--samples", "20")
+            assert code == 0, err
+            assert json.loads(out)["payload"]["n_samples"] == 20
 
     def test_epsilon_over_budget_usage_error(self, capsys, trained_ckpt,
                                              tmp_path):

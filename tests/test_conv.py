@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advweave.conv import ConvGeometry, FilterBank, conv2d, dense, maxpool2, relu
+from advweave.conv import (ConvGeometry, FilterBank, conv2d, conv2d_nchw,
+                           dense, maxpool2, maxpool2_argmax, relu)
 from advweave.errors import BadGeometry, ShapeMismatch
 from advweave.tensor import Tensor3
 
@@ -150,6 +151,34 @@ class TestConv2d:
             assert conv2d(x, f, geom).shape == (2, oh, ow)
 
 
+class TestConv2dBatch:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_batch_matches_naive_oracle_int(self, seed):
+        rng = np.random.default_rng(seed + 500)
+        x, w, b = rand_instance(rng)
+        xs = np.stack([x] + [rng.integers(-9, 10, x.shape)
+                             for _ in range(int(rng.integers(1, 5)))])
+        sv, sh = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        got = conv2d_nchw(xs, FilterBank(w, b), ConvGeometry(sv, sh))
+        want = np.stack([naive_conv2d(s, w, b, sv, sh) for s in xs])
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_batch_matches_naive_oracle_float_padded(self, seed):
+        rng = np.random.default_rng(seed + 600)
+        x, w, b = rand_instance(rng, float_mode=True)
+        xs = np.stack([x, rng.uniform(-2, 2, x.shape)])
+        got = conv2d_nchw(xs, FilterBank(w, b), ConvGeometry(1, 1, 1, 1))
+        want = np.stack([naive_conv2d(s, w, b, 1, 1, 1, 1) for s in xs])
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_channel_mismatch(self):
+        with pytest.raises(ShapeMismatch):
+            conv2d_nchw(np.zeros((2, 2, 4, 4)),
+                        FilterBank(np.zeros((1, 3, 2, 2)), np.zeros(1)))
+
+
 class TestRelu:
     def test_mixed(self):
         out = relu(Tensor3(np.array([[[-1.0, 0.0, 2.0]]])))
@@ -189,6 +218,24 @@ class TestMaxpool2:
                                               2 * j:2 * j + 2].max()
 
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_argmax_mask_marks_first_maximum(self, seed):
+        # small integer range forces ties inside windows
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, 3, (2, 3, 4, 6)).astype(np.float64)
+        pooled, mask = maxpool2_argmax(a)
+        assert mask.shape == a.shape
+        for idx in np.ndindex(pooled.shape):
+            *lead, i, j = idx
+            win = a[(*lead, slice(2 * i, 2 * i + 2), slice(2 * j, 2 * j + 2))]
+            want = np.zeros(4, dtype=bool)
+            want[win.argmax()] = True
+            got = mask[(*lead, slice(2 * i, 2 * i + 2),
+                        slice(2 * j, 2 * j + 2))]
+            assert pooled[idx] == win.max()
+            assert np.array_equal(got.ravel(), want)
+
+
 class TestDense:
     def test_identity(self):
         x = np.array([1.0, 2.0, 3.0])
@@ -207,7 +254,16 @@ class TestDense:
                          for i in range(4)])
         assert np.allclose(dense(x, W, b), want, rtol=1e-12)
 
+    def test_batch_rows_match_vectors(self):
+        rng = np.random.default_rng(1)
+        W, b = rng.uniform(-1, 1, (4, 6)), rng.uniform(-1, 1, 4)
+        xs = rng.uniform(-1, 1, (5, 6))
+        want = np.stack([dense(x, W, b) for x in xs])
+        assert np.allclose(dense(xs, W, b), want, rtol=1e-12, atol=1e-15)
+
     def test_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch):
+            dense(np.zeros((5, 3)), np.zeros((2, 4)), np.zeros(2))
         with pytest.raises(ShapeMismatch):
             dense(np.zeros(3), np.zeros((2, 4)), np.zeros(2))
         with pytest.raises(ShapeMismatch):
