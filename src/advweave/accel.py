@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import ConvGeometry, FilterBank, conv2d
+from .conv import ConvGeometry, FilterBank, window_view
 from .errors import ShapeMismatch
 from .tensor import Tensor3
 from .weave import attacked_geometry, duplicate_filter_rows, interleave_rows
@@ -119,7 +119,9 @@ def count_macs(input: Tensor3, filters: FilterBank, geom: ConvGeometry,
                cfg: SystolicConfig) -> SimReport:
     """Count MACs for one conv layer; skips apply when either operand is zero.
 
-    Executed MACs are the convolution of the two nonzero masks, summed.
+    Executed MACs in closed form, per kernel offset (c, j, k): the filters
+    whose weight there is nonzero times the nonzero inputs that offset's
+    strided window covers (padding counts as zero).
     """
     if input.channels != filters.in_channels:
         raise ShapeMismatch(
@@ -130,10 +132,11 @@ def count_macs(input: Tensor3, filters: FilterBank, geom: ConvGeometry,
     issued = oh * ow * filters.out_channels * filters.in_channels \
         * filters.kernel_h * filters.kernel_w
     if cfg.zero_skip:
-        w_nz = FilterBank((filters.weights != 0).astype(np.int64),
-                          np.zeros(filters.out_channels, dtype=np.int64))
-        x_nz = Tensor3((input.data != 0).astype(np.int64))
-        executed = int(conv2d(x_nz, w_nz, geom).data.sum())
+        win = window_view((input.data != 0)[None], filters.kernel_h,
+                          filters.kernel_w, geom, bool)
+        x_nnz = win.sum(axis=(3, 4, 5))                      # (j, c, k)
+        w_nnz = np.count_nonzero(filters.weights, axis=0)   # (c, j, k)
+        executed = int((w_nnz.transpose(1, 0, 2) * x_nnz).sum())
     else:
         executed = issued
     skipped = issued - executed

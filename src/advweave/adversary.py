@@ -199,40 +199,54 @@ class Gradients:
     input: np.ndarray
 
 
+def _checked_labels(model: TinyCNN, labels) -> np.ndarray:
+    labels = np.asarray(labels)
+    bad = (labels < 0) | (labels >= model.num_classes)
+    if bad.any():
+        raise ValueError(f"label {labels[bad][0]} out of range")
+    return labels
+
+
+def _backprop_to_conv(model: TinyCNN, logits: np.ndarray, cache: ForwardCache,
+                      labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Loss gradients at the logits and at the first layer's output."""
+    dlogits = softmax(logits)
+    dlogits[np.arange(len(labels)), labels] -= 1.0
+    dflat = dlogits @ model.fc_w
+    dpooled = dflat.reshape(cache.pooled.shape) * (cache.pooled > 0)
+    dz1 = cache.pool_mask * dpooled.repeat(2, axis=-2).repeat(2, axis=-1)
+    return dlogits, dz1
+
+
+def _input_gradient(model: TinyCNN, dz1: np.ndarray) -> np.ndarray:
+    """dx: the full (fully padded) convolution of dz1 by the flipped filters."""
+    w = model.conv1.weights
+    _, c_in, kh, kw = w.shape
+    flipped = FilterBank(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
+                         np.zeros(c_in))
+    return conv2d_nchw(dz1, flipped, ConvGeometry(pad_h=kh - 1, pad_w=kw - 1))
+
+
 def backward_batch(model: TinyCNN, xs: np.ndarray, labels) -> Gradients:
     """Gradients of the summed cross-entropy loss of an (N, C, H, W) batch.
 
     Parameter gradients are summed over the batch; `input` holds each
     sample's own input gradient, shape (N, C, H, W).
     """
-    labels = np.asarray(labels)
-    bad = (labels < 0) | (labels >= model.num_classes)
-    if bad.any():
-        raise ValueError(f"label {labels[bad][0]} out of range")
+    labels = _checked_labels(model, labels)
     logits, cache = forward_batch(model, xs)
-    dlogits = softmax(logits)
-    dlogits[np.arange(len(labels)), labels] -= 1.0
-
+    dlogits, dz1 = _backprop_to_conv(model, logits, cache, labels)
     dfc_w = dlogits.T @ cache.flat
     dfc_b = dlogits.sum(axis=0)
-    dflat = dlogits @ model.fc_w
-    dpooled = dflat.reshape(cache.pooled.shape) * (cache.pooled > 0)
-    dz1 = cache.pool_mask * dpooled.repeat(2, axis=-2).repeat(2, axis=-1)
-
-    w = model.conv1.weights
-    c_out, c_in, kh, kw = w.shape
+    c_out = model.conv1.out_channels
     dconv_b = dz1.sum(axis=(0, 2, 3))
     # dW[o, c, j, k] = sum over n, y, x of dz1[n, o, y, x] * x[n, c, y+j, x+k]:
     # the inputs convolved by dz1, with batch and channel axes swapped
     dconv_w = conv2d_nchw(cache.x.transpose(1, 0, 2, 3),
                           FilterBank(dz1.transpose(1, 0, 2, 3),
                                      np.zeros(c_out))).transpose(1, 0, 2, 3)
-    # dx: the full (fully padded) convolution of dz1 by the flipped filters
-    flipped = FilterBank(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
-                         np.zeros(c_in))
-    dx = conv2d_nchw(dz1, flipped, ConvGeometry(pad_h=kh - 1, pad_w=kw - 1))
     return Gradients(conv_w=dconv_w, conv_b=dconv_b, fc_w=dfc_w, fc_b=dfc_b,
-                     input=dx)
+                     input=_input_gradient(model, dz1))
 
 
 def backward(model: TinyCNN, x: Tensor3, label: int) -> Gradients:
@@ -278,10 +292,19 @@ def train(model: TinyCNN, dataset: list[tuple[Tensor3, int]],
     return TinyCNN(FilterBank(conv_w, conv_b), fc_w, fc_b, model.input_shape)
 
 
+def _fgsm_step(model: TinyCNN, logits: np.ndarray, cache: ForwardCache,
+               label: int, epsilon: float) -> np.ndarray:
+    """epsilon * sign(input gradient of the loss of `label`), from the logits
+    and cache of a one-sample forward; computes no parameter gradient."""
+    _, dz1 = _backprop_to_conv(model, logits, cache, np.array([label]))
+    return epsilon * np.sign(_input_gradient(model, dz1)[0])
+
+
 def fgsm(model: TinyCNN, x: Tensor3, label: int, budget: PerturbBudget) -> Tensor3:
     """Perturbation = epsilon * sign(input gradient of the loss)."""
-    g = backward(model, x, label)
-    return Tensor3(budget.epsilon * np.sign(g.input))
+    _checked_labels(model, [label])
+    logits, cache = forward_batch(model, x.data[None])
+    return Tensor3(_fgsm_step(model, logits, cache, label, budget.epsilon))
 
 
 def clip_adversarial(x: Tensor3, eta: Tensor3, lo: float = 0.0,
@@ -320,18 +343,17 @@ def craft_uap(model: TinyCNN, sample_set: list[Tensor3], budget: PerturbBudget,
     if eps == 0:
         return Tensor3(v)
     clean_preds = predict_batch(model, sample_set)
-    step = PerturbBudget(epsilon=eps / 4, relative_cap=budget.relative_cap,
-                         max_magnitude=budget.max_magnitude)
     for _ in range(max_iters):
         fooled = 0
         for x, pred in zip(sample_set, clean_preds):
-            xv = Tensor3(x.data + v)
-            if predict(model, xv) != pred:
+            # one forward gives the prediction and, if unfooled, the gradient
+            logits, cache = forward_batch(model, (x.data + v)[None])
+            if np.argmax(logits[0]) != pred:
                 fooled += 1
                 continue
-            eta = fgsm(model, xv, pred, step)
+            eta = _fgsm_step(model, logits, cache, pred, eps / 4)
             # ascend the loss of the clean prediction to push the label away
-            v = np.clip(v + eta.data, -eps, eps)
+            v = np.clip(v + eta, -eps, eps)
         if fooled / len(sample_set) >= target_rate:
             break
     return Tensor3(v)

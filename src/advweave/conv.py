@@ -4,9 +4,13 @@ conv2d is a cross-correlation (no kernel flip), the deep-learning
 convention; every equivalence oracle in this repo uses the same
 convention on both sides. One batched (N, C, H, W) kernel, conv2d_nchw,
 computes every convolution; conv2d is its N=1 wrapper on a Tensor3.
-Integer inputs are computed in int64 and are bit-exact; float results are
-summed kernel row by kernel row, so they are deterministic for a given
-input shape.
+Integer inputs give a bit-exact int64 result. A layer of at least
+BLAS_MIN_MACS MACs whose max|x| * max_o sum|W[o]| < 2**53 runs in float64
+on BLAS, where every product and partial sum is then an exactly
+representable integer, and is cast back; any other integer layer runs in
+int64. Float results are summed kernel row by kernel row, so they are
+deterministic for a given input shape. window_view, the strided window
+view the kernel multiplies, also serves the zero-skip MAC count in accel.
 """
 from __future__ import annotations
 
@@ -79,6 +83,61 @@ class ConvGeometry:
         return oh, ow
 
 
+# Integer convolutions of at least this many MACs take the float64 BLAS
+# route when it is exact. Below it the bound check costs about as much as
+# BLAS saves: the two routes tie near 2.5e4 MACs, and every 16x16 trial of
+# verify-equivalence (at most 6.5e4 MACs) keeps the int64 matmul.
+BLAS_MIN_MACS = 1 << 17
+
+
+def _max_abs(a: np.ndarray) -> int:
+    """max |a| as a Python int (np.abs of int64 min would wrap)."""
+    return max(-int(a.min()), int(a.max()))
+
+
+def _float64_exact(x: np.ndarray, weights: np.ndarray) -> bool:
+    """Whether a float64 convolution of integer x by integer weights is exact.
+
+    With max|x| * max_o sum|W[o]| < 2**53 every product and every partial
+    sum of an output is an integer below 2**53, which float64 holds
+    exactly whatever order BLAS sums in; both operands convert exactly.
+    The bias is added after the result is cast back to int64.
+    """
+    xmax = _max_abs(x)
+    if xmax >= 2 ** 53 or _max_abs(weights) >= 2 ** 53:
+        return False
+    # a float64 sum of such |W| is exact while the true sum is below 2**53,
+    # and at least 2**53 once the true sum is
+    wsum = np.abs(weights.astype(np.float64)).sum(axis=(1, 2, 3)).max()
+    return xmax * int(wsum) < 2 ** 53
+
+
+def window_view(x: np.ndarray, kh: int, kw: int, geom: ConvGeometry,
+                dtype) -> np.ndarray:
+    """Every window a kh x kw kernel meets on an (N, C, H, W) batch.
+
+    A read-only view win[j, c, k, n, y, x] = x[n, c, y * stride_v + j,
+    x * stride_h + k] of x converted to `dtype` and zero-padded per `geom`,
+    so win[j] is kernel row j's (C, kw, N, oh, ow) column matrix.
+    """
+    n, c, h, w = x.shape
+    oh, ow = geom.out_shape(h, w, kh, kw)
+    if geom.pad_h or geom.pad_w:
+        ph, pw = geom.pad_h, geom.pad_w
+        padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=dtype)
+        padded[:, :, ph:ph + h, pw:pw + w] = x
+        x = padded
+    else:
+        x = np.ascontiguousarray(x, dtype=dtype)
+    sn, sc, sy, sx = x.strides
+    # ndarray() on the contiguous buffer is cheaper than as_strided
+    win = np.ndarray((kh, c, kw, n, oh, ow), dtype=dtype, buffer=x,
+                     strides=(sy, sc, sx, sn, sy * geom.stride_v,
+                              sx * geom.stride_h))
+    win.flags.writeable = False
+    return win
+
+
 def conv2d_nchw(x: np.ndarray, filters: FilterBank,
                 geom: ConvGeometry = ConvGeometry()) -> np.ndarray:
     """Batched conv2d: (N, C, H, W) input -> (N, out_channels, oh, ow), plus bias.
@@ -87,7 +146,9 @@ def conv2d_nchw(x: np.ndarray, filters: FilterBank,
     windows are copied into a (C*kernel_w, N*oh*ow) column matrix, which
     that row's (out_channels, C*kernel_w) weights multiply, so the column
     buffer is kernel_h times smaller than a full im2col. Integer operands
-    are computed in int64 and are bit-exact; anything else in float64.
+    give a bit-exact int64 result: in float64 on BLAS when the layer has at
+    least BLAS_MIN_MACS MACs and max|x| * max_o sum|W[o]| < 2**53, else in
+    int64. Anything else is computed in float64.
     """
     if x.ndim != 4:
         raise ShapeMismatch(f"batched input needs 4 dims, got {x.ndim}")
@@ -99,25 +160,16 @@ def conv2d_nchw(x: np.ndarray, filters: FilterBank,
     oh, ow = geom.out_shape(h, w, kh, kw)
     integer = x.dtype.kind in "iu" and filters.weights.dtype.kind in "iu"
     dtype = np.int64 if integer else np.float64
-    if geom.pad_h or geom.pad_w:
-        ph, pw = geom.pad_h, geom.pad_w
-        padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=dtype)
-        padded[:, :, ph:ph + h, pw:pw + w] = x
-        x = padded
-    else:
-        x = np.ascontiguousarray(x, dtype=dtype)
-    sn, sc, sy, sx = x.strides
-    # win[j, c, k, n, y, x] = x[n, c, y * stride_v + j, x * stride_h + k]; a
-    # read-only view of the contiguous x (ndarray() is cheaper than as_strided)
-    win = np.ndarray((kh, c, kw, n, oh, ow), dtype=dtype, buffer=x,
-                     strides=(sy, sc, sx, sn, sy * geom.stride_v,
-                              sx * geom.stride_h))
-    win.flags.writeable = False
-    weights = filters.weights.astype(dtype, copy=False)
-    out = np.zeros((o, n * oh * ow), dtype=dtype)
+    blas = not integer or (o * c * kh * kw * n * oh * ow >= BLAS_MIN_MACS
+                           and _float64_exact(x, filters.weights))
+    compute = np.float64 if blas else np.int64
+    win = window_view(x, kh, kw, geom, compute)
+    weights = filters.weights.astype(compute, copy=False)
+    out = np.zeros((o, n * oh * ow), dtype=compute)
     for j in range(kh):
         out += weights[:, :, j, :].reshape(o, c * kw) \
             @ win[j].reshape(c * kw, n * oh * ow)
+    out = out.astype(dtype, copy=False)
     out += filters.bias.astype(dtype, copy=False)[:, None]
     return out.reshape(o, n, oh, ow).transpose(1, 0, 2, 3)
 

@@ -13,8 +13,9 @@ from advweave.weave import interleave_rows
 from test_weave import rand_attack_instance
 
 
-def naive_skip_count(x, w, sv, sh):
-    """Brute-force count of issued MACs with a zero operand."""
+def naive_skip_count(x, w, sv, sh, pad_h=0, pad_w=0):
+    """Brute-force count of issued MACs with a zero operand; padding is zero."""
+    x = np.pad(x, ((0, 0), (pad_h, pad_h), (pad_w, pad_w)))
     c_in, h, w_in = x.shape
     c_out, _, kh, kw = w.shape
     oh = (h - kh) // sv + 1
@@ -103,13 +104,19 @@ class TestCountMacs:
         rep = count_macs(x, f, ConvGeometry(), SystolicConfig(8, 8, False))
         assert rep.mac_executed == rep.mac_issued == 36
 
-    @pytest.mark.parametrize("seed", range(15))
+    @pytest.mark.parametrize("seed", range(25))
     def test_skip_count_matches_naive_oracle(self, seed):
         rng = np.random.default_rng(seed)
         x, f = sparse_instance(rng)
         sv, sh = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        rep = count_macs(x, f, ConvGeometry(sv, sh), SystolicConfig(4, 4, True))
-        assert rep.mac_skipped == naive_skip_count(x.data, f.weights, sv, sh)
+        # seeds from 15 on also pad, up to the kernel size on each side
+        ph, pw = (0, 0) if seed < 15 else \
+            (int(rng.integers(0, f.kernel_h + 1)),
+             int(rng.integers(0, f.kernel_w + 1)))
+        rep = count_macs(x, f, ConvGeometry(sv, sh, ph, pw),
+                         SystolicConfig(4, 4, True))
+        assert rep.mac_skipped == naive_skip_count(x.data, f.weights, sv, sh,
+                                                   ph, pw)
         assert rep.mac_executed == rep.mac_issued - rep.mac_skipped
 
     @pytest.mark.parametrize("seed", range(10))
@@ -175,6 +182,28 @@ class TestFootprint:
                                        SystolicConfig(8, 8, True))
         assert cmp.attacked.mac_executed == \
             cmp.clean.mac_executed + cmp.noise_only.mac_executed
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_attacked_count_matches_naive_oracle(self, seed):
+        # counted on the woven input and duplicated filters themselves,
+        # not derived from the clean and noise-only counts
+        rng = np.random.default_rng(seed + 300)
+        img, noi, f, g = rand_attack_instance(rng, max_dim=8)
+        sparse = [a * (rng.random(a.shape) < 0.5)
+                  for a in (img.data, noi.data, f.weights)]
+        pad_w = int(rng.integers(0, f.kernel_w + 1))
+        geom = ConvGeometry(g.stride_v, g.stride_h, 0, pad_w)
+        cmp = compare_attack_footprint(
+            Tensor3(sparse[0]), Tensor3(sparse[1]),
+            FilterBank(sparse[2], f.bias), geom, SystolicConfig(8, 8, True))
+        c, h, w = img.shape
+        woven = np.empty((c, 2 * h, w), dtype=np.int64)
+        woven[:, 0::2], woven[:, 1::2] = sparse[0], sparse[1]
+        doubled = np.repeat(sparse[2], 2, axis=2)
+        assert cmp.attacked.mac_skipped == naive_skip_count(
+            woven, doubled, 2 * g.stride_v, g.stride_h, 0, pad_w)
+        assert cmp.attacked.mac_executed == \
+            cmp.attacked.mac_issued - cmp.attacked.mac_skipped
 
     def test_padded_rejected(self):
         img = Tensor3(np.zeros((1, 4, 4), dtype=np.int64))

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advweave.conv import (ConvGeometry, FilterBank, conv2d, conv2d_nchw,
-                           dense, maxpool2, maxpool2_argmax, relu)
+from advweave.conv import (BLAS_MIN_MACS, ConvGeometry, FilterBank, conv2d,
+                           conv2d_nchw, dense, maxpool2, maxpool2_argmax,
+                           relu)
 from advweave.errors import BadGeometry, ShapeMismatch
 from advweave.tensor import Tensor3
 
@@ -177,6 +178,46 @@ class TestConv2dBatch:
         with pytest.raises(ShapeMismatch):
             conv2d_nchw(np.zeros((2, 2, 4, 4)),
                         FilterBank(np.zeros((1, 3, 2, 2)), np.zeros(1)))
+
+
+class TestIntegerBlasRoute:
+    """Integer convolutions of at least BLAS_MIN_MACS MACs run on float64
+    BLAS when max|x| * max_o sum|W[o]| < 2**53, else in int64; either way
+    the result is the exact int64 one."""
+
+    @staticmethod
+    def _check(xs, w, b, geom):
+        n, c, h, wd = xs.shape
+        oh, ow = geom.out_shape(h, wd, w.shape[2], w.shape[3])
+        assert n * oh * ow * w.size >= BLAS_MIN_MACS  # above the gate
+        got = conv2d_nchw(xs, FilterBank(w, b), geom)
+        want = np.stack([naive_conv2d(s.astype(np.int64), w.astype(np.int64),
+                                      b, geom.stride_v, geom.stride_h,
+                                      geom.pad_h, geom.pad_w) for s in xs])
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype, bound, hw, geom", [
+        (np.int8, 2 ** 7, (44, 40), ConvGeometry(1, 1, 2, 1)),
+        (np.uint8, 2 ** 8, (60, 40), ConvGeometry(2, 1, 0, 0)),
+        # max|x| * max sum|W| < 2**37 * 32 * 127 < 2**49: exact in float64
+        (np.int64, 2 ** 37, (48, 48), ConvGeometry(2, 2, 1, 3)),
+    ])
+    def test_above_gate_matches_naive_oracle(self, dtype, bound, hw, geom):
+        rng = np.random.default_rng(bound)
+        lo = 0 if dtype == np.uint8 else 1 - bound
+        xs = rng.integers(lo, bound, (2, 2, *hw)).astype(dtype)
+        w = rng.integers(-127, 128, (4, 2, 4, 4))
+        w = w.astype(np.int8) if dtype != np.int64 else w
+        self._check(xs, w, rng.integers(-9, 10, 4), geom)
+
+    def test_above_gate_beyond_float64_stays_exact(self):
+        # |x| ~ 2**40 and |W| ~ 2**14: products need 54 bits, which float64
+        # would round, so only the int64 route gives the exact result
+        rng = np.random.default_rng(1)
+        xs = rng.integers(-2 ** 40, 2 ** 40, (1, 2, 50, 50))
+        w = rng.integers(-2 ** 14, 2 ** 14, (4, 2, 4, 4))
+        self._check(xs, w, rng.integers(-9, 10, 4), ConvGeometry(1, 1, 1, 0))
 
 
 class TestRelu:
