@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import ConvGeometry, FilterBank, window_view
+from .conv import ConvGeometry, FilterBank
 from .errors import ShapeMismatch
 from .tensor import Tensor3
 from .weave import attacked_geometry, duplicate_filter_rows, interleave_rows
@@ -121,22 +121,29 @@ def count_macs(input: Tensor3, filters: FilterBank, geom: ConvGeometry,
 
     Executed MACs in closed form, per kernel offset (c, j, k): the filters
     whose weight there is nonzero times the nonzero inputs that offset's
-    strided window covers (padding counts as zero).
+    strided window covers (padding counts as zero). The window count is
+    separable: sum each row over the window's columns, then those row
+    sums over the window's rows.
     """
     if input.channels != filters.in_channels:
         raise ShapeMismatch(
             f"input has {input.channels} channels, filters expect "
             f"{filters.in_channels}")
-    oh, ow = geom.out_shape(input.height, input.width,
-                            filters.kernel_h, filters.kernel_w)
-    issued = oh * ow * filters.out_channels * filters.in_channels \
-        * filters.kernel_h * filters.kernel_w
+    kh, kw = filters.kernel_h, filters.kernel_w
+    oh, ow = geom.out_shape(input.height, input.width, kh, kw)
+    issued = oh * ow * filters.out_channels * filters.in_channels * kh * kw
     if cfg.zero_skip:
-        win = window_view((input.data != 0)[None], filters.kernel_h,
-                          filters.kernel_w, geom, bool)
-        x_nnz = win.sum(axis=(3, 4, 5))                      # (j, c, k)
+        m = np.pad(input.data != 0, ((0, 0), (geom.pad_h, geom.pad_h),
+                                     (geom.pad_w, geom.pad_w)))
+        sv, sh = geom.stride_v, geom.stride_h
+        # row_nnz[k, c, r] = sum over x < ow of m[c, r, x * sh + k]
+        row_nnz = np.stack([m[:, :, k:k + (ow - 1) * sh + 1:sh].sum(axis=2)
+                            for k in range(kw)])
+        # x_nnz[j, k, c] = sum over y < oh of row_nnz[k, c, y * sv + j]
+        x_nnz = np.stack([row_nnz[:, :, j:j + (oh - 1) * sv + 1:sv].sum(axis=2)
+                          for j in range(kh)])
         w_nnz = np.count_nonzero(filters.weights, axis=0)   # (c, j, k)
-        executed = int((w_nnz.transpose(1, 0, 2) * x_nnz).sum())
+        executed = int((w_nnz * x_nnz.transpose(2, 0, 1)).sum())
     else:
         executed = issued
     skipped = issued - executed

@@ -196,7 +196,7 @@ class Gradients:
     conv_b: np.ndarray
     fc_w: np.ndarray
     fc_b: np.ndarray
-    input: np.ndarray
+    input: np.ndarray | None = None
 
 
 def _checked_labels(model: TinyCNN, labels) -> np.ndarray:
@@ -227,26 +227,32 @@ def _input_gradient(model: TinyCNN, dz1: np.ndarray) -> np.ndarray:
     return conv2d_nchw(dz1, flipped, ConvGeometry(pad_h=kh - 1, pad_w=kw - 1))
 
 
+def _parameter_gradients(model: TinyCNN, xs: np.ndarray,
+                         labels: np.ndarray) -> tuple[Gradients, np.ndarray]:
+    """Batch-summed parameter gradients (with `input` unset) and the loss
+    gradient at the first layer's output, for labels already checked."""
+    logits, cache = forward_batch(model, xs)
+    dlogits, dz1 = _backprop_to_conv(model, logits, cache, labels)
+    c_out = model.conv1.out_channels
+    # dW[o, c, j, k] = sum over n, y, x of dz1[n, o, y, x] * x[n, c, y+j, x+k]:
+    # the inputs convolved by dz1, with batch and channel axes swapped
+    dconv_w = conv2d_nchw(cache.x.transpose(1, 0, 2, 3),
+                          FilterBank(dz1.transpose(1, 0, 2, 3),
+                                     np.zeros(c_out))).transpose(1, 0, 2, 3)
+    return Gradients(conv_w=dconv_w, conv_b=dz1.sum(axis=(0, 2, 3)),
+                     fc_w=dlogits.T @ cache.flat,
+                     fc_b=dlogits.sum(axis=0)), dz1
+
+
 def backward_batch(model: TinyCNN, xs: np.ndarray, labels) -> Gradients:
     """Gradients of the summed cross-entropy loss of an (N, C, H, W) batch.
 
     Parameter gradients are summed over the batch; `input` holds each
     sample's own input gradient, shape (N, C, H, W).
     """
-    labels = _checked_labels(model, labels)
-    logits, cache = forward_batch(model, xs)
-    dlogits, dz1 = _backprop_to_conv(model, logits, cache, labels)
-    dfc_w = dlogits.T @ cache.flat
-    dfc_b = dlogits.sum(axis=0)
-    c_out = model.conv1.out_channels
-    dconv_b = dz1.sum(axis=(0, 2, 3))
-    # dW[o, c, j, k] = sum over n, y, x of dz1[n, o, y, x] * x[n, c, y+j, x+k]:
-    # the inputs convolved by dz1, with batch and channel axes swapped
-    dconv_w = conv2d_nchw(cache.x.transpose(1, 0, 2, 3),
-                          FilterBank(dz1.transpose(1, 0, 2, 3),
-                                     np.zeros(c_out))).transpose(1, 0, 2, 3)
-    return Gradients(conv_w=dconv_w, conv_b=dconv_b, fc_w=dfc_w, fc_b=dfc_b,
-                     input=_input_gradient(model, dz1))
+    g, dz1 = _parameter_gradients(model, xs, _checked_labels(model, labels))
+    g.input = _input_gradient(model, dz1)
+    return g
 
 
 def backward(model: TinyCNN, x: Tensor3, label: int) -> Gradients:
@@ -271,7 +277,7 @@ def train(model: TinyCNN, dataset: list[tuple[Tensor3, int]],
     if not dataset:
         raise EmptyDataset("training set is empty")
     xs = _stack(model, [x for x, _ in dataset])
-    ys = np.array([y for _, y in dataset])
+    ys = _checked_labels(model, [y for _, y in dataset])
     rng = np.random.default_rng(cfg.seed)
     conv_w = model.conv1.weights.astype(np.float64).copy()
     conv_b = model.conv1.bias.astype(np.float64).copy()
@@ -283,7 +289,7 @@ def train(model: TinyCNN, dataset: list[tuple[Tensor3, int]],
         for start in range(0, n, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             cur = TinyCNN(FilterBank(conv_w, conv_b), fc_w, fc_b, model.input_shape)
-            g = backward_batch(cur, xs[batch], ys[batch])
+            g, _ = _parameter_gradients(cur, xs[batch], ys[batch])
             lr = cfg.learning_rate / len(batch)
             conv_w -= lr * g.conv_w
             conv_b -= lr * g.conv_b

@@ -8,9 +8,9 @@ Integer inputs give a bit-exact int64 result. A layer of at least
 BLAS_MIN_MACS MACs whose max|x| * max_o sum|W[o]| < 2**53 runs in float64
 on BLAS, where every product and partial sum is then an exactly
 representable integer, and is cast back; any other integer layer runs in
-int64. Float results are summed kernel row by kernel row, so they are
-deterministic for a given input shape. window_view, the strided window
-view the kernel multiplies, also serves the zero-skip MAC count in accel.
+int64. The kernel multiplies the full C*kh*kw filter once per block of
+output rows; the block height depends only on the input and filter
+shapes, so float results are deterministic for given shapes.
 """
 from __future__ import annotations
 
@@ -89,6 +89,12 @@ class ConvGeometry:
 # verify-equivalence (at most 6.5e4 MACs) keeps the int64 matmul.
 BLAS_MIN_MACS = 1 << 17
 
+# Bytes of one block's column matrix in conv2d_nchw. It bounds peak memory
+# and is not tuned for speed: on a 3x448x224 input by 64x3x14x7 filters at
+# stride (4, 2), blocks of 4 rows to the whole output all ran in 11-18 ms
+# on 2 cores.
+COLUMN_BYTES = 1 << 21
+
 
 def _max_abs(a: np.ndarray) -> int:
     """max |a| as a Python int (np.abs of int64 min would wrap)."""
@@ -118,7 +124,8 @@ def window_view(x: np.ndarray, kh: int, kw: int, geom: ConvGeometry,
 
     A read-only view win[j, c, k, n, y, x] = x[n, c, y * stride_v + j,
     x * stride_h + k] of x converted to `dtype` and zero-padded per `geom`,
-    so win[j] is kernel row j's (C, kw, N, oh, ow) column matrix.
+    so win[..., y0:y1, :] reshaped to (kh*C*kw, N*(y1-y0)*ow) is the
+    im2col column matrix of output rows y0 to y1.
     """
     n, c, h, w = x.shape
     oh, ow = geom.out_shape(h, w, kh, kw)
@@ -142,13 +149,14 @@ def conv2d_nchw(x: np.ndarray, filters: FilterBank,
                 geom: ConvGeometry = ConvGeometry()) -> np.ndarray:
     """Batched conv2d: (N, C, H, W) input -> (N, out_channels, oh, ow), plus bias.
 
-    im2col split by kernel row: for each kernel row j the strided input
-    windows are copied into a (C*kernel_w, N*oh*ow) column matrix, which
-    that row's (out_channels, C*kernel_w) weights multiply, so the column
-    buffer is kernel_h times smaller than a full im2col. Integer operands
-    give a bit-exact int64 result: in float64 on BLAS when the layer has at
-    least BLAS_MIN_MACS MACs and max|x| * max_o sum|W[o]| < 2**53, else in
-    int64. Anything else is computed in float64.
+    im2col by blocks of output rows: each block's windows are copied into
+    one (C*kh*kw, N*rows*ow) column matrix of at most COLUMN_BYTES, which
+    the (out_channels, C*kh*kw) weights multiply in one GEMM. The block
+    height depends only on the input and filter shapes, so a float result
+    is the same for every call on those shapes. Integer operands give a
+    bit-exact int64 result: in float64 on BLAS when the layer has at least
+    BLAS_MIN_MACS MACs and max|x| * max_o sum|W[o]| < 2**53, else in int64.
+    Anything else is computed in float64.
     """
     if x.ndim != 4:
         raise ShapeMismatch(f"batched input needs 4 dims, got {x.ndim}")
@@ -164,14 +172,20 @@ def conv2d_nchw(x: np.ndarray, filters: FilterBank,
                            and _float64_exact(x, filters.weights))
     compute = np.float64 if blas else np.int64
     win = window_view(x, kh, kw, geom, compute)
-    weights = filters.weights.astype(compute, copy=False)
-    out = np.zeros((o, n * oh * ow), dtype=compute)
-    for j in range(kh):
-        out += weights[:, :, j, :].reshape(o, c * kw) \
-            @ win[j].reshape(c * kw, n * oh * ow)
+    k = kh * c * kw
+    # the weights in the view's (kh, C, kw) axis order
+    weights = filters.weights.astype(compute, copy=False) \
+        .transpose(0, 2, 1, 3).reshape(o, k)
+    rows = max(1, COLUMN_BYTES // (k * n * ow * win.itemsize))
+    out = np.empty((o, n, oh, ow), dtype=compute)
+    for y in range(0, oh, rows):
+        block = win[..., y:y + rows, :]
+        r = block.shape[4]
+        out[:, :, y:y + r] = (weights @ block.reshape(k, n * r * ow)) \
+            .reshape(o, n, r, ow)
     out = out.astype(dtype, copy=False)
-    out += filters.bias.astype(dtype, copy=False)[:, None]
-    return out.reshape(o, n, oh, ow).transpose(1, 0, 2, 3)
+    out += filters.bias.astype(dtype, copy=False)[:, None, None, None]
+    return out.transpose(1, 0, 2, 3)
 
 
 def conv2d(input: Tensor3, filters: FilterBank, geom: ConvGeometry = ConvGeometry()) -> Tensor3:

@@ -96,10 +96,13 @@ def equivalence_report(image: Tensor3, noise: Tensor3, filters: FilterBank,
         else attacked_conv(image, noise, filters, geom)
     if direct.shape != attacked.shape:
         return EquivalenceReport(max_abs_diff=float("inf"), exact=False)
+    integer = direct.is_integer() and attacked.is_integer()
+    if integer and np.array_equal(direct.data, attacked.data):
+        return EquivalenceReport(max_abs_diff=0.0, exact=True)
     diff = np.abs(direct.data.astype(np.float64) - attacked.data.astype(np.float64))
     max_abs_diff = float(diff.max())
-    if direct.is_integer() and attacked.is_integer():
-        exact = bool(np.array_equal(direct.data, attacked.data))
+    if integer:
+        exact = False
     else:
         ref = float(np.max(np.abs(direct.data))) or 1.0
         exact = max_abs_diff <= 1e-9 * ref

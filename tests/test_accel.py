@@ -104,15 +104,19 @@ class TestCountMacs:
         rep = count_macs(x, f, ConvGeometry(), SystolicConfig(8, 8, False))
         assert rep.mac_executed == rep.mac_issued == 36
 
-    @pytest.mark.parametrize("seed", range(25))
+    @pytest.mark.parametrize("seed", range(34))
     def test_skip_count_matches_naive_oracle(self, seed):
         rng = np.random.default_rng(seed)
         x, f = sparse_instance(rng)
         sv, sh = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        # seeds from 15 on also pad, up to the kernel size on each side
-        ph, pw = (0, 0) if seed < 15 else \
-            (int(rng.integers(0, f.kernel_h + 1)),
-             int(rng.integers(0, f.kernel_w + 1)))
+        ph = pw = 0
+        if 15 <= seed < 25:  # pad, up to the kernel size on each side
+            ph, pw = (int(rng.integers(0, f.kernel_h + 1)),
+                      int(rng.integers(0, f.kernel_w + 1)))
+        elif seed >= 25:
+            # strides that leave the last input rows and columns in no window
+            sv = next(s for s in range(2, 9) if (x.height - f.kernel_h) % s)
+            sh = next(s for s in range(2, 9) if (x.width - f.kernel_w) % s)
         rep = count_macs(x, f, ConvGeometry(sv, sh, ph, pw),
                          SystolicConfig(4, 4, True))
         assert rep.mac_skipped == naive_skip_count(x.data, f.weights, sv, sh,

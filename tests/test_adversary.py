@@ -232,6 +232,21 @@ class TestTrain:
         with pytest.raises(ValueError, match="out of range"):
             train(init_model(0), data, TrainConfig(0.1, 1, 4, 0))
 
+    def test_full_batch_epoch_is_one_sgd_step(self):
+        # train's gradients are backward_batch's: one epoch over one batch
+        # of every sample is w - lr / n * (summed gradient)
+        data = self.make_separable_2class(n=12, seed=3)
+        m = init_model(3, num_classes=4)
+        lr, n = 0.3, len(data)
+        got = train(m, data, TrainConfig(lr, 1, n, 7))
+        g = backward_batch(m, np.stack([x.data for x, _ in data]),
+                           [y for _, y in data])
+        pairs = [(got.conv1.weights, m.conv1.weights, g.conv_w),
+                 (got.conv1.bias, m.conv1.bias, g.conv_b),
+                 (got.fc_w, m.fc_w, g.fc_w), (got.fc_b, m.fc_b, g.fc_b)]
+        for new, old, grad in pairs:
+            assert np.allclose(new, old - lr / n * grad, rtol=0, atol=1e-12)
+
 
 class TestFGSM:
     def test_zero_epsilon(self):

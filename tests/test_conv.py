@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advweave.conv import (BLAS_MIN_MACS, ConvGeometry, FilterBank, conv2d,
-                           conv2d_nchw, dense, maxpool2, maxpool2_argmax,
-                           relu)
+from advweave import conv
+from advweave.conv import (BLAS_MIN_MACS, COLUMN_BYTES, ConvGeometry,
+                           FilterBank, conv2d, conv2d_nchw, dense, maxpool2,
+                           maxpool2_argmax, relu)
 from advweave.errors import BadGeometry, ShapeMismatch
 from advweave.tensor import Tensor3
 
@@ -218,6 +219,57 @@ class TestIntegerBlasRoute:
         xs = rng.integers(-2 ** 40, 2 ** 40, (1, 2, 50, 50))
         w = rng.integers(-2 ** 14, 2 ** 14, (4, 2, 4, 4))
         self._check(xs, w, rng.integers(-9, 10, 4), ConvGeometry(1, 1, 1, 0))
+
+
+class TestColumnBlocks:
+    """conv2d_nchw multiplies blocks of output rows whose column matrix fits
+    in COLUMN_BYTES; every block height gives the oracle's result."""
+
+    @staticmethod
+    def _instance(route):
+        rng = np.random.default_rng(7)
+        if route == "int64":  # an integer layer below the BLAS gate
+            xs = rng.integers(-9, 10, (2, 2, 15, 9))
+            w = rng.integers(-5, 6, (3, 2, 3, 2))
+            return xs, w, rng.integers(-5, 6, 3), ConvGeometry(1, 1, 0, 0)
+        if route == "blas":  # an integer layer above it
+            xs = rng.integers(-128, 128, (2, 2, 44, 40)).astype(np.int8)
+            w = rng.integers(-127, 128, (4, 2, 4, 4)).astype(np.int8)
+            return xs, w, rng.integers(-9, 10, 4), ConvGeometry(1, 1, 2, 1)
+        xs = rng.uniform(-2, 2, (2, 3, 13, 11))
+        w = rng.uniform(-2, 2, (3, 3, 3, 2))
+        return xs, w, rng.uniform(-1, 1, 3), ConvGeometry(2, 1, 1, 1)
+
+    @pytest.mark.parametrize("budget", ["one row", "partial", "default"])
+    @pytest.mark.parametrize("route", ["int64", "blas", "float"])
+    def test_every_block_height_matches_naive_oracle(self, monkeypatch,
+                                                     route, budget):
+        xs, w, b, geom = self._instance(route)
+        n, c, h, wd = xs.shape
+        o, _, kh, kw = w.shape
+        oh, ow = geom.out_shape(h, wd, kh, kw)
+        assert (o * c * kh * kw * n * oh * ow >= BLAS_MIN_MACS) \
+            == (route == "blas")
+        row_bytes = c * kh * kw * n * ow * 8
+        if budget == "one row":
+            monkeypatch.setattr(conv, "COLUMN_BYTES", 1)
+        elif budget == "partial":
+            # the fewest rows > 1 that do not divide oh, so the last block
+            # is shorter; the budget rounds down to a whole row
+            rows = next(r for r in range(2, oh) if oh % r)
+            monkeypatch.setattr(conv, "COLUMN_BYTES", (rows + 1) * row_bytes - 1)
+        else:
+            assert row_bytes * oh <= COLUMN_BYTES  # one block
+        got = conv2d_nchw(xs, FilterBank(w, b), geom)
+        wide = np.float64 if route == "float" else np.int64  # for the oracle
+        want = np.stack([naive_conv2d(s.astype(wide), w.astype(wide), b,
+                                      geom.stride_v, geom.stride_h,
+                                      geom.pad_h, geom.pad_w) for s in xs])
+        if route == "float":
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+        else:
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
 
 
 class TestRelu:
