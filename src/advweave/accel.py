@@ -8,7 +8,7 @@ either the input-window operand or the filter operand is exactly zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -64,13 +64,7 @@ class SimReport:
     array_utilization: float
 
     def to_dict(self) -> dict:
-        return {
-            "mac_issued": self.mac_issued,
-            "mac_skipped": self.mac_skipped,
-            "mac_executed": self.mac_executed,
-            "cycles": self.cycles,
-            "array_utilization": self.array_utilization,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

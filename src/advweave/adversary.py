@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conv import (ConvGeometry, FilterBank, conv2d_nchw, dense,
-                   maxpool2_argmax, relu)
+                   maxpool2_argmax)
 from .errors import EmptyDataset, ShapeMismatch
 from .tensor import Tensor3, read_t3b_stream, write_t3b_stream
 from .weave import attacked_conv_nchw
@@ -174,9 +174,7 @@ def forward_batch(model: TinyCNN, xs: np.ndarray,
         else attacked_conv_nchw(xs, noise, model.conv1)
     z1 = np.asarray(z1, dtype=np.float64)
     pooled, mask = maxpool2_argmax(z1)
-    n, c, ph, pw = pooled.shape
-    # conv.relu on the batch viewed as one (N * C)-channel tensor
-    flat = relu(Tensor3(pooled.reshape(n * c, ph, pw))).data.reshape(n, -1)
+    flat = np.maximum(pooled, 0).reshape(len(pooled), -1)
     logits = dense(flat, model.fc_w, model.fc_b)
     return logits, ForwardCache(x=np.asarray(xs, dtype=np.float64),
                                 pool_mask=mask, pooled=pooled, flat=flat)
@@ -279,23 +277,21 @@ def train(model: TinyCNN, dataset: list[tuple[Tensor3, int]],
     xs = _stack(model, [x for x, _ in dataset])
     ys = _checked_labels(model, [y for _, y in dataset])
     rng = np.random.default_rng(cfg.seed)
-    conv_w = model.conv1.weights.astype(np.float64).copy()
-    conv_b = model.conv1.bias.astype(np.float64).copy()
-    fc_w = model.fc_w.copy()
-    fc_b = model.fc_b.copy()
+    # one working copy whose arrays every step updates in place
+    work = TinyCNN(FilterBank(model.conv1.weights.astype(np.float64),
+                              model.conv1.bias.astype(np.float64)),
+                   model.fc_w.copy(), model.fc_b.copy(), model.input_shape)
+    params = (work.conv1.weights, work.conv1.bias, work.fc_w, work.fc_b)
     n = len(dataset)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            cur = TinyCNN(FilterBank(conv_w, conv_b), fc_w, fc_b, model.input_shape)
-            g, _ = _parameter_gradients(cur, xs[batch], ys[batch])
+            g, _ = _parameter_gradients(work, xs[batch], ys[batch])
             lr = cfg.learning_rate / len(batch)
-            conv_w -= lr * g.conv_w
-            conv_b -= lr * g.conv_b
-            fc_w -= lr * g.fc_w
-            fc_b -= lr * g.fc_b
-    return TinyCNN(FilterBank(conv_w, conv_b), fc_w, fc_b, model.input_shape)
+            for p, dp in zip(params, (g.conv_w, g.conv_b, g.fc_w, g.fc_b)):
+                p -= lr * dp
+    return work
 
 
 def _fgsm_step(model: TinyCNN, logits: np.ndarray, cache: ForwardCache,
@@ -311,12 +307,6 @@ def fgsm(model: TinyCNN, x: Tensor3, label: int, budget: PerturbBudget) -> Tenso
     _checked_labels(model, [label])
     logits, cache = forward_batch(model, x.data[None])
     return Tensor3(_fgsm_step(model, logits, cache, label, budget.epsilon))
-
-
-def clip_adversarial(x: Tensor3, eta: Tensor3, lo: float = 0.0,
-                     hi: float = 1.0) -> Tensor3:
-    """Materialize x + eta clamped to the valid pixel range."""
-    return Tensor3(np.clip(x.data + eta.data, lo, hi))
 
 
 def random_noise(shape: tuple[int, int, int], budget: PerturbBudget,
@@ -366,30 +356,28 @@ def craft_uap(model: TinyCNN, sample_set: list[Tensor3], budget: PerturbBudget,
 
 
 def fooling_report(model: TinyCNN, dataset: list[tuple[Tensor3, int]],
-                   perturbation, path: str = "direct") -> FoolingReport:
-    """Label-flip rate and top-k accuracy under a perturbation.
+                   perturbation: Tensor3,
+                   path: str = "direct") -> FoolingReport:
+    """Label-flip rate and top-k accuracy under one universal perturbation.
 
-    `perturbation` is a Tensor3 applied to every sample, or a callable
-    sample -> Tensor3. `path` selects explicit noise addition ("direct")
-    or the interleaved first-layer attack ("interleaved"). Samples are
-    evaluated in batches of EVAL_BLOCK, which bounds the memory used.
+    `path` selects explicit noise addition ("direct") or the interleaved
+    first-layer attack ("interleaved"). Samples are evaluated in batches
+    of EVAL_BLOCK, which bounds the memory used.
     """
     if not dataset:
         raise EmptyDataset("evaluation set is empty")
     if path not in ("direct", "interleaved"):
         raise ValueError(f"unknown path {path!r}")
+    # checked here: the direct sum would broadcast a smaller pattern
+    if perturbation.shape != model.input_shape:
+        raise ShapeMismatch(f"{model.input_shape} vs {perturbation.shape}")
+    noise = perturbation.data
     k5 = model.num_classes >= 5
     flips = top1c = top1p = top5c = top5p = 0
     for start in range(0, len(dataset), EVAL_BLOCK):
         block = dataset[start:start + EVAL_BLOCK]
         xs = _stack(model, [x for x, _ in block])
         ys = np.array([y for _, y in block])
-        vs = [perturbation(x) for x, _ in block] if callable(perturbation) \
-            else [perturbation]
-        for v in vs:  # checked here: the direct sum would broadcast
-            if v.shape != model.input_shape:
-                raise ShapeMismatch(f"{model.input_shape} vs {v.shape}")
-        noise = np.stack([v.data for v in vs])  # broadcasts over the block
         clean_logits, _ = forward_batch(model, xs)
         if path == "direct":
             pert_logits, _ = forward_batch(model, xs + noise)

@@ -6,6 +6,7 @@ the unit the interleaving attack and the memory-layout model operate on.
 """
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass
 
@@ -24,16 +25,14 @@ class Tensor3:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data)
+        # copy before freezing so the caller's array is never mutated
+        arr = np.array(self.data, order="C")
         if arr.ndim != 3:
             raise ShapeMismatch(f"Tensor3 needs 3 dims, got {arr.ndim}")
         if min(arr.shape) < 1:
             raise ShapeMismatch(f"all dims must be >= 1, got {arr.shape}")
-        if not (np.issubdtype(arr.dtype, np.floating)
-                or np.issubdtype(arr.dtype, np.integer)):
+        if arr.dtype.kind not in "fiu":
             raise TypeError(f"unsupported dtype {arr.dtype}")
-        # copy before freezing so the caller's array is never mutated
-        arr = np.ascontiguousarray(arr).copy()
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -54,7 +53,7 @@ class Tensor3:
         return self.data.shape
 
     def is_integer(self) -> bool:
-        return np.issubdtype(self.data.dtype, np.integer)
+        return self.data.dtype.kind in "iu"
 
     def __add__(self, other: "Tensor3") -> "Tensor3":
         if self.shape != other.shape:
@@ -114,10 +113,6 @@ def quantize(t: Tensor3, q: QuantSpec) -> Tensor3:
     return Tensor3(levels.astype(np.int64))
 
 
-def dequantize(t: Tensor3, q: QuantSpec) -> Tensor3:
-    return Tensor3(t.data.astype(np.float64) * q.scale)
-
-
 def linf_norm(t: Tensor3) -> float:
     return float(np.max(np.abs(t.data)))
 
@@ -164,12 +159,15 @@ def read_t3b_stream(f) -> Tensor3:
     if tag not in _DTYPE_TAGS:
         raise ValueError(f"unknown T3B dtype tag {tag}")
     dtype = _DTYPE_TAGS[tag]
-    n = c * h * w
-    payload = f.read(n * dtype.itemsize)
-    if len(payload) != n * dtype.itemsize:
-        raise ValueError(f"truncated T3B payload: expected "
-                         f"{n * dtype.itemsize} bytes, got {len(payload)}")
-    arr = np.frombuffer(payload, dtype=dtype).reshape(c, h, w)
+    size = c * h * w * dtype.itemsize
+    # checked before reading: a forged header must not size the read
+    here = f.tell()
+    left = f.seek(0, io.SEEK_END) - here
+    f.seek(here)
+    if size > left:
+        raise ValueError(f"truncated T3B payload: expected {size} bytes, "
+                         f"got {left}")
+    arr = np.frombuffer(f.read(size), dtype=dtype).reshape(c, h, w)
     arr = arr.astype(np.int64 if tag == 1 else np.float64)
     return Tensor3(arr)
 

@@ -50,12 +50,6 @@ def interleave_rows(image: Tensor3, noise: Tensor3) -> Tensor3:
     return Tensor3(weave_rows(image.data, noise.data))
 
 
-def deinterleave_rows(woven: Tensor3) -> tuple[Tensor3, Tensor3]:
-    if woven.height % 2:
-        raise ShapeMismatch("woven tensor must have even height")
-    return Tensor3(woven.data[:, 0::2, :]), Tensor3(woven.data[:, 1::2, :])
-
-
 def duplicate_filter_rows(f: FilterBank) -> FilterBank:
     """Duplicated rows 2j and 2j+1 both equal source row j; bias copied, not doubled."""
     return FilterBank(weights=np.repeat(f.weights, 2, axis=2), bias=f.bias)

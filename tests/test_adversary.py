@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advweave.adversary import (FoolingReport, PerturbBudget, TrainConfig,
-                                backward, backward_batch, clip_adversarial,
-                                craft_uap, cross_entropy, fgsm,
+                                backward, backward_batch, craft_uap,
+                                cross_entropy, fgsm,
                                 fooling_report, forward, forward_batch,
                                 init_model, load_model, make_corpus, predict,
                                 predict_batch, random_noise, save_model,
@@ -205,6 +205,17 @@ class TestTrain:
         assert np.array_equal(m.conv1.weights, m2.conv1.weights)
         assert np.array_equal(m.fc_w, m2.fc_w)
 
+    def test_leaves_input_model_alone(self):
+        data = self.make_separable_2class(n=20)
+        m = init_model(0)
+        arrays = (m.conv1.weights, m.conv1.bias, m.fc_w, m.fc_b)
+        before = [a.copy() for a in arrays]
+        got = train(m, data, TrainConfig(0.1, 3, 4, 0))
+        for a, b in zip(arrays, before):
+            assert np.array_equal(a, b)
+        for a in (got.conv1.weights, got.conv1.bias, got.fc_w, got.fc_b):
+            assert not any(np.shares_memory(a, b) for b in arrays)
+
     def test_same_seed_identical_weights(self):
         data = self.make_separable_2class(n=20)
         m = init_model(0)
@@ -271,13 +282,6 @@ class TestFGSM:
     def test_budget_cap_enforced(self):
         with pytest.raises(ValueError):
             PerturbBudget(epsilon=0.2, relative_cap=0.05, max_magnitude=1.0)
-
-    def test_clip_adversarial_stays_in_range(self):
-        m = init_model(0)
-        x = Tensor3(np.random.default_rng(3).uniform(0, 1, m.input_shape))
-        eta = fgsm(m, x, 0, PerturbBudget(epsilon=0.05))
-        adv = clip_adversarial(x, eta)
-        assert adv.data.min() >= 0.0 and adv.data.max() <= 1.0
 
 
 class TestRandomNoise:
@@ -351,22 +355,6 @@ class TestFoolingReport:
         assert rep.top5_clean is None and rep.top5_perturbed is None
         assert "top5_clean" not in rep.to_dict()
 
-    def test_forced_flip_gives_rate_one(self, trained):
-        # per-sample generator that always pushes toward a different class:
-        # a synthetic negative control, not a realistic perturbation
-        m, _, held = trained
-
-        def flip_generator(x):
-            pred = predict(m, x)
-            target = (pred + 1) % m.num_classes
-            # huge budget noise crafted per sample until the label flips
-            g = backward(m, x, target)
-            v = -np.sign(g.input)  # descend target loss hard
-            return Tensor3(5.0 * v)
-
-        rep = fooling_report(m, held[:30], flip_generator)
-        assert rep.fooling_rate == 1.0
-
     def test_empty_dataset(self, trained):
         m, _, _ = trained
         with pytest.raises(EmptyDataset):
@@ -376,20 +364,17 @@ class TestFoolingReport:
     def test_callable_matches_per_sample_reference(self, trained, path):
         m, _, held = trained
         held = held[:150]  # more than two evaluation blocks
-
-        def per_sample(x):
-            return fgsm(m, x, predict(m, x), PerturbBudget(epsilon=0.05))
-
+        v = random_noise(m.input_shape, PerturbBudget(0.05), "high", 5)
         flips = top1c = top1p = 0
         for x, y in held:
             pc = int(np.argmax(forward(m, x)[0]))
-            pp = int(np.argmax(forward(m, x + per_sample(x))[0]))
+            pp = int(np.argmax(forward(m, x + v)[0]))
             flips += pc != pp
             top1c += pc == y
             top1p += pp == y
         n = len(held)
         want = FoolingReport(flips / n, top1c / n, top1p / n, None, None, n)
-        assert fooling_report(m, held, per_sample, path=path) == want
+        assert fooling_report(m, held, v, path=path) == want
         assert want.fooling_rate > 0
 
     def test_top5_matches_per_sample_reference(self):
@@ -410,10 +395,9 @@ class TestFoolingReport:
         row = Tensor3(np.full((1, 1, 8), 0.01))  # would broadcast if added
         messages = []
         for path in ("direct", "interleaved"):
-            for perturbation in (row, lambda x: row):
-                with pytest.raises(ShapeMismatch) as e:
-                    fooling_report(m, held[:10], perturbation, path=path)
-                messages.append(str(e.value))
+            with pytest.raises(ShapeMismatch) as e:
+                fooling_report(m, held[:10], row, path=path)
+            messages.append(str(e.value))
         assert len(set(messages)) == 1
 
     @pytest.mark.parametrize("seed", range(3))

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -120,6 +121,20 @@ class TestSimulate:
         assert code == 2
         assert err.startswith(f"error: {short}: truncated T3B header")
 
+    @pytest.mark.parametrize("dims", [(2 ** 32 - 1,) * 3,
+                                      (65535, 65535, 1000)])
+    def test_oversized_header_usage_error(self, capsys, sim_files, tmp_path,
+                                          dims):
+        paths, _ = sim_files
+        big = tmp_path / "big.t3b"
+        big.write_bytes(b"T3B1" + struct.pack("<IIIB", *dims, 0) + bytes(8))
+        code, _, err = run(capsys, "simulate", "--image", str(big),
+                           "--noise", paths["noise"], "--filters",
+                           paths["filters"])
+        assert code == 2
+        assert err.startswith(f"error: {big}: truncated T3B payload")
+        assert len(err.splitlines()) == 1
+
     def test_missing_image_and_corpus(self, capsys, sim_files):
         paths, _ = sim_files
         code, _, _ = run(capsys, "simulate", "--noise", paths["noise"],
@@ -214,6 +229,17 @@ class TestTrainCraftEval:
                            "--random", "low")
         assert code == 2
         assert err.startswith("error:")
+
+    def test_oversized_checkpoint_block_usage_error(self, capsys, tmp_path):
+        big = tmp_path / "big.tcnn"
+        big.write_bytes(b"TCNN" + struct.pack("<I", 1) + b"T3B1"
+                        + struct.pack("<IIIB", 65535, 65535, 1000, 0)
+                        + bytes(8))
+        code, _, err = run(capsys, "eval", "--model", str(big),
+                           "--random", "low")
+        assert code == 2
+        assert err.startswith("error: truncated T3B payload")
+        assert len(err.splitlines()) == 1
 
     def test_noise_shape_rejected_on_both_paths(self, capsys, trained_ckpt,
                                                 tmp_path):

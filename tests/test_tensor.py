@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from advweave.errors import OutOfRange, ShapeMismatch
 from advweave.tensor import (BitStats, QuantSpec, Tensor3, bit_stats,
-                             dequantize, linf_norm, quantize, read_t3b,
-                             read_t3b_stream, write_t3b)
+                             linf_norm, quantize, read_t3b, read_t3b_stream,
+                             write_t3b)
 
 
 def t3(arr):
@@ -36,8 +37,33 @@ class TestTensor3:
 
     def test_does_not_freeze_caller_array(self):
         a = np.zeros((1, 2, 2))
-        Tensor3(a)
+        t = Tensor3(a)
         a[0, 0, 0] = 1.0  # must not raise
+        assert t.data[0, 0, 0] == 0.0  # and the tensor does not see it
+
+    def test_data_is_read_only(self):
+        t = Tensor3(np.zeros((1, 2, 2)))
+        with pytest.raises(ValueError):
+            t.data[0, 0, 0] = 1.0
+
+    def test_non_contiguous_input_becomes_c_contiguous_copy(self):
+        a = np.arange(24.0).reshape(4, 3, 2).T  # (2, 3, 4), Fortran order
+        t = Tensor3(a)
+        assert t.data.flags.c_contiguous
+        assert np.array_equal(t.data, a)
+        assert not np.shares_memory(t.data, a)
+
+    @pytest.mark.parametrize("dtype", [bool, complex, object])
+    def test_rejects_non_numeric_dtypes(self, dtype):
+        with pytest.raises(TypeError):
+            Tensor3(np.zeros((1, 2, 2), dtype=dtype))
+
+    @pytest.mark.parametrize("dtype, integer", [(np.uint8, True),
+                                                (np.float32, False)])
+    def test_accepts_narrow_dtypes(self, dtype, integer):
+        t = Tensor3(np.ones((1, 2, 2), dtype=dtype))
+        assert t.data.dtype == dtype
+        assert t.is_integer() is integer
 
 
 class TestQuantize:
@@ -84,8 +110,8 @@ class TestQuantize:
     def test_roundtrip_error_bounded(self, values, scale):
         q = QuantSpec(magnitude_bits=10, signed=True, scale=scale)
         t = t3(np.asarray(values).reshape(1, 1, -1))
-        back = dequantize(quantize(t, q), q)
-        assert np.all(np.abs(back.data - t.data) <= scale / 2 + 1e-12)
+        back = quantize(t, q).data * scale
+        assert np.all(np.abs(back - t.data) <= scale / 2 + 1e-12)
 
 
 class TestLinfNorm:
@@ -201,4 +227,13 @@ class TestT3B:
         write_t3b(t3(np.zeros((1, 2, 3))), p)
         p.write_bytes(p.read_bytes()[:-3])
         with pytest.raises(ValueError):
+            read_t3b(p)
+
+    @pytest.mark.parametrize("dims", [(2 ** 32 - 1,) * 3,
+                                      (65535, 65535, 1000)])
+    def test_oversized_claim_rejected_before_reading(self, tmp_path, dims):
+        # a 25-byte file whose header claims more f64 payload than it holds
+        p = tmp_path / "big.t3b"
+        p.write_bytes(b"T3B1" + struct.pack("<IIIB", *dims, 0) + bytes(8))
+        with pytest.raises(ValueError, match="truncated T3B payload"):
             read_t3b(p)
