@@ -4,13 +4,16 @@ conv2d is a cross-correlation (no kernel flip), the deep-learning
 convention; every equivalence oracle in this repo uses the same
 convention on both sides. One batched (N, C, H, W) kernel, conv2d_nchw,
 computes every convolution; conv2d is its N=1 wrapper on a Tensor3.
-Integer inputs give a bit-exact int64 result. A layer of at least
-BLAS_MIN_MACS MACs whose max|x| * max_o sum|W[o]| < 2**53 runs in float64
-on BLAS, where every product and partial sum is then an exactly
-representable integer, and is cast back; any other integer layer runs in
-int64. The kernel multiplies the full C*kh*kw filter once per block of
-output rows; the block height depends only on the input and filter
-shapes, so float results are deterministic for given shapes.
+Integer inputs give a bit-exact int64 result on one of three routes. A
+layer of at least BLAS_MIN_MACS MACs runs on BLAS in float32 when
+max|x| * max_o sum|W[o]| < 2**24 and in float64 when it is below 2**53:
+every product and partial sum is then an integer below the float's 2**24
+or 2**53, which it holds exactly, so BLAS may sum in any order; the result
+is cast back to int64. Any other integer layer runs in int64. The kernel
+multiplies the full C*kh*kw filter once per block of output rows; the
+block height depends only on the input and filter shapes (and, through
+its itemsize, the compute dtype), so float results are deterministic for
+given shapes.
 """
 from __future__ import annotations
 
@@ -83,10 +86,12 @@ class ConvGeometry:
         return oh, ow
 
 
-# Integer convolutions of at least this many MACs take the float64 BLAS
-# route when it is exact. Below it the bound check costs about as much as
-# BLAS saves: the two routes tie near 2.5e4 MACs, and every 16x16 trial of
-# verify-equivalence (at most 6.5e4 MACs) keeps the int64 matmul.
+# Integer convolutions of at least this many MACs take the narrowest exact
+# BLAS route: float32 while max|x| * max_o sum|W[o]| < 2**24, float64 while
+# it is below 2**53 (the mantissa widths, so not tunable). Below this size
+# the bound check costs about as much as BLAS saves: the float64 and int64
+# routes tie near 2.5e4 MACs, and every 16x16 trial of verify-equivalence
+# (at most 6.5e4 MACs) keeps the int64 matmul.
 BLAS_MIN_MACS = 1 << 17
 
 # Bytes of one block's column matrix in conv2d_nchw. It bounds peak memory
@@ -101,21 +106,29 @@ def _max_abs(a: np.ndarray) -> int:
     return max(-int(a.min()), int(a.max()))
 
 
-def _float64_exact(x: np.ndarray, weights: np.ndarray) -> bool:
-    """Whether a float64 convolution of integer x by integer weights is exact.
+def _exact_float_dtype(x: np.ndarray,
+                       weights: np.ndarray) -> type[np.floating] | None:
+    """The narrowest float type that convolves integer x by integer weights
+    exactly: np.float32, np.float64, or None when neither does.
 
-    With max|x| * max_o sum|W[o]| < 2**53 every product and every partial
-    sum of an output is an integer below 2**53, which float64 holds
-    exactly whatever order BLAS sums in; both operands convert exactly.
+    With bound = max|x| * max_o sum|W[o]|, every product and every partial
+    sum of an output is an integer of magnitude at most bound. A float with
+    a p-bit significand holds every integer below 2**p exactly, so while
+    bound < 2**p each addition is exact whatever order BLAS sums in: float32
+    (p = 24) or float64 (p = 53). The operands convert exactly too, unless
+    the other operand is all zero, and then every product is 0 either way.
     The bias is added after the result is cast back to int64.
     """
     xmax = _max_abs(x)
     if xmax >= 2 ** 53 or _max_abs(weights) >= 2 ** 53:
-        return False
+        return None
     # a float64 sum of such |W| is exact while the true sum is below 2**53,
     # and at least 2**53 once the true sum is
-    wsum = np.abs(weights.astype(np.float64)).sum(axis=(1, 2, 3)).max()
-    return xmax * int(wsum) < 2 ** 53
+    bound = xmax * int(np.abs(weights.astype(np.float64))
+                       .sum(axis=(1, 2, 3)).max())
+    if bound < 2 ** 24:
+        return np.float32
+    return np.float64 if bound < 2 ** 53 else None
 
 
 def window_view(x: np.ndarray, kh: int, kw: int, geom: ConvGeometry,
@@ -154,9 +167,12 @@ def conv2d_nchw(x: np.ndarray, filters: FilterBank,
     the (out_channels, C*kh*kw) weights multiply in one GEMM. The block
     height depends only on the input and filter shapes, so a float result
     is the same for every call on those shapes. Integer operands give a
-    bit-exact int64 result: in float64 on BLAS when the layer has at least
-    BLAS_MIN_MACS MACs and max|x| * max_o sum|W[o]| < 2**53, else in int64.
-    Anything else is computed in float64.
+    bit-exact int64 result. A layer of at least BLAS_MIN_MACS MACs runs on
+    BLAS in the narrowest exact float: float32 when max|x| * max_o
+    sum|W[o]| < 2**24, float64 when it is below 2**53 (see
+    _exact_float_dtype); any other integer layer runs in int64. Anything
+    else is computed in float64. The block height follows the compute
+    dtype's itemsize, so float32 blocks are twice as tall.
     """
     if x.ndim != 4:
         raise ShapeMismatch(f"batched input needs 4 dims, got {x.ndim}")
@@ -168,9 +184,9 @@ def conv2d_nchw(x: np.ndarray, filters: FilterBank,
     oh, ow = geom.out_shape(h, w, kh, kw)
     integer = x.dtype.kind in "iu" and filters.weights.dtype.kind in "iu"
     dtype = np.int64 if integer else np.float64
-    blas = not integer or (o * c * kh * kw * n * oh * ow >= BLAS_MIN_MACS
-                           and _float64_exact(x, filters.weights))
-    compute = np.float64 if blas else np.int64
+    compute = dtype
+    if integer and o * c * kh * kw * n * oh * ow >= BLAS_MIN_MACS:
+        compute = _exact_float_dtype(x, filters.weights) or np.int64
     win = window_view(x, kh, kw, geom, compute)
     k = kh * c * kw
     # the weights in the view's (kh, C, kw) axis order
@@ -190,7 +206,7 @@ def conv2d_nchw(x: np.ndarray, filters: FilterBank,
 
 def conv2d(input: Tensor3, filters: FilterBank, geom: ConvGeometry = ConvGeometry()) -> Tensor3:
     """Sliding dot product of each filter over the input, plus bias."""
-    return Tensor3(conv2d_nchw(input.data[None], filters, geom)[0])
+    return Tensor3._adopt(conv2d_nchw(input.data[None], filters, geom)[0])
 
 
 def relu(t: Tensor3) -> Tensor3:

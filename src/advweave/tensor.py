@@ -26,7 +26,17 @@ class Tensor3:
 
     def __post_init__(self):
         # copy before freezing so the caller's array is never mutated
-        arr = np.array(self.data, order="C")
+        self._freeze(np.array(self.data, order="C"))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "Tensor3":
+        """Wrap an array the package has just made and holds no other
+        reference to; it is frozen in place, not copied."""
+        t = object.__new__(cls)
+        t._freeze(np.ascontiguousarray(arr))
+        return t
+
+    def _freeze(self, arr: np.ndarray) -> None:
         if arr.ndim != 3:
             raise ShapeMismatch(f"Tensor3 needs 3 dims, got {arr.ndim}")
         if min(arr.shape) < 1:
@@ -58,7 +68,7 @@ class Tensor3:
     def __add__(self, other: "Tensor3") -> "Tensor3":
         if self.shape != other.shape:
             raise ShapeMismatch(f"{self.shape} vs {other.shape}")
-        return Tensor3(self.data + other.data)
+        return Tensor3._adopt(self.data + other.data)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tensor3):

@@ -73,8 +73,8 @@ def attacked_conv_nchw(images: np.ndarray, noise: np.ndarray,
 def attacked_conv(image: Tensor3, noise: Tensor3, filters: FilterBank,
                   geom: ConvGeometry = ConvGeometry()) -> Tensor3:
     """Convolution over the woven input; equals conv2d(image + noise, ...)."""
-    return Tensor3(attacked_conv_nchw(image.data[None], noise.data, filters,
-                                      geom)[0])
+    return Tensor3._adopt(attacked_conv_nchw(image.data[None], noise.data,
+                                             filters, geom)[0])
 
 
 def equivalence_report(image: Tensor3, noise: Tensor3, filters: FilterBank,

@@ -361,7 +361,8 @@ class TestFoolingReport:
             fooling_report(m, [], Tensor3(np.zeros(m.input_shape)))
 
     @pytest.mark.parametrize("path", ["direct", "interleaved"])
-    def test_callable_matches_per_sample_reference(self, trained, path):
+    def test_universal_pattern_matches_per_sample_reference(self, trained,
+                                                            path):
         m, _, held = trained
         held = held[:150]  # more than two evaluation blocks
         v = random_noise(m.input_shape, PerturbBudget(0.05), "high", 5)

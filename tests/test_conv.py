@@ -9,6 +9,7 @@ from advweave.conv import (BLAS_MIN_MACS, COLUMN_BYTES, ConvGeometry,
                            maxpool2_argmax, relu)
 from advweave.errors import BadGeometry, ShapeMismatch
 from advweave.tensor import Tensor3
+from advweave.weave import attacked_conv_nchw
 
 
 def naive_conv2d(x, w, b, sv=1, sh=1, pad_h=0, pad_w=0):
@@ -49,6 +50,34 @@ def rand_instance(rng, float_mode=False, max_dim=9):
         wt = rng.integers(-5, 6, (o, c, kh, kw))
         b = rng.integers(-5, 6, o)
     return x, wt, b
+
+
+@st.composite
+def integer_layers(draw):
+    """Integer layers around BLAS_MIN_MACS whose max|x| * max_o
+    sum|W[o]| lies near 2**24 or 2**53, far from int64 overflow."""
+    n, c, o = (draw(st.integers(1, hi)) for hi in (2, 3, 4))
+    kh, kw, sv, sh = (draw(st.integers(1, hi)) for hi in (4, 4, 2, 2))
+    ph, pw = draw(st.integers(0, (kh - 1) // 2)), \
+        draw(st.integers(0, (kw - 1) // 2))
+    macs = draw(st.sampled_from([BLAS_MIN_MACS // 2, BLAS_MIN_MACS - 1,
+                                 BLAS_MIN_MACS]))
+    ow = draw(st.integers(1, 24))
+    oh = max(1, -(-macs // (n * c * o * kh * kw * ow)))
+    gate = draw(st.sampled_from([2 ** 24, 2 ** 53]))
+    target = gate + draw(st.integers(-2, 1))
+    xmax = draw(st.integers(1, 2 ** 20))
+    wsum = max(1, target // xmax)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.integers(-xmax, xmax + 1,
+                     (n, c, (oh - 1) * sv + kh - 2 * ph,
+                      (ow - 1) * sh + kw - 2 * pw))
+    x.flat[rng.integers(x.size)] = draw(st.sampled_from([xmax, -xmax]))
+    k = c * kh * kw
+    w = rng.integers(-(wsum // k), wsum // k + 1, (o, c, kh, kw))
+    rest = np.abs(w[0]).sum() - abs(w[0].flat[0])
+    w[0].flat[0] = (wsum - rest) * (1 if rng.random() < 0.5 else -1)
+    return x, w, rng.integers(-9, 10, o), ConvGeometry(sv, sh, ph, pw)
 
 
 class TestConv2d:
@@ -182,9 +211,30 @@ class TestConv2dBatch:
 
 
 class TestIntegerBlasRoute:
-    """Integer convolutions of at least BLAS_MIN_MACS MACs run on float64
-    BLAS when max|x| * max_o sum|W[o]| < 2**53, else in int64; either way
-    the result is the exact int64 one."""
+    """Integer convolutions of at least BLAS_MIN_MACS MACs run on float32
+    BLAS when max|x| * max_o sum|W[o]| < 2**24, on float64 BLAS when it is
+    below 2**53, else in int64; every route gives the exact int64 result."""
+
+    @staticmethod
+    def _operands(xmax, wsum):
+        """Integer operands with max|x| == xmax and max_o sum|W[o]| == wsum."""
+        x = np.zeros((1, 2, 3, 3), dtype=np.int64)
+        x[0, 1, 2, 0] = -xmax
+        x[0, 0, 0, 0] = xmax - 1
+        w = np.zeros((2, 2, 2, 2), dtype=np.int64)
+        w[0].flat[:2] = -(wsum // 2), wsum - wsum // 2
+        w[1].flat[3] = wsum - 1
+        return x, w
+
+    @pytest.mark.parametrize("xmax, wsum, want", [
+        (4095, 4097, np.float32),              # 2**24 - 1
+        (2 ** 12, 2 ** 12, np.float64),        # 2**24
+        (441650591, 20394401, np.float64),     # 2**53 - 1
+        (2 ** 26, 2 ** 27, None),              # 2**53
+    ], ids=["2**24-1", "2**24", "2**53-1", "2**53"])
+    def test_narrowest_exact_dtype_at_the_gates(self, xmax, wsum, want):
+        x, w = self._operands(xmax, wsum)
+        assert conv._exact_float_dtype(x, w) is want
 
     @staticmethod
     def _check(xs, w, b, geom):
@@ -220,10 +270,67 @@ class TestIntegerBlasRoute:
         w = rng.integers(-2 ** 14, 2 ** 14, (4, 2, 4, 4))
         self._check(xs, w, rng.integers(-9, 10, 4), ConvGeometry(1, 1, 1, 0))
 
+    def test_partial_sums_beyond_float32_stay_exact(self, monkeypatch):
+        # 27 odd products per output sum to odd values above 2**24, whose
+        # low bit float32 cannot hold: only the float64 route is exact
+        rng = np.random.default_rng(24)
+        xs = rng.integers(2 ** 12, 2 ** 13, (1, 3, 42, 42)) | 1
+        w = rng.integers(2 ** 7, 2 ** 8, (4, 3, 3, 3)) | 1
+        b = rng.integers(-9, 10, 4)
+        want = naive_conv2d(xs[0], w, b)
+        assert np.abs(want - b[:, None, None]).min() >= 2 ** 24
+        assert conv._exact_float_dtype(xs, w) is np.float64
+        self._check(xs, w, b, ConvGeometry())
+        monkeypatch.setattr(conv, "_exact_float_dtype",
+                            lambda x, weights: np.float32)
+        assert not np.array_equal(conv2d_nchw(xs, FilterBank(w, b))[0], want)
+
+    def test_footprint_layer_takes_float32(self, monkeypatch):
+        # an ImageNet-shaped first layer: 8-bit pixels by int8-range filters
+        # at stride 2, with one filter at the worst case 3*7*7*127, and its
+        # attacked form with 4-bit noise, duplicated rows and stride 4
+        rng = np.random.default_rng(0)
+        xs = rng.integers(0, 256, (1, 3, 224, 224))
+        xs[0, 0, 0, 0] = 255
+        w = rng.integers(-127, 128, (64, 3, 7, 7))
+        w[0] = 127
+        f = FilterBank(w, rng.integers(-9, 10, 64))
+        noise = rng.integers(-12, 13, (3, 224, 224))
+        routes = []  # every dtype conv2d_nchw's exactness check returns
+        choose = conv._exact_float_dtype
+        monkeypatch.setattr(conv, "_exact_float_dtype", lambda x, weights:
+                            routes.append(choose(x, weights)) or routes[-1])
+        got = conv2d_nchw(xs, f, ConvGeometry(2, 2))
+        attacked_conv_nchw(xs, noise, f, ConvGeometry(2, 2))
+        assert routes == [np.float32, np.float32]
+        monkeypatch.setattr(conv, "BLAS_MIN_MACS", 1 << 62)  # int64 route
+        assert np.array_equal(got, conv2d_nchw(xs, f, ConvGeometry(2, 2)))
+        assert routes == [np.float32, np.float32]
+
+    @given(integer_layers())
+    @settings(max_examples=25, deadline=None)
+    def test_every_route_matches_naive_oracle(self, layer):
+        xs, w, b, geom = layer
+        bound = int(np.abs(xs).max()) \
+            * int(np.abs(w).sum(axis=(1, 2, 3)).max())
+        assert bound < 2 ** 62  # int64 cannot overflow
+        want_route = np.float32 if bound < 2 ** 24 else \
+            np.float64 if bound < 2 ** 53 else None
+        assert conv._exact_float_dtype(xs, w) is want_route
+        got = conv2d_nchw(xs, FilterBank(w, b), geom)
+        want = np.stack([naive_conv2d(s, w, b, geom.stride_v, geom.stride_h,
+                                      geom.pad_h, geom.pad_w) for s in xs])
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
 
 class TestColumnBlocks:
     """conv2d_nchw multiplies blocks of output rows whose column matrix fits
     in COLUMN_BYTES; every block height gives the oracle's result."""
+
+    # the dtype each route computes in
+    ROUTES = {"int64": np.int64, "blas32": np.float32, "blas64": np.float64,
+              "float": np.float64}
 
     @staticmethod
     def _instance(route):
@@ -232,8 +339,12 @@ class TestColumnBlocks:
             xs = rng.integers(-9, 10, (2, 2, 15, 9))
             w = rng.integers(-5, 6, (3, 2, 3, 2))
             return xs, w, rng.integers(-5, 6, 3), ConvGeometry(1, 1, 0, 0)
-        if route == "blas":  # an integer layer above it
+        if route == "blas32":  # integer layers above it
             xs = rng.integers(-128, 128, (2, 2, 44, 40)).astype(np.int8)
+            w = rng.integers(-127, 128, (4, 2, 4, 4)).astype(np.int8)
+            return xs, w, rng.integers(-9, 10, 4), ConvGeometry(1, 1, 2, 1)
+        if route == "blas64":
+            xs = rng.integers(-2 ** 20, 2 ** 20, (2, 2, 44, 40))
             w = rng.integers(-127, 128, (4, 2, 4, 4)).astype(np.int8)
             return xs, w, rng.integers(-9, 10, 4), ConvGeometry(1, 1, 2, 1)
         xs = rng.uniform(-2, 2, (2, 3, 13, 11))
@@ -241,16 +352,19 @@ class TestColumnBlocks:
         return xs, w, rng.uniform(-1, 1, 3), ConvGeometry(2, 1, 1, 1)
 
     @pytest.mark.parametrize("budget", ["one row", "partial", "default"])
-    @pytest.mark.parametrize("route", ["int64", "blas", "float"])
+    @pytest.mark.parametrize("route", ["int64", "blas32", "blas64", "float"])
     def test_every_block_height_matches_naive_oracle(self, monkeypatch,
                                                      route, budget):
         xs, w, b, geom = self._instance(route)
         n, c, h, wd = xs.shape
         o, _, kh, kw = w.shape
         oh, ow = geom.out_shape(h, wd, kh, kw)
-        assert (o * c * kh * kw * n * oh * ow >= BLAS_MIN_MACS) \
-            == (route == "blas")
-        row_bytes = c * kh * kw * n * ow * 8
+        blas = route.startswith("blas")
+        assert (o * c * kh * kw * n * oh * ow >= BLAS_MIN_MACS) == blas
+        if blas:
+            assert conv._exact_float_dtype(xs, w) is self.ROUTES[route]
+        itemsize = np.dtype(self.ROUTES[route]).itemsize
+        row_bytes = c * kh * kw * n * ow * itemsize
         if budget == "one row":
             monkeypatch.setattr(conv, "COLUMN_BYTES", 1)
         elif budget == "partial":

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from advweave.conv import FilterBank, conv2d
 from advweave.errors import OutOfRange, ShapeMismatch
 from advweave.tensor import (BitStats, QuantSpec, Tensor3, bit_stats,
                              linf_norm, quantize, read_t3b, read_t3b_stream,
                              write_t3b)
+from advweave.weave import attacked_conv
 
 
 def t3(arr):
@@ -52,6 +54,31 @@ class TestTensor3:
         assert t.data.flags.c_contiguous
         assert np.array_equal(t.data, a)
         assert not np.shares_memory(t.data, a)
+
+    @pytest.mark.parametrize("op", ["add", "conv2d", "attacked_conv"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_package_results_are_frozen_and_unshared(self, op, dtype):
+        # these results wrap a fresh array without copying it again
+        rng = np.random.default_rng(3)
+        image = rng.integers(-9, 10, (2, 6, 5)).astype(dtype)
+        noise = rng.integers(-9, 10, (2, 6, 5)).astype(dtype)
+        w = rng.integers(-5, 6, (3, 2, 2, 2)).astype(dtype)
+        b = rng.integers(-5, 6, 3).astype(dtype)
+        f = FilterBank(w, b)
+        a, n = Tensor3(image), Tensor3(noise)
+        out = {"add": lambda: a + n,
+               "conv2d": lambda: conv2d(a, f),
+               "attacked_conv": lambda: attacked_conv(a, n, f)}[op]()
+        assert out.data.flags.c_contiguous
+        with pytest.raises(ValueError):
+            out.data[0, 0, 0] = 1
+        for caller in (image, noise, w, b, a.data, n.data, f.weights, f.bias):
+            assert not np.shares_memory(out.data, caller)
+
+    def test_adopt_freezes_without_copying(self):
+        a = np.zeros((1, 2, 2))
+        t = Tensor3._adopt(a)
+        assert t.data is a and not a.flags.writeable
 
     @pytest.mark.parametrize("dtype", [bool, complex, object])
     def test_rejects_non_numeric_dtypes(self, dtype):
