@@ -18,9 +18,7 @@ budget = PerturbBudget(epsilon=0.05)  # 5% of the pixel range
 
 uap = craft_uap(model, [x for x, _ in train_set[:150]], budget, max_iters=12)
 low_noise = random_noise(model.input_shape, budget, "low", seed + 777)
-high_noise = random_noise(model.input_shape,
-                          PerturbBudget(epsilon=0.05, max_magnitude=1.0),
-                          "high", seed + 778)
+high_noise = random_noise(model.input_shape, budget, "high", seed + 778)
 
 print(f"universal perturbation: linf = {linf_norm(uap):.3f} "
       f"(budget {budget.epsilon})")

@@ -15,10 +15,10 @@ from .accel import (FootprintComparison, MemoryImage, RowDescriptor, SimReport,
 from .adversary import (FoolingReport, PerturbBudget, TinyCNN, TrainConfig,
                         backward, backward_batch, craft_uap, fgsm,
                         fooling_report, forward, forward_batch, init_model,
-                        load_model, make_corpus, predict, predict_batch,
-                        random_noise, save_model, softmax, train)
+                        load_model, make_corpus, predict_batch, random_noise,
+                        save_model, softmax, train)
 from .conv import (ConvGeometry, FilterBank, conv2d, conv2d_nchw, dense,
-                   maxpool2, maxpool2_argmax, relu)
+                   maxpool2_argmax, relu)
 from .errors import BadGeometry, EmptyDataset, OutOfRange, ShapeMismatch
 from .tensor import (BitStats, QuantSpec, Tensor3, bit_stats, linf_norm,
                      quantize, read_t3b, write_t3b)

@@ -106,7 +106,8 @@ def stream_rows(mem: MemoryImage, image: Tensor3, noise: Tensor3 | None = None) 
     out_rows = [sources[d.source].data[d.index // image.height, d.index % image.height]
                 for d in mem.rows]
     stacked = np.stack(out_rows)
-    return Tensor3(stacked.reshape(image.channels, per_channel, image.width))
+    return Tensor3._adopt(stacked.reshape(image.channels, per_channel,
+                                          image.width))
 
 
 def count_macs(input: Tensor3, filters: FilterBank, geom: ConvGeometry,

@@ -1,9 +1,10 @@
 """Trainable tiny CNN with from-scratch backprop, FGSM, universal
 perturbation crafting, random-noise baselines, and fooling metrics.
 
-Architecture: conv (stride 1, valid) -> ReLU -> 2x2 maxpool -> flatten
--> dense -> softmax, with cross-entropy loss. Pixels live in [0, 1] and
-the default perturbation budget is 5% of the maximum pixel magnitude.
+Architecture: conv (stride 1, valid, CONV_CHANNELS filters) -> ReLU ->
+2x2 maxpool -> flatten -> dense -> softmax, with cross-entropy loss, all
+on conv's reference layers. Pixels live in [0, 1] and a perturbation
+budget is at most 5% of the maximum pixel magnitude.
 
 The fooling-rate evaluation can route the first layer either through
 ordinary convolution of the explicitly noise-added input ("direct") or
@@ -18,13 +19,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conv import (ConvGeometry, FilterBank, conv2d_nchw, dense,
-                   maxpool2_argmax)
+                   maxpool2_argmax, relu)
 from .errors import EmptyDataset, ShapeMismatch
 from .tensor import Tensor3, read_t3b_stream, write_t3b_stream
 from .weave import attacked_conv_nchw
 
 TCNN_MAGIC = b"TCNN"
 TCNN_VERSION = 1
+
+# First-layer filters of the model init_model builds.
+CONV_CHANNELS = 6
+
+# The perturbation budget caps epsilon at RELATIVE_CAP of the maximum
+# image magnitude (pixels live in [0, 1]); the paper's budget is 5%.
+RELATIVE_CAP = 0.05
+MAX_MAGNITUDE = 1.0
 
 # Samples per batched forward in fooling_report: large enough to amortise
 # per-call overhead, small enough that a 2000-sample eval adds no memory.
@@ -52,10 +61,15 @@ class TinyCNN:
         return self.fc_w.shape[0]
 
     def flat_features(self) -> int:
-        c, h, w = self.input_shape
-        oh = h - self.conv1.kernel_h + 1
-        ow = w - self.conv1.kernel_w + 1
-        return self.conv1.out_channels * (oh // 2) * (ow // 2)
+        return _flat_features(self.input_shape, self.conv1)
+
+
+def _flat_features(input_shape: tuple[int, int, int], conv1: FilterBank) -> int:
+    """Width of the dense layer: conv1's (stride 1, valid) output, 2x2 pooled."""
+    _, h, w = input_shape
+    oh = h - conv1.kernel_h + 1
+    ow = w - conv1.kernel_w + 1
+    return conv1.out_channels * (oh // 2) * (ow // 2)
 
 
 @dataclass(frozen=True)
@@ -76,20 +90,18 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class PerturbBudget:
-    """L-inf perturbation budget; epsilon is capped at a fraction of the
-    maximum image magnitude (paper budget: 5%)."""
+    """L-inf perturbation budget; epsilon is capped at RELATIVE_CAP of the
+    maximum image magnitude MAX_MAGNITUDE."""
 
     epsilon: float
-    relative_cap: float = 0.05
-    max_magnitude: float = 1.0
 
     def __post_init__(self):
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
-        if self.epsilon > self.relative_cap * self.max_magnitude + 1e-12:
+        if self.epsilon > RELATIVE_CAP * MAX_MAGNITUDE + 1e-12:
             raise ValueError(
                 f"epsilon {self.epsilon} exceeds cap "
-                f"{self.relative_cap} * {self.max_magnitude}")
+                f"{RELATIVE_CAP} * {MAX_MAGNITUDE}")
 
 
 @dataclass(frozen=True)
@@ -115,21 +127,20 @@ class FoolingReport:
 
 
 def init_model(seed: int, input_shape: tuple[int, int, int] = (1, 8, 8),
-               num_classes: int = 4, conv_channels: int = 6,
-               kernel: int = 3) -> TinyCNN:
+               num_classes: int = 4, kernel: int = 3) -> TinyCNN:
     c, h, w = input_shape
     oh, ow = h - kernel + 1, w - kernel + 1
     if oh < 2 or ow < 2 or oh % 2 or ow % 2:
         raise ShapeMismatch("conv output dims must be even and >= 2 for pooling")
     rng = np.random.default_rng(seed)
     fan_in = c * kernel * kernel
-    conv_w = rng.normal(0.0, (2.0 / fan_in) ** 0.5, (conv_channels, c, kernel, kernel))
-    conv_b = np.zeros(conv_channels)
-    flat = conv_channels * (oh // 2) * (ow // 2)
+    conv1 = FilterBank(rng.normal(0.0, (2.0 / fan_in) ** 0.5,
+                                  (CONV_CHANNELS, c, kernel, kernel)),
+                       np.zeros(CONV_CHANNELS))
+    flat = _flat_features(input_shape, conv1)
     fc_w = rng.normal(0.0, (2.0 / flat) ** 0.5, (num_classes, flat))
     fc_b = np.zeros(num_classes)
-    return TinyCNN(conv1=FilterBank(conv_w, conv_b), fc_w=fc_w, fc_b=fc_b,
-                   input_shape=input_shape)
+    return TinyCNN(conv1=conv1, fc_w=fc_w, fc_b=fc_b, input_shape=input_shape)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -174,7 +185,7 @@ def forward_batch(model: TinyCNN, xs: np.ndarray,
         else attacked_conv_nchw(xs, noise, model.conv1)
     z1 = np.asarray(z1, dtype=np.float64)
     pooled, mask = maxpool2_argmax(z1)
-    flat = np.maximum(pooled, 0).reshape(len(pooled), -1)
+    flat = relu(pooled).reshape(len(pooled), -1)
     logits = dense(flat, model.fc_w, model.fc_b)
     return logits, ForwardCache(x=np.asarray(xs, dtype=np.float64),
                                 pool_mask=mask, pooled=pooled, flat=flat)
@@ -265,10 +276,6 @@ def predict_batch(model: TinyCNN, samples: list[Tensor3]) -> np.ndarray:
     return forward_batch(model, _stack(model, samples))[0].argmax(axis=1)
 
 
-def predict(model: TinyCNN, x: Tensor3) -> int:
-    return int(np.argmax(forward(model, x)[0]))
-
-
 def train(model: TinyCNN, dataset: list[tuple[Tensor3, int]],
           cfg: TrainConfig) -> TinyCNN:
     """Minibatch SGD: w <- w - lr * dLoss/dw, deterministic per seed."""
@@ -306,7 +313,8 @@ def fgsm(model: TinyCNN, x: Tensor3, label: int, budget: PerturbBudget) -> Tenso
     """Perturbation = epsilon * sign(input gradient of the loss)."""
     _checked_labels(model, [label])
     logits, cache = forward_batch(model, x.data[None])
-    return Tensor3(_fgsm_step(model, logits, cache, label, budget.epsilon))
+    return Tensor3._adopt(_fgsm_step(model, logits, cache, label,
+                                     budget.epsilon))
 
 
 def random_noise(shape: tuple[int, int, int], budget: PerturbBudget,
@@ -316,20 +324,21 @@ def random_noise(shape: tuple[int, int, int], budget: PerturbBudget,
     if mode == "low":
         bound = budget.epsilon
     elif mode == "high":
-        bound = budget.max_magnitude
+        bound = MAX_MAGNITUDE
     else:
         raise ValueError(f"mode must be 'low' or 'high', got {mode!r}")
-    return Tensor3(rng.uniform(-bound, bound, shape))
+    return Tensor3._adopt(rng.uniform(-bound, bound, shape))
 
 
 def craft_uap(model: TinyCNN, sample_set: list[Tensor3], budget: PerturbBudget,
-              max_iters: int = 10, target_rate: float = 1.0) -> Tensor3:
+              max_iters: int = 10) -> Tensor3:
     """Iteratively build one input-shaped perturbation that flips predictions
     across the sample set.
 
     Each pass takes an FGSM step on every still-unfooled sample (pushing the
     perturbed input away from its clean prediction) and projects the
     accumulated perturbation back onto the L-inf ball of radius epsilon.
+    Passes stop after max_iters, or once every sample is fooled.
     """
     if not sample_set:
         raise EmptyDataset("sample set is empty")
@@ -337,7 +346,7 @@ def craft_uap(model: TinyCNN, sample_set: list[Tensor3], budget: PerturbBudget,
     shape = sample_set[0].shape
     v = np.zeros(shape)
     if eps == 0:
-        return Tensor3(v)
+        return Tensor3._adopt(v)
     clean_preds = predict_batch(model, sample_set)
     for _ in range(max_iters):
         fooled = 0
@@ -350,9 +359,9 @@ def craft_uap(model: TinyCNN, sample_set: list[Tensor3], budget: PerturbBudget,
             eta = _fgsm_step(model, logits, cache, pred, eps / 4)
             # ascend the loss of the clean prediction to push the label away
             v = np.clip(v + eta, -eps, eps)
-        if fooled / len(sample_set) >= target_rate:
+        if fooled == len(sample_set):
             break
-    return Tensor3(v)
+    return Tensor3._adopt(v)
 
 
 def fooling_report(model: TinyCNN, dataset: list[tuple[Tensor3, int]],
@@ -408,30 +417,34 @@ def _in_top5(logits: np.ndarray, labels: np.ndarray) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Synthetic corpus: class-conditional oriented bars plus background noise.
-# Low contrast keeps decision margins small enough that a 5% perturbation
-# has room to act, mirroring the fragility of large-scale models.
+# Synthetic corpus: class-conditional oriented bars, CONTRAST brighter
+# than a uniform [0, BACKGROUND) field. Low contrast keeps decision margins
+# small enough that a 5% perturbation has room to act, mirroring the
+# fragility of large-scale models.
+
+CONTRAST = 0.25
+BACKGROUND = 0.45
+
 
 def make_corpus(n: int, seed: int, shape: tuple[int, int, int] = (1, 8, 8),
-                num_classes: int = 4, contrast: float = 0.25,
-                background: float = 0.45) -> list[tuple[Tensor3, int]]:
+                num_classes: int = 4) -> list[tuple[Tensor3, int]]:
     c, h, w = shape
     rng = np.random.default_rng(seed)
     samples = []
     for _ in range(n):
         label = int(rng.integers(num_classes))
-        img = rng.uniform(0.0, background, shape)
+        img = rng.uniform(0.0, BACKGROUND, shape)
         if label == 0:
             r = int(rng.integers(1, h - 1))
-            img[:, r, :] += contrast
+            img[:, r, :] += CONTRAST
         elif label == 1:
             col = int(rng.integers(1, w - 1))
-            img[:, :, col] += contrast
+            img[:, :, col] += CONTRAST
         elif label == 2:
-            img[:, np.arange(min(h, w)), np.arange(min(h, w))] += contrast
+            img[:, np.arange(min(h, w)), np.arange(min(h, w))] += CONTRAST
         else:
-            img[:, np.arange(min(h, w)), w - 1 - np.arange(min(h, w))] += contrast
-        samples.append((Tensor3(np.clip(img, 0.0, 1.0)), label))
+            img[:, np.arange(min(h, w)), w - 1 - np.arange(min(h, w))] += CONTRAST
+        samples.append((Tensor3._adopt(np.clip(img, 0.0, 1.0)), label))
     return samples
 
 

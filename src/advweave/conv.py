@@ -1,5 +1,9 @@
 """Reference convolution, activation, pooling, and dense layers.
 
+The layers are conv2d / conv2d_nchw, relu, maxpool2_argmax (2x2 max
+pooling that also returns the mask backprop needs) and dense; relu,
+pooling and dense act on plain arrays.
+
 conv2d is a cross-correlation (no kernel flip), the deep-learning
 convention; every equivalence oracle in this repo uses the same
 convention on both sides. One batched (N, C, H, W) kernel, conv2d_nchw,
@@ -209,8 +213,9 @@ def conv2d(input: Tensor3, filters: FilterBank, geom: ConvGeometry = ConvGeometr
     return Tensor3._adopt(conv2d_nchw(input.data[None], filters, geom)[0])
 
 
-def relu(t: Tensor3) -> Tensor3:
-    return Tensor3(np.maximum(t.data, 0))
+def relu(x: np.ndarray) -> np.ndarray:
+    """max(x, 0) elementwise, for an array of any shape."""
+    return np.maximum(x, 0)
 
 
 def maxpool2_argmax(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,11 +239,6 @@ def maxpool2_argmax(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mask[..., dy, :, dx] = hit
         taken |= hit
     return pooled, mask.reshape(a.shape)
-
-
-def maxpool2(t: Tensor3) -> Tensor3:
-    """2x2 max pooling with stride 2; requires even spatial dims."""
-    return Tensor3(maxpool2_argmax(t.data)[0])
 
 
 def dense(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:

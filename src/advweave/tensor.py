@@ -1,5 +1,9 @@
 """Channel-major 3D tensors, quantization, norms, and bit-level statistics.
 
+exact_result_type is the one dtype rule for combining an image with
+noise: integer operands must stay integer, on the direct (Tensor3 +) and
+the woven path alike.
+
 The layout is channel-major, row-major: element (c, y, x) lives at flat
 index c*H*W + y*W + x, so a single row (c, y, :) is contiguous. Rows are
 the unit the interleaving attack and the memory-layout model operate on.
@@ -16,6 +20,20 @@ from .errors import OutOfRange, ShapeMismatch
 
 T3B_MAGIC = b"T3B1"
 _DTYPE_TAGS = {0: np.dtype("<f8"), 1: np.dtype("<i4")}
+
+
+def exact_result_type(a: np.ndarray, b: np.ndarray) -> np.dtype:
+    """The dtype that combining `a` and `b` gives.
+
+    Raises TypeError where two integer arrays would promote to float
+    (uint64 with a signed type gives float64), which cannot hold both
+    exactly; every path that combines an image with noise uses this rule.
+    """
+    dtype = np.result_type(a, b)
+    if a.dtype.kind in "iu" and b.dtype.kind in "iu" and dtype.kind not in "iu":
+        raise TypeError(f"{a.dtype} and {b.dtype} promote to {dtype}, "
+                        f"which is not exact")
+    return dtype
 
 
 @dataclass(frozen=True)
@@ -68,6 +86,7 @@ class Tensor3:
     def __add__(self, other: "Tensor3") -> "Tensor3":
         if self.shape != other.shape:
             raise ShapeMismatch(f"{self.shape} vs {other.shape}")
+        exact_result_type(self.data, other.data)
         return Tensor3._adopt(self.data + other.data)
 
     def __eq__(self, other) -> bool:
@@ -120,7 +139,7 @@ def quantize(t: Tensor3, q: QuantSpec) -> Tensor3:
         raise OutOfRange(
             f"quantized levels span [{int(lo)}, {int(hi)}], representable "
             f"range is [{q.min_level}, {q.max_level}]")
-    return Tensor3(levels.astype(np.int64))
+    return Tensor3._adopt(levels.astype(np.int64))
 
 
 def linf_norm(t: Tensor3) -> float:
@@ -178,8 +197,7 @@ def read_t3b_stream(f) -> Tensor3:
         raise ValueError(f"truncated T3B payload: expected {size} bytes, "
                          f"got {left}")
     arr = np.frombuffer(f.read(size), dtype=dtype).reshape(c, h, w)
-    arr = arr.astype(np.int64 if tag == 1 else np.float64)
-    return Tensor3(arr)
+    return Tensor3._adopt(arr.astype(np.int64 if tag == 1 else np.float64))
 
 
 def write_t3b(t: Tensor3, path) -> None:

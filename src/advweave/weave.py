@@ -16,7 +16,7 @@ import numpy as np
 
 from .conv import ConvGeometry, FilterBank, conv2d, conv2d_nchw
 from .errors import BadGeometry, ShapeMismatch
-from .tensor import Tensor3
+from .tensor import Tensor3, exact_result_type
 
 
 @dataclass(frozen=True)
@@ -33,13 +33,9 @@ def weave_rows(images: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """
     if noise.shape[-3:] != images.shape[-3:]:
         raise ShapeMismatch(f"{images.shape[-3:]} vs {noise.shape[-3:]}")
-    dtype = np.result_type(images, noise)
-    if images.dtype.kind in "iu" and noise.dtype.kind in "iu" \
-            and dtype.kind not in "iu":
-        raise TypeError(f"{images.dtype} and {noise.dtype} promote to "
-                        f"{dtype}, which is not exact")
     *lead, h, w = images.shape
-    woven = np.empty((*lead, 2 * h, w), dtype=dtype)
+    woven = np.empty((*lead, 2 * h, w),
+                     dtype=exact_result_type(images, noise))
     woven[..., 0::2, :] = images
     woven[..., 1::2, :] = noise
     return woven
@@ -47,7 +43,7 @@ def weave_rows(images: np.ndarray, noise: np.ndarray) -> np.ndarray:
 
 def interleave_rows(image: Tensor3, noise: Tensor3) -> Tensor3:
     """Woven row 2r is image row r, woven row 2r+1 is noise row r, per channel."""
-    return Tensor3(weave_rows(image.data, noise.data))
+    return Tensor3._adopt(weave_rows(image.data, noise.data))
 
 
 def duplicate_filter_rows(f: FilterBank) -> FilterBank:

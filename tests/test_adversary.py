@@ -7,7 +7,7 @@ from advweave.adversary import (FoolingReport, PerturbBudget, TrainConfig,
                                 backward, backward_batch, craft_uap,
                                 cross_entropy, fgsm,
                                 fooling_report, forward, forward_batch,
-                                init_model, load_model, make_corpus, predict,
+                                init_model, load_model, make_corpus,
                                 predict_batch, random_noise, save_model,
                                 softmax, train)
 from advweave.conv import FilterBank
@@ -195,7 +195,8 @@ class TestTrain:
         data = self.make_separable_2class(seed=seed)
         m = init_model(seed, num_classes=4)
         m = train(m, data, TrainConfig(0.1, 15, 8, seed))
-        acc = sum(predict(m, x) == y for x, y in data) / len(data)
+        preds = predict_batch(m, [x for x, _ in data])
+        acc = sum(p == y for p, (_, y) in zip(preds, data)) / len(data)
         assert acc >= 0.95
 
     def test_zero_learning_rate_keeps_weights(self):
@@ -281,7 +282,7 @@ class TestFGSM:
 
     def test_budget_cap_enforced(self):
         with pytest.raises(ValueError):
-            PerturbBudget(epsilon=0.2, relative_cap=0.05, max_magnitude=1.0)
+            PerturbBudget(epsilon=0.2)
 
 
 class TestRandomNoise:
@@ -291,7 +292,7 @@ class TestRandomNoise:
         assert linf_norm(n) <= 0.05 * 1.0
 
     def test_high_mode_within_image_magnitude(self):
-        b = PerturbBudget(epsilon=0.05, max_magnitude=1.0)
+        b = PerturbBudget(epsilon=0.05)
         n = random_noise((1, 8, 8), b, "high", 0)
         assert linf_norm(n) <= 1.0
         assert linf_norm(n) > 0.05  # actually uses the full range
@@ -430,8 +431,8 @@ class TestCheckpoint:
         assert np.array_equal(back.fc_w, m.fc_w)
         assert np.array_equal(back.fc_b, m.fc_b)
         assert back.input_shape == m.input_shape
-        for x, _ in held[:10]:
-            assert predict(back, x) == predict(m, x)
+        xs = [x for x, _ in held[:10]]
+        assert np.array_equal(predict_batch(back, xs), predict_batch(m, xs))
 
     def test_magic_and_version(self, trained, tmp_path):
         m, _, _ = trained

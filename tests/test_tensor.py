@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from advweave.accel import layout_rows, stream_rows
+from advweave.adversary import (PerturbBudget, craft_uap, fgsm, init_model,
+                                make_corpus, random_noise)
 from advweave.conv import FilterBank, conv2d
 from advweave.errors import OutOfRange, ShapeMismatch
 from advweave.tensor import (BitStats, QuantSpec, Tensor3, bit_stats,
                              linf_norm, quantize, read_t3b, read_t3b_stream,
-                             write_t3b)
-from advweave.weave import attacked_conv
+                             write_t3b, write_t3b_stream)
+from advweave.weave import attacked_conv, interleave_rows
 
 
 def t3(arr):
@@ -55,7 +58,11 @@ class TestTensor3:
         assert np.array_equal(t.data, a)
         assert not np.shares_memory(t.data, a)
 
-    @pytest.mark.parametrize("op", ["add", "conv2d", "attacked_conv"])
+    @pytest.mark.parametrize("op", ["add", "conv2d", "attacked_conv",
+                                    "interleave_rows", "stream_rows",
+                                    "quantize", "read_t3b_stream",
+                                    "random_noise", "fgsm", "craft_uap",
+                                    "make_corpus"])
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
     def test_package_results_are_frozen_and_unshared(self, op, dtype):
         # these results wrap a fresh array without copying it again
@@ -66,13 +73,29 @@ class TestTensor3:
         b = rng.integers(-5, 6, 3).astype(dtype)
         f = FilterBank(w, b)
         a, n = Tensor3(image), Tensor3(noise)
+        # the model takes (2, 6, 4) inputs: 3x3 conv output dims must be even
+        x = Tensor3(image[..., :4])
+        model = init_model(0, input_shape=x.shape)
+        budget = PerturbBudget(epsilon=0.05)
+        t3b = io.BytesIO()
+        write_t3b_stream(a, t3b)
+        t3b.seek(0)
         out = {"add": lambda: a + n,
                "conv2d": lambda: conv2d(a, f),
-               "attacked_conv": lambda: attacked_conv(a, n, f)}[op]()
+               "attacked_conv": lambda: attacked_conv(a, n, f),
+               "interleave_rows": lambda: interleave_rows(a, n),
+               "stream_rows": lambda: stream_rows(layout_rows(a, n), a, n),
+               "quantize": lambda: quantize(a, QuantSpec(4, True, 1.0)),
+               "read_t3b_stream": lambda: read_t3b_stream(t3b),
+               "random_noise": lambda: random_noise(a.shape, budget, "low", 0),
+               "fgsm": lambda: fgsm(model, x, 0, budget),
+               "craft_uap": lambda: craft_uap(model, [x], budget),
+               "make_corpus": lambda: make_corpus(1, 0, a.shape)[0][0]}[op]()
         assert out.data.flags.c_contiguous
         with pytest.raises(ValueError):
             out.data[0, 0, 0] = 1
-        for caller in (image, noise, w, b, a.data, n.data, f.weights, f.bias):
+        for caller in (image, noise, w, b, a.data, n.data, f.weights, f.bias,
+                       x.data):
             assert not np.shares_memory(out.data, caller)
 
     def test_adopt_freezes_without_copying(self):

@@ -51,10 +51,20 @@ class TestInterleave:
                             Tensor3(np.zeros((1, 2, 3))))
 
     def test_integer_promotion_to_float_rejected(self):
-        # uint64 with int64 promotes to float64, which cannot hold both exactly
+        # uint64 with int64 promotes to float64, which cannot hold both
+        # exactly; the woven and the direct path reject it alike
         img = Tensor3(np.full((1, 2, 2), 2**63 + 1, dtype=np.uint64))
-        with pytest.raises(TypeError):
-            interleave_rows(img, Tensor3(np.ones((1, 2, 2), dtype=np.int64)))
+        noise = Tensor3(np.ones((1, 2, 2), dtype=np.int64))
+        f = FilterBank(np.ones((1, 1, 1, 1), dtype=np.int64),
+                       np.zeros(1, dtype=np.int64))
+        errors = []
+        for op in (lambda: interleave_rows(img, noise),
+                   lambda: img + noise,
+                   lambda: equivalence_report(img, noise, f)):
+            with pytest.raises(TypeError) as e:
+                op()
+            errors.append((e.type, str(e.value)))
+        assert errors[1] == errors[2] == errors[0]
 
     def test_mixed_integer_widths_stay_integer(self):
         img = Tensor3(np.ones((1, 2, 2), dtype=np.int32))
