@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .conv import ConvGeometry, FilterBank
+from .conv import ConvGeometry, FilterBank, _exact_float
 from .errors import ShapeMismatch
 from .tensor import Tensor3
 from .weave import attacked_geometry, duplicate_filter_rows, interleave_rows
@@ -110,15 +110,27 @@ def stream_rows(mem: MemoryImage, image: Tensor3, noise: Tensor3 | None = None) 
                                           image.width))
 
 
+def _taps(size: int, k: int, out: int, stride: int, dtype) -> np.ndarray:
+    """The (size, k) 0/1 matrix T with T[i, j] = 1 iff i = t * stride + j
+    for some t < out: a mask line times T sums each of the k strided
+    windows of one kernel axis."""
+    t = np.zeros((size, k), dtype=dtype)
+    t[np.arange(out)[:, None] * stride + np.arange(k), np.arange(k)] = 1
+    return t
+
+
 def count_macs(input: Tensor3, filters: FilterBank, geom: ConvGeometry,
                cfg: SystolicConfig) -> SimReport:
     """Count MACs for one conv layer; skips apply when either operand is zero.
 
     Executed MACs in closed form, per kernel offset (c, j, k): the filters
     whose weight there is nonzero times the nonzero inputs that offset's
-    strided window covers (padding counts as zero). The window count is
-    separable: sum each row over the window's columns, then those row
-    sums over the window's rows.
+    strided window covers (padding counts as zero). The window counts are
+    two products with 0/1 tap matrices: the padded mask rows times T_w,
+    which sums each row over the window's columns, then T_h's transpose
+    times those row sums, which sums them over the window's rows. Every
+    partial sum counts at most the h*w inputs of one channel plane, so the
+    float that _exact_float picks for h*w sums them exactly in any order.
     """
     if input.channels != filters.in_channels:
         raise ShapeMismatch(
@@ -128,17 +140,22 @@ def count_macs(input: Tensor3, filters: FilterBank, geom: ConvGeometry,
     oh, ow = geom.out_shape(input.height, input.width, kh, kw)
     issued = oh * ow * filters.out_channels * filters.in_channels * kh * kw
     if cfg.zero_skip:
-        m = np.pad(input.data != 0, ((0, 0), (geom.pad_h, geom.pad_h),
-                                     (geom.pad_w, geom.pad_w)))
+        c, h, w = input.shape
+        ph, pw = geom.pad_h, geom.pad_w
         sv, sh = geom.stride_v, geom.stride_h
-        # row_nnz[k, c, r] = sum over x < ow of m[c, r, x * sh + k]
-        row_nnz = np.stack([m[:, :, k:k + (ow - 1) * sh + 1:sh].sum(axis=2)
-                            for k in range(kw)])
-        # x_nnz[j, k, c] = sum over y < oh of row_nnz[k, c, y * sv + j]
-        x_nnz = np.stack([row_nnz[:, :, j:j + (oh - 1) * sv + 1:sv].sum(axis=2)
-                          for j in range(kh)])
+        hp, wp = h + 2 * ph, w + 2 * pw
+        # every partial sum counts nonzero inputs of one channel plane, and
+        # a plane in memory has fewer than 2**53 elements: never None
+        dtype = _exact_float(h * w)
+        m = np.zeros((c, hp, wp), dtype=dtype)
+        m[:, ph:ph + h, pw:pw + w] = input.data != 0
+        # row_nnz[c, r, k] = sum over x < ow of m[c, r, x * sh + k]
+        row_nnz = (m.reshape(c * hp, wp)
+                   @ _taps(wp, kw, ow, sh, dtype)).reshape(c, hp, kw)
+        # x_nnz[c, j, k] = sum over y < oh of row_nnz[c, y * sv + j, k]
+        x_nnz = _taps(hp, kh, oh, sv, dtype).T @ row_nnz
         w_nnz = np.count_nonzero(filters.weights, axis=0)   # (c, j, k)
-        executed = int((w_nnz * x_nnz.transpose(2, 0, 1)).sum())
+        executed = int((w_nnz * x_nnz.astype(np.int64)).sum())
     else:
         executed = issued
     skipped = issued - executed

@@ -12,12 +12,12 @@ Integer inputs give a bit-exact int64 result on one of three routes. A
 layer of at least BLAS_MIN_MACS MACs runs on BLAS in float32 when
 max|x| * max_o sum|W[o]| < 2**24 and in float64 when it is below 2**53:
 every product and partial sum is then an integer below the float's 2**24
-or 2**53, which it holds exactly, so BLAS may sum in any order; the result
-is cast back to int64. Any other integer layer runs in int64. The kernel
-multiplies the full C*kh*kw filter once per block of output rows; the
-block height depends only on the input and filter shapes (and, through
-its itemsize, the compute dtype), so float results are deterministic for
-given shapes.
+or 2**53, which it holds exactly, so BLAS may sum in any order; each
+block's product is cast straight into the int64 result. Any other integer
+layer runs in int64. The kernel multiplies the full C*kh*kw filter once
+per block of output rows; the block height depends only on the input and
+filter shapes (and, through its itemsize, the compute dtype), so float
+results are deterministic for given shapes.
 """
 from __future__ import annotations
 
@@ -110,29 +110,34 @@ def _max_abs(a: np.ndarray) -> int:
     return max(-int(a.min()), int(a.max()))
 
 
+def _exact_float(bound: int) -> type[np.floating] | None:
+    """The narrowest float that holds every integer of magnitude at most
+    `bound` exactly: np.float32 below 2**24, np.float64 below 2**53, else
+    None. A float with a p-bit significand holds every integer below 2**p,
+    so a sum whose terms and partial sums all stay within `bound` is exact
+    in that float whatever order BLAS adds them in."""
+    if bound < 2 ** 24:
+        return np.float32
+    return np.float64 if bound < 2 ** 53 else None
+
+
 def _exact_float_dtype(x: np.ndarray,
                        weights: np.ndarray) -> type[np.floating] | None:
     """The narrowest float type that convolves integer x by integer weights
-    exactly: np.float32, np.float64, or None when neither does.
+    exactly: _exact_float of bound = max|x| * max_o sum|W[o]|.
 
-    With bound = max|x| * max_o sum|W[o]|, every product and every partial
-    sum of an output is an integer of magnitude at most bound. A float with
-    a p-bit significand holds every integer below 2**p exactly, so while
-    bound < 2**p each addition is exact whatever order BLAS sums in: float32
-    (p = 24) or float64 (p = 53). The operands convert exactly too, unless
-    the other operand is all zero, and then every product is 0 either way.
-    The bias is added after the result is cast back to int64.
+    Every product and every partial sum of an output is an integer of
+    magnitude at most bound. The operands convert exactly too, unless the
+    other operand is all zero, and then every product is 0 either way.
+    The bias is added in the integer result.
     """
     xmax = _max_abs(x)
     if xmax >= 2 ** 53 or _max_abs(weights) >= 2 ** 53:
         return None
     # a float64 sum of such |W| is exact while the true sum is below 2**53,
     # and at least 2**53 once the true sum is
-    bound = xmax * int(np.abs(weights.astype(np.float64))
-                       .sum(axis=(1, 2, 3)).max())
-    if bound < 2 ** 24:
-        return np.float32
-    return np.float64 if bound < 2 ** 53 else None
+    return _exact_float(xmax * int(np.abs(weights.astype(np.float64))
+                                   .sum(axis=(1, 2, 3)).max()))
 
 
 def window_view(x: np.ndarray, kh: int, kw: int, geom: ConvGeometry,
@@ -176,7 +181,10 @@ def conv2d_nchw(x: np.ndarray, filters: FilterBank,
     sum|W[o]| < 2**24, float64 when it is below 2**53 (see
     _exact_float_dtype); any other integer layer runs in int64. Anything
     else is computed in float64. The block height follows the compute
-    dtype's itemsize, so float32 blocks are twice as tall.
+    dtype's itemsize, so float32 blocks are twice as tall. Each block's
+    product is assigned straight into the int64 or float64 result (a cast
+    that is exact on the integer routes), so no full-size array of the
+    compute dtype exists.
     """
     if x.ndim != 4:
         raise ShapeMismatch(f"batched input needs 4 dims, got {x.ndim}")
@@ -197,13 +205,12 @@ def conv2d_nchw(x: np.ndarray, filters: FilterBank,
     weights = filters.weights.astype(compute, copy=False) \
         .transpose(0, 2, 1, 3).reshape(o, k)
     rows = max(1, COLUMN_BYTES // (k * n * ow * win.itemsize))
-    out = np.empty((o, n, oh, ow), dtype=compute)
+    out = np.empty((o, n, oh, ow), dtype=dtype)
     for y in range(0, oh, rows):
         block = win[..., y:y + rows, :]
         r = block.shape[4]
         out[:, :, y:y + r] = (weights @ block.reshape(k, n * r * ow)) \
             .reshape(o, n, r, ow)
-    out = out.astype(dtype, copy=False)
     out += filters.bias.astype(dtype, copy=False)[:, None, None, None]
     return out.transpose(1, 0, 2, 3)
 
@@ -229,15 +236,19 @@ def maxpool2_argmax(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if h % 2 or w % 2:
         raise BadGeometry(f"maxpool2 needs even dims, got {h}x{w}")
     win = a.reshape(*lead, h // 2, 2, w // 2, 2)
-    offsets = ((0, 0), (0, 1), (1, 0), (1, 1))  # row-major window order
-    q = [win[..., dy, :, dx] for dy, dx in offsets]
-    pooled = np.maximum(np.maximum(q[0], q[1]), np.maximum(q[2], q[3]))
-    mask = np.empty(win.shape, dtype=bool)
-    taken = np.zeros(pooled.shape, dtype=bool)
-    for (dy, dx), quarter in zip(offsets, q):
-        hit = (quarter == pooled) & ~taken
-        mask[..., dy, :, dx] = hit
-        taken |= hit
+    # max(max(q00, q01), max(q10, q11)): which zero np.maximum returns when
+    # 0.0 meets -0.0 depends on operand order, so this order fixes its sign
+    cols = np.maximum(win[..., 0], win[..., 1])
+    pooled = np.maximum(cols[..., 0, :], cols[..., 1, :])
+    mask = win == pooled[..., :, None, :, None]
+    # one hit per window is already the first hit; a NaN window has none,
+    # so it could balance a tied window's extra hit
+    if np.count_nonzero(mask) != pooled.size or (pooled != pooled).any():
+        taken = np.zeros(pooled.shape, dtype=bool)
+        for dy in (0, 1):  # row-major window order
+            for dx in (0, 1):
+                mask[..., dy, :, dx] &= ~taken
+                taken |= mask[..., dy, :, dx]
     return pooled, mask.reshape(a.shape)
 
 

@@ -32,6 +32,23 @@ def naive_skip_count(x, w, sv, sh, pad_h=0, pad_w=0):
     return skipped
 
 
+def separable_executed(x, w, sv, sh, pad_h=0, pad_w=0):
+    """Executed MACs from strided window sums: each padded mask row summed
+    over every kernel column's windows, then those sums over the rows."""
+    m = np.pad(x != 0, ((0, 0), (pad_h, pad_h), (pad_w, pad_w)))
+    _, kh, kw = w.shape[1:]
+    oh = (m.shape[1] - kh) // sv + 1
+    ow = (m.shape[2] - kw) // sh + 1
+    # row_nnz[k, c, r] = sum over x < ow of m[c, r, x * sh + k]
+    row_nnz = np.stack([m[:, :, k:k + (ow - 1) * sh + 1:sh].sum(axis=2)
+                        for k in range(kw)])
+    # x_nnz[j, k, c] = sum over y < oh of row_nnz[k, c, y * sv + j]
+    x_nnz = np.stack([row_nnz[:, :, j:j + (oh - 1) * sv + 1:sv].sum(axis=2)
+                      for j in range(kh)])
+    w_nnz = np.count_nonzero(w, axis=0)   # (c, j, k)
+    return int((w_nnz * x_nnz.transpose(2, 0, 1)).sum())
+
+
 def sparse_instance(rng, density=0.5):
     c, h, w = 1 + int(rng.integers(3)), int(rng.integers(3, 9)), int(rng.integers(3, 9))
     kh, kw = int(rng.integers(1, 4)), int(rng.integers(1, 4))
@@ -122,6 +139,35 @@ class TestCountMacs:
         assert rep.mac_skipped == naive_skip_count(x.data, f.weights, sv, sh,
                                                    ph, pw)
         assert rep.mac_executed == rep.mac_issued - rep.mac_skipped
+
+    def test_footprint_layer_matches_separable_oracle(self):
+        # the attacked footprint layer: a woven 3x448x224 8-bit image with
+        # zero regions and sparse noise, 64 duplicated 14x7 filters with
+        # pruned zeros, stride (4, 2)
+        rng = np.random.default_rng(9)
+        image = rng.integers(0, 256, (3, 224, 224))
+        image[:, 40:130, 10:100] = 0
+        noise = rng.integers(-12, 13, (3, 224, 224)) \
+            * (rng.random((3, 224, 224)) < 0.1)
+        x = interleave_rows(Tensor3(image), Tensor3(noise))
+        w = np.repeat(rng.integers(-127, 128, (64, 3, 7, 7))
+                      * (rng.random((64, 3, 7, 7)) >= 0.3), 2, axis=2)
+        rep = count_macs(x, FilterBank(w, np.zeros(64, dtype=np.int64)),
+                         ConvGeometry(4, 2), preset_config("tpu"))
+        assert 0 < rep.mac_executed < rep.mac_issued
+        assert rep.mac_executed == separable_executed(x.data, w, 4, 2)
+
+    def test_padded_ragged_layer_matches_separable_oracle(self):
+        # padding on both axes and strides that leave the last rows and
+        # columns of the padded plane in no window
+        rng = np.random.default_rng(10)
+        x = rng.integers(-3, 4, (4, 62, 53)) * (rng.random((4, 62, 53)) < 0.4)
+        w = rng.integers(-2, 3, (5, 4, 5, 4))
+        geom = ConvGeometry(3, 4, 2, 3)
+        assert (62 + 4 - 5) % 3 and (53 + 6 - 4) % 4
+        rep = count_macs(Tensor3(x), FilterBank(w, np.zeros(5, dtype=np.int64)),
+                         geom, SystolicConfig(8, 8, True))
+        assert rep.mac_executed == separable_executed(x, w, 3, 4, 2, 3)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_cycle_occupancy_bound(self, seed):

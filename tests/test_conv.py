@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -236,6 +238,13 @@ class TestIntegerBlasRoute:
         x, w = self._operands(xmax, wsum)
         assert conv._exact_float_dtype(x, w) is want
 
+    @pytest.mark.parametrize("bound, want", [
+        (2 ** 24 - 1, np.float32), (2 ** 24, np.float64),
+        (2 ** 53 - 1, np.float64), (2 ** 53, None),
+    ], ids=["2**24-1", "2**24", "2**53-1", "2**53"])
+    def test_exact_float_gates(self, bound, want):
+        assert conv._exact_float(bound) is want
+
     @staticmethod
     def _check(xs, w, b, geom):
         n, c, h, wd = xs.shape
@@ -386,6 +395,31 @@ class TestColumnBlocks:
             assert np.array_equal(got, want)
 
 
+    def test_no_second_full_size_array(self):
+        # the footprint layer's attacked conv on the float32 route: beyond
+        # the result, only the float32 input and weights and one block's
+        # columns and product may be live at once
+        rng = np.random.default_rng(0)
+        xs = rng.integers(0, 256, (1, 3, 448, 224))
+        f = FilterBank(rng.integers(-127, 128, (64, 3, 14, 7)),
+                       rng.integers(-9, 10, 64))
+        geom = ConvGeometry(4, 2)
+        assert conv._exact_float_dtype(xs, f.weights) is np.float32
+        oh, ow = geom.out_shape(448, 224, 14, 7)
+        k = 3 * 14 * 7
+        rows = COLUMN_BYTES // (k * ow * 4)
+        tracemalloc.start()
+        try:
+            got = conv2d_nchw(xs, f, geom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        allowed = (got.nbytes + xs.size * 4 + 64 * k * 4
+                   + k * rows * ow * 4 + 64 * rows * ow * 4)
+        assert got.nbytes == 64 * oh * ow * 8
+        assert peak <= allowed + (1 << 16)  # plus Python objects
+
+
 class TestRelu:
     def test_mixed(self):
         out = relu(np.array([[[-1.0, 0.0, 2.0]]]))
@@ -441,6 +475,18 @@ class TestMaxpool2:
                         slice(2 * j, 2 * j + 2))]
             assert pooled[idx] == win.max()
             assert np.array_equal(got.ravel(), want)
+
+    def test_tied_and_nan_windows_in_one_array(self):
+        # the tied window's extra hit and the NaN window's missing one
+        # leave as many hits as windows; the mask still marks first maxima
+        a = np.array([[[2.0, 5.0, np.nan, 1.0, 0.0, 3.0],
+                       [5.0, 1.0, 4.0, 1.0, 0.0, 1.0]]])
+        pooled, mask = maxpool2_argmax(a)
+        assert pooled[0, 0, 0] == 5.0 and np.isnan(pooled[0, 0, 1])
+        assert pooled[0, 0, 2] == 3.0
+        assert np.array_equal(mask, [[[False, True, False, False, False, True],
+                                      [False, False, False, False, False,
+                                       False]]])
 
 
 class TestDense:
