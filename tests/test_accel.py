@@ -165,8 +165,8 @@ class TestCountMacs:
         w = rng.integers(-2, 3, (5, 4, 5, 4))
         geom = ConvGeometry(3, 4, 2, 3)
         assert (62 + 4 - 5) % 3 and (53 + 6 - 4) % 4
-        rep = count_macs(Tensor3(x), FilterBank(w, np.zeros(5, dtype=np.int64)),
-                         geom, SystolicConfig(8, 8, True))
+        f = FilterBank(w, np.zeros(5, dtype=np.int64))
+        rep = count_macs(Tensor3(x), f, geom, SystolicConfig(8, 8, True))
         assert rep.mac_executed == separable_executed(x, w, 3, 4, 2, 3)
 
     @pytest.mark.parametrize("seed", range(10))

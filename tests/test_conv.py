@@ -394,7 +394,6 @@ class TestColumnBlocks:
             assert got.dtype == np.int64
             assert np.array_equal(got, want)
 
-
     def test_no_second_full_size_array(self):
         # the footprint layer's attacked conv on the float32 route: beyond
         # the result, only the float32 input and weights and one block's
