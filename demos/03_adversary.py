@@ -10,13 +10,14 @@ from advweave import (PerturbBudget, QuantSpec, Tensor3, TrainConfig,
                       linf_norm, make_corpus, quantize, random_noise, train)
 
 seed = 0
-train_set = make_corpus(300, seed=seed)
-held_out = make_corpus(200, seed=seed + 1)
+train_xs, train_ys = make_corpus(300, seed=seed)
+held_xs, held_ys = make_corpus(200, seed=seed + 1)
 
-model = train(init_model(seed), train_set, TrainConfig(0.1, 40, 8, seed))
+model = train(init_model(seed), train_xs, train_ys,
+              TrainConfig(0.1, 40, 8, seed))
 budget = PerturbBudget(epsilon=0.05)  # 5% of the pixel range
 
-uap = craft_uap(model, [x for x, _ in train_set[:150]], budget, max_iters=12)
+uap = craft_uap(model, train_xs[:150], budget, max_iters=12)
 low_noise = random_noise(model.input_shape, budget, "low", seed + 777)
 high_noise = random_noise(model.input_shape, budget, "high", seed + 778)
 
@@ -25,7 +26,7 @@ print(f"universal perturbation: linf = {linf_norm(uap):.3f} "
 
 for name, v in [("universal (5%)", uap), ("random low (5%)", low_noise),
                 ("random high (100%)", high_noise)]:
-    rep = fooling_report(model, held_out, v)
+    rep = fooling_report(model, held_xs, held_ys, v)
     print(f"{name:20s} fooling {rep.fooling_rate:.3f} "
           f"top-1 clean {rep.top1_clean:.3f} -> perturbed "
           f"{rep.top1_perturbed:.3f}")
@@ -38,8 +39,8 @@ for name, v in [("universal (5%)", uap), ("random high (100%)", high_noise)]:
           f"nonzero bits {s.total_nonzero_bits}")
 
 # the interleaved first-layer path reports identical numbers
-direct = fooling_report(model, held_out, uap, path="direct")
-woven = fooling_report(model, held_out, uap, path="interleaved")
+direct = fooling_report(model, held_xs, held_ys, uap, path="direct")
+woven = fooling_report(model, held_xs, held_ys, uap, path="interleaved")
 print(f"\npath equivalence: direct fooling {direct.fooling_rate:.3f} == "
       f"interleaved {woven.fooling_rate:.3f} -> {direct == woven}")
 assert direct == woven

@@ -6,6 +6,12 @@ Architecture: conv (stride 1, valid, CONV_CHANNELS filters) -> ReLU ->
 on conv's reference layers. Pixels live in [0, 1] and a perturbation
 budget is at most 5% of the maximum pixel magnitude.
 
+A corpus is one read-only (N, C, H, W) float64 array and an int64 label
+vector, as make_corpus returns them; train, predict_batch, craft_uap and
+fooling_report take those arrays. One image is a Tensor3: forward,
+backward, fgsm and random_noise, the perturbation fooling_report applies
+and the one craft_uap returns.
+
 The fooling-rate evaluation can route the first layer either through
 ordinary convolution of the explicitly noise-added input ("direct") or
 through the noise-interleaved attacked convolution ("interleaved"); the
@@ -80,8 +86,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, "
+                             f"got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -96,12 +103,11 @@ class PerturbBudget:
     epsilon: float
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
-        if self.epsilon > RELATIVE_CAP * MAX_MAGNITUDE + 1e-12:
+        # written so that NaN fails it too
+        if not 0 <= self.epsilon <= RELATIVE_CAP * MAX_MAGNITUDE + 1e-12:
             raise ValueError(
-                f"epsilon {self.epsilon} exceeds cap "
-                f"{RELATIVE_CAP} * {MAX_MAGNITUDE}")
+                f"epsilon {self.epsilon} is outside [0, "
+                f"{RELATIVE_CAP} * {MAX_MAGNITUDE}]")
 
 
 @dataclass(frozen=True)
@@ -161,14 +167,6 @@ class ForwardCache:
     pool_mask: np.ndarray  # where each 2x2 window's conv maximum sits
     pooled: np.ndarray     # pooled conv output, before ReLU
     flat: np.ndarray       # (N, features) ReLU output
-
-
-def _stack(model: TinyCNN, samples: list[Tensor3]) -> np.ndarray:
-    """One (N, C, H, W) array of samples that each have the model's input shape."""
-    for x in samples:
-        if x.shape != model.input_shape:
-            raise ShapeMismatch(f"input {x.shape} != model {model.input_shape}")
-    return np.stack([x.data for x in samples])
 
 
 def forward_batch(model: TinyCNN, xs: np.ndarray,
@@ -271,25 +269,31 @@ def backward(model: TinyCNN, x: Tensor3, label: int) -> Gradients:
     return g
 
 
-def predict_batch(model: TinyCNN, samples: list[Tensor3]) -> np.ndarray:
-    """Predicted labels of many samples, from one batched forward."""
-    return forward_batch(model, _stack(model, samples))[0].argmax(axis=1)
+def predict_batch(model: TinyCNN, xs: np.ndarray) -> np.ndarray:
+    """Predicted labels of an (N, C, H, W) batch, from one batched forward."""
+    return forward_batch(model, xs)[0].argmax(axis=1)
 
 
-def train(model: TinyCNN, dataset: list[tuple[Tensor3, int]],
+def _check_label_count(xs: np.ndarray, ys) -> None:
+    # a shorter or (N, 1) ys would broadcast silently against N predictions
+    if np.shape(ys) != xs.shape[:1]:
+        raise ShapeMismatch(f"{len(xs)} samples, labels of shape {np.shape(ys)}")
+
+
+def train(model: TinyCNN, xs: np.ndarray, ys: np.ndarray,
           cfg: TrainConfig) -> TinyCNN:
     """Minibatch SGD: w <- w - lr * dLoss/dw, deterministic per seed."""
-    if not dataset:
+    if len(xs) == 0:
         raise EmptyDataset("training set is empty")
-    xs = _stack(model, [x for x, _ in dataset])
-    ys = _checked_labels(model, [y for _, y in dataset])
+    _check_label_count(xs, ys)
+    ys = _checked_labels(model, ys)
     rng = np.random.default_rng(cfg.seed)
     # one working copy whose arrays every step updates in place
     work = TinyCNN(FilterBank(model.conv1.weights.astype(np.float64),
                               model.conv1.bias.astype(np.float64)),
                    model.fc_w.copy(), model.fc_b.copy(), model.input_shape)
     params = (work.conv1.weights, work.conv1.bias, work.fc_w, work.fc_b)
-    n = len(dataset)
+    n = len(xs)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
@@ -330,41 +334,42 @@ def random_noise(shape: tuple[int, int, int], budget: PerturbBudget,
     return Tensor3._adopt(rng.uniform(-bound, bound, shape))
 
 
-def craft_uap(model: TinyCNN, sample_set: list[Tensor3], budget: PerturbBudget,
+def craft_uap(model: TinyCNN, xs: np.ndarray, budget: PerturbBudget,
               max_iters: int = 10) -> Tensor3:
     """Iteratively build one input-shaped perturbation that flips predictions
-    across the sample set.
+    across the (N, C, H, W) sample set xs.
 
     Each pass takes an FGSM step on every still-unfooled sample (pushing the
     perturbed input away from its clean prediction) and projects the
     accumulated perturbation back onto the L-inf ball of radius epsilon.
     Passes stop after max_iters, or once every sample is fooled.
     """
-    if not sample_set:
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    if len(xs) == 0:
         raise EmptyDataset("sample set is empty")
     eps = budget.epsilon
-    shape = sample_set[0].shape
-    v = np.zeros(shape)
+    v = np.zeros(xs.shape[1:])
     if eps == 0:
         return Tensor3._adopt(v)
-    clean_preds = predict_batch(model, sample_set)
+    clean_preds = predict_batch(model, xs)
     for _ in range(max_iters):
         fooled = 0
-        for x, pred in zip(sample_set, clean_preds):
+        for x, pred in zip(xs, clean_preds):
             # one forward gives the prediction and, if unfooled, the gradient
-            logits, cache = forward_batch(model, (x.data + v)[None])
+            logits, cache = forward_batch(model, (x + v)[None])
             if np.argmax(logits[0]) != pred:
                 fooled += 1
                 continue
             eta = _fgsm_step(model, logits, cache, pred, eps / 4)
             # ascend the loss of the clean prediction to push the label away
             v = np.clip(v + eta, -eps, eps)
-        if fooled == len(sample_set):
+        if fooled == len(xs):
             break
     return Tensor3._adopt(v)
 
 
-def fooling_report(model: TinyCNN, dataset: list[tuple[Tensor3, int]],
+def fooling_report(model: TinyCNN, xs: np.ndarray, ys: np.ndarray,
                    perturbation: Tensor3,
                    path: str = "direct") -> FoolingReport:
     """Label-flip rate and top-k accuracy under one universal perturbation.
@@ -373,8 +378,9 @@ def fooling_report(model: TinyCNN, dataset: list[tuple[Tensor3, int]],
     first-layer attack ("interleaved"). Samples are evaluated in batches
     of EVAL_BLOCK, which bounds the memory used.
     """
-    if not dataset:
+    if len(xs) == 0:
         raise EmptyDataset("evaluation set is empty")
+    _check_label_count(xs, ys)
     if path not in ("direct", "interleaved"):
         raise ValueError(f"unknown path {path!r}")
     # checked here: the direct sum would broadcast a smaller pattern
@@ -383,23 +389,21 @@ def fooling_report(model: TinyCNN, dataset: list[tuple[Tensor3, int]],
     noise = perturbation.data
     k5 = model.num_classes >= 5
     flips = top1c = top1p = top5c = top5p = 0
-    for start in range(0, len(dataset), EVAL_BLOCK):
-        block = dataset[start:start + EVAL_BLOCK]
-        xs = _stack(model, [x for x, _ in block])
-        ys = np.array([y for _, y in block])
-        clean_logits, _ = forward_batch(model, xs)
+    for start in range(0, len(xs), EVAL_BLOCK):
+        bx, by = xs[start:start + EVAL_BLOCK], ys[start:start + EVAL_BLOCK]
+        clean_logits, _ = forward_batch(model, bx)
         if path == "direct":
-            pert_logits, _ = forward_batch(model, xs + noise)
+            pert_logits, _ = forward_batch(model, bx + noise)
         else:
-            pert_logits, _ = forward_batch(model, xs, noise)
+            pert_logits, _ = forward_batch(model, bx, noise)
         pc, pp = clean_logits.argmax(axis=1), pert_logits.argmax(axis=1)
         flips += int((pc != pp).sum())
-        top1c += int((pc == ys).sum())
-        top1p += int((pp == ys).sum())
+        top1c += int((pc == by).sum())
+        top1p += int((pp == by).sum())
         if k5:
-            top5c += _in_top5(clean_logits, ys)
-            top5p += _in_top5(pert_logits, ys)
-    n = len(dataset)
+            top5c += _in_top5(clean_logits, by)
+            top5p += _in_top5(pert_logits, by)
+    n = len(xs)
     return FoolingReport(
         fooling_rate=flips / n,
         top1_clean=top1c / n,
@@ -427,12 +431,15 @@ BACKGROUND = 0.45
 
 
 def make_corpus(n: int, seed: int, shape: tuple[int, int, int] = (1, 8, 8),
-                num_classes: int = 4) -> list[tuple[Tensor3, int]]:
+                num_classes: int = 4) -> tuple[np.ndarray, np.ndarray]:
+    """n seeded samples: read-only (n, *shape) float64 images, int64 labels."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     c, h, w = shape
     rng = np.random.default_rng(seed)
-    samples = []
-    for _ in range(n):
-        label = int(rng.integers(num_classes))
+    xs, ys = np.empty((n, *shape)), np.empty(n, dtype=np.int64)
+    for i in range(n):
+        ys[i] = label = int(rng.integers(num_classes))
         img = rng.uniform(0.0, BACKGROUND, shape)
         if label == 0:
             r = int(rng.integers(1, h - 1))
@@ -444,8 +451,9 @@ def make_corpus(n: int, seed: int, shape: tuple[int, int, int] = (1, 8, 8),
             img[:, np.arange(min(h, w)), np.arange(min(h, w))] += CONTRAST
         else:
             img[:, np.arange(min(h, w)), w - 1 - np.arange(min(h, w))] += CONTRAST
-        samples.append((Tensor3._adopt(np.clip(img, 0.0, 1.0)), label))
-    return samples
+        xs[i] = np.clip(img, 0.0, 1.0)
+    xs.flags.writeable = ys.flags.writeable = False
+    return xs, ys
 
 
 # ---------------------------------------------------------------------------

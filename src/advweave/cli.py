@@ -88,6 +88,8 @@ def random_instance(rng: np.random.Generator, max_dim: int = 16,
 def cmd_verify_equivalence(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
+    if args.max_dim < 2:
+        raise ValueError("--max-dim must be >= 2")
     manifest = _manifest("verify-equivalence", args.seed, [], args.out, {
         "trials": args.trials, "max_dim": args.max_dim,
         "float": args.float_mode, "sabotage": args.sabotage,
@@ -179,16 +181,16 @@ def cmd_train(args) -> int:
         "epochs": args.epochs, "lr": args.lr, "batch_size": args.batch_size,
         "samples": args.samples,
     })
-    corpus = make_corpus(args.samples, seed=args.seed)
+    xs, ys = make_corpus(args.samples, seed=args.seed)
     model = init_model(seed=args.seed)
     cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs,
                       batch_size=args.batch_size, seed=args.seed)
-    model = train(model, corpus, cfg)
+    model = train(model, xs, ys, cfg)
     save_model(model, args.model)
-    preds = predict_batch(model, [x for x, _ in corpus])
-    acc = int(sum(p == y for p, (_, y) in zip(preds, corpus))) / len(corpus)
+    preds = predict_batch(model, xs)
+    acc = int((preds == ys).sum()) / len(ys)
     _emit({"manifest": manifest,
-           "payload": {"train_accuracy": acc, "n_samples": len(corpus)}})
+           "payload": {"train_accuracy": acc, "n_samples": len(ys)}})
     print(f"train: accuracy {acc:.3f}, checkpoint -> {args.model}",
           file=sys.stderr)
     return EXIT_OK
@@ -200,10 +202,10 @@ def cmd_craft(args) -> int:
     })
     model = load_model(args.model)
     budget = PerturbBudget(epsilon=args.epsilon)
-    corpus = make_corpus(args.samples, seed=args.seed, shape=model.input_shape)
-    v = craft_uap(model, [x for x, _ in corpus], budget, max_iters=args.iters)
+    xs, ys = make_corpus(args.samples, seed=args.seed, shape=model.input_shape)
+    v = craft_uap(model, xs, budget, max_iters=args.iters)
     write_t3b(v, args.out)
-    rep = fooling_report(model, corpus, v)
+    rep = fooling_report(model, xs, ys, v)
     # digitize on the 8-bit image scale to report the storage footprint
     q = QuantSpec(magnitude_bits=8, signed=True, scale=1.0 / 255.0)
     stats = bit_stats(quantize(v, q))
@@ -232,9 +234,9 @@ def cmd_eval(args) -> int:
     else:
         budget = PerturbBudget(epsilon=args.epsilon)
         v = random_noise(model.input_shape, budget, args.random, args.seed)
-    corpus = make_corpus(args.samples, seed=args.seed + 1,
+    xs, ys = make_corpus(args.samples, seed=args.seed + 1,
                          shape=model.input_shape)
-    rep = fooling_report(model, corpus, v, path=args.path)
+    rep = fooling_report(model, xs, ys, v, path=args.path)
     with _output(args.out) as out:
         _emit({"manifest": manifest, "payload": rep.to_dict()}, out)
     print(f"eval: fooling_rate {rep.fooling_rate:.3f} "

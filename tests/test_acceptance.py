@@ -130,15 +130,14 @@ def test_criterion_6_fooling_separation():
     uap_fool, rnd_fool, uap_top1, rnd_top1 = [], [], [], []
     budget = PerturbBudget(epsilon=0.05)
     for seed in range(5):
-        train_set = make_corpus(300, seed=seed * 10)
-        held = make_corpus(200, seed=seed * 10 + 1)
-        model = train(init_model(seed), train_set,
+        train_xs, train_ys = make_corpus(300, seed=seed * 10)
+        held_xs, held_ys = make_corpus(200, seed=seed * 10 + 1)
+        model = train(init_model(seed), train_xs, train_ys,
                       TrainConfig(0.1, 40, 8, seed))
-        v = craft_uap(model, [x for x, _ in train_set[:150]], budget,
-                      max_iters=12)
+        v = craft_uap(model, train_xs[:150], budget, max_iters=12)
         rn = random_noise(model.input_shape, budget, "low", seed + 777)
-        ru = fooling_report(model, held, v)
-        rr = fooling_report(model, held, rn)
+        ru = fooling_report(model, held_xs, held_ys, v)
+        rr = fooling_report(model, held_xs, held_ys, rn)
         uap_fool.append(ru.fooling_rate)
         rnd_fool.append(rr.fooling_rate)
         uap_top1.append(ru.top1_perturbed)

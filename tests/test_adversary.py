@@ -96,7 +96,7 @@ class TestForward:
         woven, _ = forward_batch(m, xs, v)
         scale = max(np.abs(direct).max(), 1e-300)
         assert np.abs(direct - woven).max() <= 1e-12 * scale
-        assert np.array_equal(predict_batch(m, [Tensor3(x) for x in xs]),
+        assert np.array_equal(predict_batch(m, xs),
                               single.argmax(axis=1))
 
     def test_cross_entropy_nonnegative(self):
@@ -149,7 +149,7 @@ class TestBackward:
         x = Tensor3(np.random.default_rng(8).uniform(0, 1, m.input_shape))
         losses = [loss_of(m, x, 1)]
         for _ in range(30):
-            m = train(m, [(x, 1)], TrainConfig(0.2, 1, 1, 0))
+            m = train(m, x.data[None], np.array([1]), TrainConfig(0.2, 1, 1, 0))
             losses.append(loss_of(m, x, 1))
         assert losses[-1] < losses[0]
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
@@ -179,49 +179,48 @@ class TestTrain:
     def make_separable_2class(self, n=60, seed=0):
         # linearly separable toy set: bright left half vs bright right half
         rng = np.random.default_rng(seed)
-        data = []
-        for _ in range(n):
-            y = int(rng.integers(2))
-            img = rng.uniform(0, 0.1, (1, 8, 8))
+        xs, ys = np.empty((n, 1, 8, 8)), np.empty(n, dtype=np.int64)
+        for i in range(n):
+            ys[i] = y = int(rng.integers(2))
+            xs[i] = rng.uniform(0, 0.1, (1, 8, 8))
             if y == 0:
-                img[0, :, :4] += 0.8
+                xs[i, 0, :, :4] += 0.8
             else:
-                img[0, :, 4:] += 0.8
-            data.append((Tensor3(img), y))
-        return data
+                xs[i, 0, :, 4:] += 0.8
+        return xs, ys
 
     @pytest.mark.parametrize("seed", range(5))
     def test_separable_toy_set_reaches_95pct(self, seed):
-        data = self.make_separable_2class(seed=seed)
+        xs, ys = self.make_separable_2class(seed=seed)
         m = init_model(seed, num_classes=4)
-        m = train(m, data, TrainConfig(0.1, 15, 8, seed))
-        preds = predict_batch(m, [x for x, _ in data])
-        acc = sum(p == y for p, (_, y) in zip(preds, data)) / len(data)
+        m = train(m, xs, ys, TrainConfig(0.1, 15, 8, seed))
+        preds = predict_batch(m, xs)
+        acc = (preds == ys).sum() / len(ys)
         assert acc >= 0.95
 
     def test_zero_learning_rate_keeps_weights(self):
-        data = self.make_separable_2class(n=10)
+        xs, ys = self.make_separable_2class(n=10)
         m = init_model(0)
-        m2 = train(m, data, TrainConfig(0.0, 2, 4, 0))
+        m2 = train(m, xs, ys, TrainConfig(0.0, 2, 4, 0))
         assert np.array_equal(m.conv1.weights, m2.conv1.weights)
         assert np.array_equal(m.fc_w, m2.fc_w)
 
     def test_leaves_input_model_alone(self):
-        data = self.make_separable_2class(n=20)
+        xs, ys = self.make_separable_2class(n=20)
         m = init_model(0)
         arrays = (m.conv1.weights, m.conv1.bias, m.fc_w, m.fc_b)
         before = [a.copy() for a in arrays]
-        got = train(m, data, TrainConfig(0.1, 3, 4, 0))
+        got = train(m, xs, ys, TrainConfig(0.1, 3, 4, 0))
         for a, b in zip(arrays, before):
             assert np.array_equal(a, b)
         for a in (got.conv1.weights, got.conv1.bias, got.fc_w, got.fc_b):
             assert not any(np.shares_memory(a, b) for b in arrays)
 
     def test_same_seed_identical_weights(self):
-        data = self.make_separable_2class(n=20)
+        xs, ys = self.make_separable_2class(n=20)
         m = init_model(0)
-        a = train(m, data, TrainConfig(0.1, 3, 4, 5))
-        b = train(m, data, TrainConfig(0.1, 3, 4, 5))
+        a = train(m, xs, ys, TrainConfig(0.1, 3, 4, 5))
+        b = train(m, xs, ys, TrainConfig(0.1, 3, 4, 5))
         assert np.array_equal(a.conv1.weights, b.conv1.weights)
         assert np.array_equal(a.conv1.bias, b.conv1.bias)
         assert np.array_equal(a.fc_w, b.fc_w)
@@ -229,30 +228,46 @@ class TestTrain:
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
-            train(init_model(0), [], TrainConfig())
+            train(init_model(0), np.empty((0, 1, 8, 8)), np.empty(0, int),
+                  TrainConfig())
 
     def test_wrongly_shaped_sample(self):
-        data = self.make_separable_2class(n=10)
-        data[7] = (Tensor3(np.zeros((1, 8, 7))), 0)
+        xs, ys = self.make_separable_2class(n=10)
         with pytest.raises(ShapeMismatch):
-            train(init_model(0), data, TrainConfig(0.1, 1, 4, 0))
+            train(init_model(0), xs[..., :7], ys, TrainConfig(0.1, 1, 4, 0))
 
     @pytest.mark.parametrize("label", [-1, 4])
     def test_out_of_range_label(self, label):
-        data = self.make_separable_2class(n=10)
-        data[7] = (data[7][0], label)
+        xs, ys = self.make_separable_2class(n=10)
+        ys[7] = label
         with pytest.raises(ValueError, match="out of range"):
-            train(init_model(0), data, TrainConfig(0.1, 1, 4, 0))
+            train(init_model(0), xs, ys, TrainConfig(0.1, 1, 4, 0))
+
+    @pytest.mark.parametrize("cut", [lambda ys: ys[:1], lambda ys: ys[:-1],
+                                     lambda ys: ys[:, None]],
+                             ids=["one", "short", "column"])
+    def test_one_label_per_sample(self, cut):
+        # a length-1 or (n, 1) label array would otherwise broadcast
+        xs, ys = self.make_separable_2class(n=10)
+        with pytest.raises(ShapeMismatch):
+            train(init_model(0), xs, cut(ys), TrainConfig(0.1, 1, 4, 0))
+        with pytest.raises(ShapeMismatch):
+            fooling_report(init_model(0), xs, cut(ys),
+                           Tensor3(np.zeros((1, 8, 8))))
+
+    @pytest.mark.parametrize("lr", [-0.1, np.nan, np.inf])
+    def test_learning_rate_must_be_finite_and_nonnegative(self, lr):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
 
     def test_full_batch_epoch_is_one_sgd_step(self):
         # train's gradients are backward_batch's: one epoch over one batch
         # of every sample is w - lr / n * (summed gradient)
-        data = self.make_separable_2class(n=12, seed=3)
+        xs, ys = self.make_separable_2class(n=12, seed=3)
         m = init_model(3, num_classes=4)
-        lr, n = 0.3, len(data)
-        got = train(m, data, TrainConfig(lr, 1, n, 7))
-        g = backward_batch(m, np.stack([x.data for x, _ in data]),
-                           [y for _, y in data])
+        lr, n = 0.3, len(xs)
+        got = train(m, xs, ys, TrainConfig(lr, 1, n, 7))
+        g = backward_batch(m, xs, ys)
         pairs = [(got.conv1.weights, m.conv1.weights, g.conv_w),
                  (got.conv1.bias, m.conv1.bias, g.conv_b),
                  (got.fc_w, m.fc_w, g.fc_w), (got.fc_b, m.fc_b, g.fc_b)]
@@ -284,6 +299,11 @@ class TestFGSM:
         with pytest.raises(ValueError):
             PerturbBudget(epsilon=0.2)
 
+    @pytest.mark.parametrize("epsilon", [-0.01, np.nan, np.inf])
+    def test_budget_outside_range_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="outside"):
+            PerturbBudget(epsilon=epsilon)
+
 
 class TestRandomNoise:
     def test_low_mode_within_5pct(self):
@@ -311,83 +331,85 @@ class TestRandomNoise:
 def trained():
     corpus = make_corpus(300, seed=0)
     held = make_corpus(200, seed=1)
-    m = train(init_model(0), corpus, TrainConfig(0.1, 40, 8, 0))
+    m = train(init_model(0), *corpus, TrainConfig(0.1, 40, 8, 0))
     return m, corpus, held
 
 
 class TestCraftUAP:
     def test_zero_budget_gives_zero(self, trained):
         m, corpus, _ = trained
-        v = craft_uap(m, [x for x, _ in corpus[:20]], PerturbBudget(epsilon=0.0))
+        v = craft_uap(m, corpus[0][:20], PerturbBudget(epsilon=0.0))
         assert np.all(v.data == 0)
 
     def test_budget_projection_invariant(self, trained):
         m, corpus, _ = trained
         b = PerturbBudget(epsilon=0.05)
-        v = craft_uap(m, [x for x, _ in corpus[:100]], b, max_iters=6)
+        v = craft_uap(m, corpus[0][:100], b, max_iters=6)
         assert linf_norm(v) <= b.epsilon + 1e-12
 
     def test_empty_sample_set(self, trained):
         m, _, _ = trained
         with pytest.raises(EmptyDataset):
-            craft_uap(m, [], PerturbBudget(epsilon=0.05))
+            craft_uap(m, np.empty((0, *m.input_shape)),
+                      PerturbBudget(epsilon=0.05))
 
     def test_beats_random_noise_on_held_out(self, trained):
         m, corpus, held = trained
         b = PerturbBudget(epsilon=0.05)
-        v = craft_uap(m, [x for x, _ in corpus[:150]], b, max_iters=12)
+        v = craft_uap(m, corpus[0][:150], b, max_iters=12)
         rn = random_noise(m.input_shape, b, "low", 777)
-        assert fooling_report(m, held, v).fooling_rate > \
-            fooling_report(m, held, rn).fooling_rate
+        assert fooling_report(m, *held, v).fooling_rate > \
+            fooling_report(m, *held, rn).fooling_rate
 
 
 class TestFoolingReport:
     def test_zero_perturbation(self, trained):
         m, _, held = trained
         zero = Tensor3(np.zeros(m.input_shape))
-        rep = fooling_report(m, held, zero)
+        rep = fooling_report(m, *held, zero)
         assert rep.fooling_rate == 0.0
         assert rep.top1_perturbed == rep.top1_clean
-        assert rep.n_samples == len(held)
+        assert rep.n_samples == len(held[0])
 
     def test_top5_omitted_below_5_classes(self, trained):
         m, _, held = trained
-        rep = fooling_report(m, held, Tensor3(np.zeros(m.input_shape)))
+        rep = fooling_report(m, *held, Tensor3(np.zeros(m.input_shape)))
         assert rep.top5_clean is None and rep.top5_perturbed is None
         assert "top5_clean" not in rep.to_dict()
 
     def test_empty_dataset(self, trained):
         m, _, _ = trained
         with pytest.raises(EmptyDataset):
-            fooling_report(m, [], Tensor3(np.zeros(m.input_shape)))
+            fooling_report(m, np.empty((0, *m.input_shape)), np.empty(0, int),
+                           Tensor3(np.zeros(m.input_shape)))
 
     @pytest.mark.parametrize("path", ["direct", "interleaved"])
     def test_universal_pattern_matches_per_sample_reference(self, trained,
                                                             path):
         m, _, held = trained
-        held = held[:150]  # more than two evaluation blocks
+        xs, ys = held[0][:150], held[1][:150]  # more than two eval blocks
         v = random_noise(m.input_shape, PerturbBudget(0.05), "high", 5)
         flips = top1c = top1p = 0
-        for x, y in held:
-            pc = int(np.argmax(forward(m, x)[0]))
-            pp = int(np.argmax(forward(m, x + v)[0]))
+        for x, y in zip(xs, ys):
+            pc = int(np.argmax(forward(m, Tensor3(x))[0]))
+            pp = int(np.argmax(forward(m, Tensor3(x) + v)[0]))
             flips += pc != pp
             top1c += pc == y
             top1p += pp == y
-        n = len(held)
+        n = len(xs)
         want = FoolingReport(flips / n, top1c / n, top1p / n, None, None, n)
-        assert fooling_report(m, held, v, path=path) == want
+        assert fooling_report(m, xs, ys, v, path=path) == want
         assert want.fooling_rate > 0
 
     def test_top5_matches_per_sample_reference(self):
         m = init_model(4, num_classes=7)
-        data = make_corpus(100, seed=4, num_classes=7)
+        xs, ys = make_corpus(100, seed=4, num_classes=7)
         v = random_noise(m.input_shape, PerturbBudget(epsilon=0.05), "low", 4)
         top5c = top5p = 0
-        for x, y in data:
-            top5c += y in np.argsort(forward(m, x)[0])[-5:]
-            top5p += y in np.argsort(forward(m, x + v)[0])[-5:]
-        rep = fooling_report(m, data, v)
+        for x, y in zip(xs, ys):
+            top5c += y in np.argsort(forward(m, Tensor3(x))[0])[-5:]
+            top5p += y in np.argsort(forward(m, Tensor3(x) + v)[0])[-5:]
+        rep = fooling_report(m, xs, ys, v)
         assert (rep.top5_clean, rep.top5_perturbed) == (top5c / 100,
                                                         top5p / 100)
         assert 0 < rep.top5_clean < 1
@@ -398,7 +420,7 @@ class TestFoolingReport:
         messages = []
         for path in ("direct", "interleaved"):
             with pytest.raises(ShapeMismatch) as e:
-                fooling_report(m, held[:10], row, path=path)
+                fooling_report(m, held[0][:10], held[1][:10], row, path=path)
             messages.append(str(e.value))
         assert len(set(messages)) == 1
 
@@ -407,16 +429,16 @@ class TestFoolingReport:
         m, _, held = trained
         b = PerturbBudget(epsilon=0.05)
         v = random_noise(m.input_shape, b, "low", seed)
-        direct = fooling_report(m, held, v, path="direct")
-        woven = fooling_report(m, held, v, path="interleaved")
+        direct = fooling_report(m, *held, v, path="direct")
+        woven = fooling_report(m, *held, v, path="interleaved")
         assert direct == woven
 
     def test_forward_with_noise_matches_direct(self, trained):
         m, _, held = trained
         v = random_noise(m.input_shape, PerturbBudget(epsilon=0.05), "low", 3)
-        for x, _ in held[:20]:
-            direct, _ = forward(m, Tensor3(x.data + v.data))
-            attacked, _ = forward(m, x, v)
+        for x in held[0][:20]:
+            direct, _ = forward(m, Tensor3(x + v.data))
+            attacked, _ = forward(m, Tensor3(x), v)
             assert np.allclose(direct, attacked, rtol=1e-12, atol=1e-12)
 
 
@@ -431,7 +453,7 @@ class TestCheckpoint:
         assert np.array_equal(back.fc_w, m.fc_w)
         assert np.array_equal(back.fc_b, m.fc_b)
         assert back.input_shape == m.input_shape
-        xs = [x for x, _ in held[:10]]
+        xs = held[0][:10]
         assert np.array_equal(predict_batch(back, xs), predict_batch(m, xs))
 
     def test_magic_and_version(self, trained, tmp_path):

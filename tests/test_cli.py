@@ -9,14 +9,26 @@ from advweave.cli import main
 from advweave.tensor import Tensor3, write_t3b
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def strict_json(line):
+    """json.loads that rejects the NaN, Infinity and -Infinity extensions."""
+    return json.loads(line, parse_constant=_reject_constant)
+
+
 def run(capsys, *argv):
+    """Run one command; every stdout line must be strict JSON."""
     code = main(list(argv))
     out = capsys.readouterr()
+    for line in out.out.splitlines():
+        strict_json(line)
     return code, out.out, out.err
 
 
 def jsonl(text):
-    return [json.loads(line) for line in text.splitlines() if line]
+    return [strict_json(line) for line in text.splitlines() if line]
 
 
 @pytest.fixture
@@ -53,6 +65,12 @@ class TestVerifyEquivalence:
     def test_zero_trials_usage_error(self, capsys):
         code, _, err = run(capsys, "verify-equivalence", "--trials", "0")
         assert code == 2
+
+    def test_max_dim_below_two_names_the_flag(self, capsys):
+        code, _, err = run(capsys, "verify-equivalence", "--max-dim", "1")
+        assert code == 2
+        assert err.startswith("error: --max-dim")
+        assert len(err.splitlines()) == 1
 
     def test_float_mode(self, capsys):
         code, out, _ = run(capsys, "verify-equivalence", "--trials", "20",
@@ -186,9 +204,8 @@ class TestTrainCraftEval:
 
     def test_eval_path_equivalence(self, capsys, trained_ckpt, tmp_path):
         v_path = str(tmp_path / "v.t3b")
-        assert main(["craft", "--model", trained_ckpt, "--out", v_path,
-                     "--iters", "4", "--samples", "80"]) == 0
-        capsys.readouterr()
+        assert run(capsys, "craft", "--model", trained_ckpt, "--out", v_path,
+                   "--iters", "4", "--samples", "80")[0] == 0
         _, direct, _ = run(capsys, "eval", "--model", trained_ckpt, "--noise",
                            v_path, "--path", "direct", "--samples", "100")
         _, woven, _ = run(capsys, "eval", "--model", trained_ckpt, "--noise",
@@ -279,6 +296,44 @@ class TestTrainCraftEval:
             assert code == 2
             assert err.startswith("error:")
 
+    def test_nan_epsilon_usage_error(self, capsys, trained_ckpt, tmp_path):
+        out_v = str(tmp_path / "v.t3b")
+        for argv in (["craft", "--model", trained_ckpt, "--out", out_v],
+                     ["eval", "--model", trained_ckpt, "--random", "low"]):
+            code, out, err = run(capsys, *argv, "--epsilon", "nan")
+            assert code == 2 and out == ""
+            assert err.startswith("error: epsilon nan")
+            assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_learning_rate_usage_error(self, capsys, tmp_path, lr):
+        code, out, err = run(capsys, "train", "--model",
+                             str(tmp_path / "m.tcnn"), "--lr", lr)
+        assert code == 2 and out == ""
+        assert err.startswith("error: learning_rate")
+        assert not (tmp_path / "m.tcnn").exists()
+
+    @pytest.mark.parametrize("command, flag, value, code, message", [
+        ("train", "--samples", "-5", 2, "n must be >= 0"),
+        ("craft", "--samples", "-5", 2, "n must be >= 0"),
+        ("eval", "--samples", "-5", 2, "n must be >= 0"),
+        ("craft", "--iters", "-1", 2, "max_iters must be >= 0"),
+        ("craft", "--samples", "0", 1, "sample set is empty"),
+        ("eval", "--samples", "0", 1, "evaluation set is empty")],
+        ids=["train-samples", "craft-samples", "eval-samples", "craft-iters",
+             "craft-empty", "eval-empty"])
+    def test_count_exit_codes(self, capsys, trained_ckpt, tmp_path,
+                              command, flag, value, code, message):
+        # a negative count is a bad parameter (2); an empty dataset is 1
+        source = {"train": ["--model", str(tmp_path / "m.tcnn")],
+                  "craft": ["--model", trained_ckpt,
+                            "--out", str(tmp_path / "v.t3b")],
+                  "eval": ["--model", trained_ckpt, "--random", "low"]}
+        got, out, err = run(capsys, command, *source[command], flag, value)
+        assert got == code and out == ""
+        assert err.startswith(f"error: {message}")
+        assert len(err.splitlines()) == 1
+
     def test_zero_epochs_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "train", "--model",
                            str(tmp_path / "m.tcnn"), "--epochs", "0")
@@ -305,8 +360,8 @@ class TestManifestDeterminism:
             if key == "float":
                 flag = "--float"
             argv += [flag] if val is True else [flag, str(val)]
-        code = main(argv)
-        return code, capsys.readouterr().out
+        code, out, _ = run(capsys, *argv)
+        return code, out
 
     def test_verify_rerun_byte_identical(self, capsys):
         code, out1, _ = run(capsys, "verify-equivalence", "--trials", "30",
@@ -318,9 +373,8 @@ class TestManifestDeterminism:
 
     def test_eval_rerun_byte_identical(self, capsys, trained_ckpt, tmp_path):
         v_path = str(tmp_path / "v.t3b")
-        assert main(["craft", "--model", trained_ckpt, "--out", v_path,
-                     "--iters", "3", "--samples", "60"]) == 0
-        capsys.readouterr()
+        assert run(capsys, "craft", "--model", trained_ckpt, "--out", v_path,
+                   "--iters", "3", "--samples", "60")[0] == 0
         args = ["eval", "--model", trained_ckpt, "--noise", v_path,
                 "--seed", "5", "--samples", "80", "--path", "interleaved"]
         _, out1, _ = run(capsys, *args)

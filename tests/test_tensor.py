@@ -1,5 +1,6 @@
 import io
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -89,8 +90,10 @@ class TestTensor3:
                "read_t3b_stream": lambda: read_t3b_stream(t3b),
                "random_noise": lambda: random_noise(a.shape, budget, "low", 0),
                "fgsm": lambda: fgsm(model, x, 0, budget),
-               "craft_uap": lambda: craft_uap(model, [x], budget),
-               "make_corpus": lambda: make_corpus(1, 0, a.shape)[0][0]}[op]()
+               "craft_uap": lambda: craft_uap(model, x.data[None], budget),
+               # the corpus images are one plain (N, C, H, W) array
+               "make_corpus": lambda: SimpleNamespace(
+                   data=make_corpus(1, 0, a.shape)[0])}[op]()
         assert out.data.flags.c_contiguous
         with pytest.raises(ValueError):
             out.data[0, 0, 0] = 1
