@@ -13,8 +13,7 @@ seed = 0
 train_xs, train_ys = make_corpus(300, seed=seed)
 held_xs, held_ys = make_corpus(200, seed=seed + 1)
 
-model = train(init_model(seed), train_xs, train_ys,
-              TrainConfig(0.1, 40, 8, seed))
+model = train(init_model(seed), train_xs, train_ys, TrainConfig(seed=seed))
 budget = PerturbBudget(epsilon=0.05)  # 5% of the pixel range
 
 uap = craft_uap(model, train_xs[:150], budget, max_iters=12)

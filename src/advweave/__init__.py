@@ -13,10 +13,9 @@ from .accel import (FootprintComparison, MemoryImage, RowDescriptor, SimReport,
                     SystolicConfig, compare_attack_footprint, count_macs,
                     layout_rows, preset_config, stream_rows)
 from .adversary import (FoolingReport, PerturbBudget, TinyCNN, TrainConfig,
-                        backward, backward_batch, craft_uap, fgsm,
-                        fooling_report, forward, forward_batch, init_model,
-                        load_model, make_corpus, predict_batch, random_noise,
-                        save_model, softmax, train)
+                        backward, craft_uap, fgsm, fooling_report, forward,
+                        init_model, load_model, make_corpus, predict,
+                        random_noise, save_model, softmax, train)
 from .conv import (ConvGeometry, FilterBank, conv2d, conv2d_nchw, dense,
                    maxpool2_argmax, relu)
 from .errors import BadGeometry, EmptyDataset, OutOfRange, ShapeMismatch

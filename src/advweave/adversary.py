@@ -7,10 +7,11 @@ on conv's reference layers. Pixels live in [0, 1] and a perturbation
 budget is at most 5% of the maximum pixel magnitude.
 
 A corpus is one read-only (N, C, H, W) float64 array and an int64 label
-vector, as make_corpus returns them; train, predict_batch, craft_uap and
-fooling_report take those arrays. One image is a Tensor3: forward,
-backward, fgsm and random_noise, the perturbation fooling_report applies
-and the one craft_uap returns.
+vector, as make_corpus returns them. The model runs on batches only:
+forward, backward, predict, train, craft_uap and fooling_report take those
+arrays. One image is a Tensor3 at the edges: fgsm (the only one-image
+model call) and random_noise, the perturbation fooling_report applies and
+the one craft_uap returns.
 
 The fooling-rate evaluation can route the first layer either through
 ordinary convolution of the explicitly noise-added input ("direct") or
@@ -20,7 +21,7 @@ two paths must agree.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -66,9 +67,6 @@ class TinyCNN:
     def num_classes(self) -> int:
         return self.fc_w.shape[0]
 
-    def flat_features(self) -> int:
-        return _flat_features(self.input_shape, self.conv1)
-
 
 def _flat_features(input_shape: tuple[int, int, int], conv1: FilterBank) -> int:
     """Width of the dense layer: conv1's (stride 1, valid) output, 2x2 pooled."""
@@ -80,8 +78,8 @@ def _flat_features(input_shape: tuple[int, int, int], conv1: FilterBank) -> int:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 0.05
-    epochs: int = 10
+    learning_rate: float = 0.1
+    epochs: int = 40
     batch_size: int = 8
     seed: int = 0
 
@@ -120,16 +118,8 @@ class FoolingReport:
     n_samples: int
 
     def to_dict(self) -> dict:
-        d = {
-            "fooling_rate": self.fooling_rate,
-            "top1_clean": self.top1_clean,
-            "top1_perturbed": self.top1_perturbed,
-            "n_samples": self.n_samples,
-        }
-        if self.top5_clean is not None:
-            d["top5_clean"] = self.top5_clean
-            d["top5_perturbed"] = self.top5_perturbed
-        return d
+        """The fields, without the top-5 entries below five classes."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def init_model(seed: int, input_shape: tuple[int, int, int] = (1, 8, 8),
@@ -169,13 +159,14 @@ class ForwardCache:
     flat: np.ndarray       # (N, features) ReLU output
 
 
-def forward_batch(model: TinyCNN, xs: np.ndarray,
-                  noise: np.ndarray | None = None) -> tuple[np.ndarray, ForwardCache]:
+def forward(model: TinyCNN, xs: np.ndarray,
+            noise: np.ndarray | None = None) -> tuple[np.ndarray, ForwardCache]:
     """Logits (N, num_classes) and backward cache of an (N, C, H, W) batch.
 
     With `noise` (a (C, H, W) pattern, or a batch of them that broadcasts
     over xs) the first layer runs the noise-interleaved attacked
-    convolution; the cache then holds the clean inputs. ReLU runs after pooling, with which it commutes.
+    convolution; the cache then holds the clean inputs. ReLU runs after
+    pooling, with which it commutes.
     """
     if xs.shape[1:] != model.input_shape:
         raise ShapeMismatch(f"input {xs.shape[1:]} != model {model.input_shape}")
@@ -189,14 +180,6 @@ def forward_batch(model: TinyCNN, xs: np.ndarray,
                                 pool_mask=mask, pooled=pooled, flat=flat)
 
 
-def forward(model: TinyCNN, x: Tensor3,
-            noise: Tensor3 | None = None) -> tuple[np.ndarray, ForwardCache]:
-    """Logits and backward cache of one sample: forward_batch with N=1."""
-    logits, cache = forward_batch(model, x.data[None],
-                                  None if noise is None else noise.data)
-    return logits[0], cache
-
-
 @dataclass
 class Gradients:
     conv_w: np.ndarray
@@ -206,8 +189,12 @@ class Gradients:
     input: np.ndarray | None = None
 
 
-def _checked_labels(model: TinyCNN, labels) -> np.ndarray:
+def _checked_labels(model: TinyCNN, xs: np.ndarray, labels) -> np.ndarray:
+    """`labels` as an array: one class index per sample of xs."""
     labels = np.asarray(labels)
+    # labels shorter than N, or of shape (N, 1), would broadcast silently
+    if labels.shape != xs.shape[:1]:
+        raise ShapeMismatch(f"{len(xs)} samples, labels of shape {labels.shape}")
     bad = (labels < 0) | (labels >= model.num_classes)
     if bad.any():
         raise ValueError(f"label {labels[bad][0]} out of range")
@@ -238,7 +225,7 @@ def _parameter_gradients(model: TinyCNN, xs: np.ndarray,
                          labels: np.ndarray) -> tuple[Gradients, np.ndarray]:
     """Batch-summed parameter gradients (with `input` unset) and the loss
     gradient at the first layer's output, for labels already checked."""
-    logits, cache = forward_batch(model, xs)
+    logits, cache = forward(model, xs)
     dlogits, dz1 = _backprop_to_conv(model, logits, cache, labels)
     c_out = model.conv1.out_channels
     # dW[o, c, j, k] = sum over n, y, x of dz1[n, o, y, x] * x[n, c, y+j, x+k]:
@@ -251,33 +238,20 @@ def _parameter_gradients(model: TinyCNN, xs: np.ndarray,
                      fc_b=dlogits.sum(axis=0)), dz1
 
 
-def backward_batch(model: TinyCNN, xs: np.ndarray, labels) -> Gradients:
+def backward(model: TinyCNN, xs: np.ndarray, labels) -> Gradients:
     """Gradients of the summed cross-entropy loss of an (N, C, H, W) batch.
 
     Parameter gradients are summed over the batch; `input` holds each
     sample's own input gradient, shape (N, C, H, W).
     """
-    g, dz1 = _parameter_gradients(model, xs, _checked_labels(model, labels))
+    g, dz1 = _parameter_gradients(model, xs, _checked_labels(model, xs, labels))
     g.input = _input_gradient(model, dz1)
     return g
 
 
-def backward(model: TinyCNN, x: Tensor3, label: int) -> Gradients:
-    """Gradients of one sample's loss w.r.t. every parameter and its input."""
-    g = backward_batch(model, x.data[None], [label])
-    g.input = g.input[0]
-    return g
-
-
-def predict_batch(model: TinyCNN, xs: np.ndarray) -> np.ndarray:
+def predict(model: TinyCNN, xs: np.ndarray) -> np.ndarray:
     """Predicted labels of an (N, C, H, W) batch, from one batched forward."""
-    return forward_batch(model, xs)[0].argmax(axis=1)
-
-
-def _check_label_count(xs: np.ndarray, ys) -> None:
-    # a shorter or (N, 1) ys would broadcast silently against N predictions
-    if np.shape(ys) != xs.shape[:1]:
-        raise ShapeMismatch(f"{len(xs)} samples, labels of shape {np.shape(ys)}")
+    return forward(model, xs)[0].argmax(axis=1)
 
 
 def train(model: TinyCNN, xs: np.ndarray, ys: np.ndarray,
@@ -285,8 +259,7 @@ def train(model: TinyCNN, xs: np.ndarray, ys: np.ndarray,
     """Minibatch SGD: w <- w - lr * dLoss/dw, deterministic per seed."""
     if len(xs) == 0:
         raise EmptyDataset("training set is empty")
-    _check_label_count(xs, ys)
-    ys = _checked_labels(model, ys)
+    ys = _checked_labels(model, xs, ys)
     rng = np.random.default_rng(cfg.seed)
     # one working copy whose arrays every step updates in place
     work = TinyCNN(FilterBank(model.conv1.weights.astype(np.float64),
@@ -315,8 +288,9 @@ def _fgsm_step(model: TinyCNN, logits: np.ndarray, cache: ForwardCache,
 
 def fgsm(model: TinyCNN, x: Tensor3, label: int, budget: PerturbBudget) -> Tensor3:
     """Perturbation = epsilon * sign(input gradient of the loss)."""
-    _checked_labels(model, [label])
-    logits, cache = forward_batch(model, x.data[None])
+    xs = x.data[None]
+    _checked_labels(model, xs, [label])
+    logits, cache = forward(model, xs)
     return Tensor3._adopt(_fgsm_step(model, logits, cache, label,
                                      budget.epsilon))
 
@@ -352,12 +326,12 @@ def craft_uap(model: TinyCNN, xs: np.ndarray, budget: PerturbBudget,
     v = np.zeros(xs.shape[1:])
     if eps == 0:
         return Tensor3._adopt(v)
-    clean_preds = predict_batch(model, xs)
+    clean_preds = predict(model, xs)
     for _ in range(max_iters):
         fooled = 0
         for x, pred in zip(xs, clean_preds):
             # one forward gives the prediction and, if unfooled, the gradient
-            logits, cache = forward_batch(model, (x + v)[None])
+            logits, cache = forward(model, (x + v)[None])
             if np.argmax(logits[0]) != pred:
                 fooled += 1
                 continue
@@ -380,7 +354,7 @@ def fooling_report(model: TinyCNN, xs: np.ndarray, ys: np.ndarray,
     """
     if len(xs) == 0:
         raise EmptyDataset("evaluation set is empty")
-    _check_label_count(xs, ys)
+    ys = _checked_labels(model, xs, ys)
     if path not in ("direct", "interleaved"):
         raise ValueError(f"unknown path {path!r}")
     # checked here: the direct sum would broadcast a smaller pattern
@@ -391,11 +365,11 @@ def fooling_report(model: TinyCNN, xs: np.ndarray, ys: np.ndarray,
     flips = top1c = top1p = top5c = top5p = 0
     for start in range(0, len(xs), EVAL_BLOCK):
         bx, by = xs[start:start + EVAL_BLOCK], ys[start:start + EVAL_BLOCK]
-        clean_logits, _ = forward_batch(model, bx)
+        clean_logits, _ = forward(model, bx)
         if path == "direct":
-            pert_logits, _ = forward_batch(model, bx + noise)
+            pert_logits, _ = forward(model, bx + noise)
         else:
-            pert_logits, _ = forward_batch(model, bx, noise)
+            pert_logits, _ = forward(model, bx, noise)
         pc, pp = clean_logits.argmax(axis=1), pert_logits.argmax(axis=1)
         flips += int((pc != pp).sum())
         top1c += int((pc == by).sum())
@@ -436,6 +410,9 @@ def make_corpus(n: int, seed: int, shape: tuple[int, int, int] = (1, 8, 8),
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     c, h, w = shape
+    if h < 3 or w < 3:  # the bars need an interior row and column
+        raise ShapeMismatch(f"corpus shape {shape}: height and width must "
+                            "be >= 3")
     rng = np.random.default_rng(seed)
     xs, ys = np.empty((n, *shape)), np.empty(n, dtype=np.int64)
     for i in range(n):
@@ -489,6 +466,9 @@ def load_model(path) -> TinyCNN:
         if version != struct.pack("<I", TCNN_VERSION):
             raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
         meta = read_t3b_stream(f).data.ravel()
+        if meta.dtype.kind not in "iu" or meta.shape != (4,) or (meta < 1).any():
+            raise ValueError(f"{path}: meta block must be 4 positive integers, "
+                             f"got {meta.dtype} {np.array2string(meta, threshold=8)}")
         c, h, w, num_classes = (int(v) for v in meta)
         conv_w = read_t3b_stream(f).data
         conv_b = read_t3b_stream(f).data.ravel()
@@ -497,13 +477,11 @@ def load_model(path) -> TinyCNN:
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after checkpoint")
     o, ikh, kw = conv_w.shape
-    if c < 1 or ikh % c:
+    if ikh % c:
         raise ValueError(f"{path}: conv rows {ikh} do not divide by in_c {c}")
-    conv_w = conv_w.reshape(o, c, ikh // c, kw)
-    model = TinyCNN(conv1=FilterBank(conv_w, conv_b), fc_w=fc_w[0], fc_b=fc_b,
-                    input_shape=(c, h, w))
-    if fc_w.shape != (1, num_classes, model.flat_features()):
+    conv1 = FilterBank(conv_w.reshape(o, c, ikh // c, kw), conv_b)
+    flat = _flat_features((c, h, w), conv1)
+    if fc_w.shape != (1, num_classes, flat):
         raise ValueError(f"{path}: fc_w block {fc_w.shape} != (1, num_classes, "
-                         f"flat features) = (1, {num_classes}, "
-                         f"{model.flat_features()})")
-    return model
+                         f"flat features) = (1, {num_classes}, {flat})")
+    return TinyCNN(conv1=conv1, fc_w=fc_w[0], fc_b=fc_b, input_shape=(c, h, w))

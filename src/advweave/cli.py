@@ -23,8 +23,7 @@ from . import __version__
 from .accel import PRESETS, compare_attack_footprint, preset_config
 from .adversary import (IMAGENET_FOOLING_RATES, PerturbBudget, TrainConfig,
                         craft_uap, fooling_report, init_model, load_model,
-                        make_corpus, predict_batch, random_noise, save_model,
-                        train)
+                        make_corpus, predict, random_noise, save_model, train)
 from .conv import ConvGeometry, FilterBank
 from .errors import EmptyDataset, ShapeMismatch
 from .tensor import QuantSpec, Tensor3, bit_stats, linf_norm, quantize, \
@@ -187,7 +186,7 @@ def cmd_train(args) -> int:
                       batch_size=args.batch_size, seed=args.seed)
     model = train(model, xs, ys, cfg)
     save_model(model, args.model)
-    preds = predict_batch(model, xs)
+    preds = predict(model, xs)
     acc = int((preds == ys).sum()) / len(ys)
     _emit({"manifest": manifest,
            "payload": {"train_accuracy": acc, "n_samples": len(ys)}})
@@ -202,7 +201,8 @@ def cmd_craft(args) -> int:
     })
     model = load_model(args.model)
     budget = PerturbBudget(epsilon=args.epsilon)
-    xs, ys = make_corpus(args.samples, seed=args.seed, shape=model.input_shape)
+    xs, ys = make_corpus(args.samples, seed=args.seed, shape=model.input_shape,
+                         num_classes=model.num_classes)
     v = craft_uap(model, xs, budget, max_iters=args.iters)
     write_t3b(v, args.out)
     rep = fooling_report(model, xs, ys, v)
@@ -235,7 +235,7 @@ def cmd_eval(args) -> int:
         budget = PerturbBudget(epsilon=args.epsilon)
         v = random_noise(model.input_shape, budget, args.random, args.seed)
     xs, ys = make_corpus(args.samples, seed=args.seed + 1,
-                         shape=model.input_shape)
+                         shape=model.input_shape, num_classes=model.num_classes)
     rep = fooling_report(model, xs, ys, v, path=args.path)
     with _output(args.out) as out:
         _emit({"manifest": manifest, "payload": rep.to_dict()}, out)
@@ -274,9 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train the tiny CNN on the synthetic corpus")
     t.add_argument("--model", required=True, help="output checkpoint path")
     t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--epochs", type=int, default=40)
-    t.add_argument("--lr", type=float, default=0.1)
-    t.add_argument("--batch-size", type=int, default=8)
+    t.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    t.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    t.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     t.add_argument("--samples", type=int, default=400)
     t.set_defaults(func=cmd_train)
 

@@ -76,10 +76,10 @@ def test_criterion_4_gradient_check():
         rng = np.random.default_rng(seed + 100)
         x = Tensor3(rng.uniform(0, 1, model.input_shape))
         y = int(rng.integers(model.num_classes))
-        g = backward(model, x, y)
+        g = backward(model, x.data[None], [y])
 
         def loss():
-            return cross_entropy(forward(model, x)[0], y)
+            return cross_entropy(forward(model, x.data[None])[0][0], y)
 
         def fd_check(arr, grad):
             for idx in np.ndindex(arr.shape):
@@ -101,13 +101,13 @@ def test_criterion_4_gradient_check():
         for idx in np.ndindex(xd.shape):
             orig = xd[idx]
             xd[idx] = orig + h
-            lp = cross_entropy(forward(model, Tensor3(xd))[0], y)
+            lp = cross_entropy(forward(model, xd[None])[0][0], y)
             xd[idx] = orig - h
-            lm = cross_entropy(forward(model, Tensor3(xd))[0], y)
+            lm = cross_entropy(forward(model, xd[None])[0][0], y)
             xd[idx] = orig
             fd = (lp - lm) / (2 * h)
-            denom = max(abs(fd), abs(g.input[idx]), 1e-8)
-            assert abs(fd - g.input[idx]) / denom < 1e-4
+            denom = max(abs(fd), abs(g.input[0][idx]), 1e-8)
+            assert abs(fd - g.input[0][idx]) / denom < 1e-4
     elapsed = time.time() - t0
     assert elapsed < 30.0
     ok(4, f"(all gradients within 1e-4 of finite differences, {elapsed:.1f}s)")

@@ -1,15 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advweave.adversary import (FoolingReport, PerturbBudget, TrainConfig,
-                                backward, backward_batch, craft_uap,
-                                cross_entropy, fgsm,
-                                fooling_report, forward, forward_batch,
-                                init_model, load_model, make_corpus,
-                                predict_batch, random_noise, save_model,
-                                softmax, train)
+                                backward, craft_uap, cross_entropy, fgsm,
+                                fooling_report, forward, init_model,
+                                load_model, make_corpus, predict,
+                                random_noise, save_model, softmax, train)
 from advweave.conv import FilterBank
 from advweave.errors import EmptyDataset, ShapeMismatch
 from advweave.tensor import (Tensor3, linf_norm, read_t3b_stream,
@@ -17,7 +17,7 @@ from advweave.tensor import (Tensor3, linf_norm, read_t3b_stream,
 
 
 def loss_of(model, x, y):
-    return cross_entropy(forward(model, x)[0], y)
+    return cross_entropy(forward(model, x.data[None])[0][0], y)
 
 
 def naive_forward(model, x):
@@ -54,27 +54,28 @@ class TestForward:
                                       np.zeros_like(m.conv1.bias)),
                      fc_w=np.zeros_like(m.fc_w), fc_b=bias,
                      input_shape=m.input_shape)
-        logits, _ = forward(m2, Tensor3(np.zeros(m.input_shape)))
-        assert np.array_equal(logits, bias)
+        logits, _ = forward(m2, np.zeros((1, *m.input_shape)))
+        assert np.array_equal(logits[0], bias)
 
     def test_softmax_sums_to_one(self):
         m = init_model(1)
         rng = np.random.default_rng(2)
         for _ in range(10):
-            logits, _ = forward(m, Tensor3(rng.uniform(0, 1, m.input_shape)))
-            assert abs(softmax(logits).sum() - 1.0) < 1e-12
+            logits, _ = forward(m, rng.uniform(0, 1, (1, *m.input_shape)))
+            assert abs(softmax(logits[0]).sum() - 1.0) < 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_naive_reimplementation(self, seed):
         m = init_model(seed)
         x = Tensor3(np.random.default_rng(seed + 50).uniform(0, 1, m.input_shape))
-        logits, _ = forward(m, x)
-        assert np.allclose(logits, naive_forward(m, x), rtol=1e-10, atol=1e-12)
+        logits, _ = forward(m, x.data[None])
+        assert np.allclose(logits[0], naive_forward(m, x), rtol=1e-10,
+                           atol=1e-12)
 
     def test_shape_mismatch(self):
         m = init_model(0)
         with pytest.raises(ShapeMismatch):
-            forward(m, Tensor3(np.zeros((2, 8, 8))))
+            forward(m, np.zeros((1, 2, 8, 8)))
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 70), st.integers(1, 2),
            st.sampled_from([(8, 8), (9, 7), (6, 10)]), st.integers(2, 6))
@@ -88,16 +89,15 @@ class TestForward:
         rng = np.random.default_rng(seed)
         xs = rng.uniform(0, 1, (n, c, *hw))
         v = rng.uniform(-0.05, 0.05, (c, *hw))
-        batched, _ = forward_batch(m, xs)
-        single = np.stack([forward(m, Tensor3(x))[0] for x in xs])
+        batched, _ = forward(m, xs)
+        single = np.stack([forward(m, x[None])[0][0] for x in xs])
         scale = max(np.abs(single).max(), 1e-300)
         assert np.abs(batched - single).max() <= 1e-12 * scale
-        direct, _ = forward_batch(m, xs + v)
-        woven, _ = forward_batch(m, xs, v)
+        direct, _ = forward(m, xs + v)
+        woven, _ = forward(m, xs, v)
         scale = max(np.abs(direct).max(), 1e-300)
         assert np.abs(direct - woven).max() <= 1e-12 * scale
-        assert np.array_equal(predict_batch(m, xs),
-                              single.argmax(axis=1))
+        assert np.array_equal(predict(m, xs), single.argmax(axis=1))
 
     def test_cross_entropy_nonnegative(self):
         rng = np.random.default_rng(0)
@@ -113,7 +113,7 @@ class TestBackward:
         rng = np.random.default_rng(seed + 100)
         x = Tensor3(rng.uniform(0, 1, m.input_shape))
         y = int(rng.integers(m.num_classes))
-        g = backward(m, x, y)
+        g = backward(m, x.data[None], [y])
         h = 1e-5
 
         def fd_check(arr, grad):
@@ -141,8 +141,8 @@ class TestBackward:
             lm = loss_of(m, Tensor3(xd), y)
             xd[idx] = orig
             fd = (lp - lm) / (2 * h)
-            denom = max(abs(fd), abs(g.input[idx]), 1e-8)
-            assert abs(fd - g.input[idx]) / denom < 1e-4
+            denom = max(abs(fd), abs(g.input[0][idx]), 1e-8)
+            assert abs(fd - g.input[0][idx]) / denom < 1e-4
 
     def test_loss_decreases_when_overfitting_one_sample(self):
         m = init_model(7)
@@ -157,7 +157,13 @@ class TestBackward:
     def test_bad_label(self):
         m = init_model(0)
         with pytest.raises(ValueError):
-            backward(m, Tensor3(np.zeros(m.input_shape)), 99)
+            backward(m, np.zeros((1, *m.input_shape)), [99])
+
+    def test_one_label_per_sample(self):
+        # a single label would otherwise take row 0 of dlogits only
+        xs, ys = make_corpus(5, seed=0)
+        with pytest.raises(ShapeMismatch, match="5 samples"):
+            backward(init_model(0), xs, ys[:1])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_batch_sums_per_sample_gradients(self, seed):
@@ -165,13 +171,13 @@ class TestBackward:
         rng = np.random.default_rng(seed + 200)
         xs = rng.uniform(0, 1, (5, 2, 8, 8))
         ys = rng.integers(0, m.num_classes, 5)
-        g = backward_batch(m, xs, ys)
-        singles = [backward(m, Tensor3(x), int(y)) for x, y in zip(xs, ys)]
+        g = backward(m, xs, ys)
+        singles = [backward(m, x[None], [y]) for x, y in zip(xs, ys)]
         for name in ("conv_w", "conv_b", "fc_w", "fc_b"):
             want = sum(getattr(s, name) for s in singles)
             assert np.allclose(getattr(g, name), want, rtol=1e-12,
                                atol=1e-14), name
-        assert np.allclose(g.input, np.stack([s.input for s in singles]),
+        assert np.allclose(g.input, np.concatenate([s.input for s in singles]),
                            rtol=1e-12, atol=1e-14)
 
 
@@ -194,7 +200,7 @@ class TestTrain:
         xs, ys = self.make_separable_2class(seed=seed)
         m = init_model(seed, num_classes=4)
         m = train(m, xs, ys, TrainConfig(0.1, 15, 8, seed))
-        preds = predict_batch(m, xs)
+        preds = predict(m, xs)
         acc = (preds == ys).sum() / len(ys)
         assert acc >= 0.95
 
@@ -242,6 +248,8 @@ class TestTrain:
         ys[7] = label
         with pytest.raises(ValueError, match="out of range"):
             train(init_model(0), xs, ys, TrainConfig(0.1, 1, 4, 0))
+        with pytest.raises(ValueError, match="out of range"):
+            fooling_report(init_model(0), xs, ys, Tensor3(np.zeros((1, 8, 8))))
 
     @pytest.mark.parametrize("cut", [lambda ys: ys[:1], lambda ys: ys[:-1],
                                      lambda ys: ys[:, None]],
@@ -261,13 +269,13 @@ class TestTrain:
             TrainConfig(learning_rate=lr)
 
     def test_full_batch_epoch_is_one_sgd_step(self):
-        # train's gradients are backward_batch's: one epoch over one batch
+        # train's gradients are backward's: one epoch over one batch
         # of every sample is w - lr / n * (summed gradient)
         xs, ys = self.make_separable_2class(n=12, seed=3)
         m = init_model(3, num_classes=4)
         lr, n = 0.3, len(xs)
         got = train(m, xs, ys, TrainConfig(lr, 1, n, 7))
-        g = backward_batch(m, xs, ys)
+        g = backward(m, xs, ys)
         pairs = [(got.conv1.weights, m.conv1.weights, g.conv_w),
                  (got.conv1.bias, m.conv1.bias, g.conv_b),
                  (got.fc_w, m.fc_w, g.fc_w), (got.fc_b, m.fc_b, g.fc_b)]
@@ -327,6 +335,18 @@ class TestRandomNoise:
             random_noise((1, 4, 4), PerturbBudget(epsilon=0.01), "medium", 0)
 
 
+class TestMakeCorpus:
+    @pytest.mark.parametrize("shape", [(1, 2, 8), (1, 8, 2), (2, 2, 2)])
+    def test_bars_need_an_interior_row_and_column(self, shape):
+        with pytest.raises(ShapeMismatch,
+                           match=re.escape(f"corpus shape {shape}")):
+            make_corpus(10, seed=0, shape=shape)
+
+    def test_three_by_three_is_the_smallest(self):
+        xs, ys = make_corpus(20, seed=0, shape=(1, 3, 3))
+        assert xs.shape == (20, 1, 3, 3) and set(ys) == {0, 1, 2, 3}
+
+
 @pytest.fixture(scope="module")
 def trained():
     corpus = make_corpus(300, seed=0)
@@ -377,6 +397,12 @@ class TestFoolingReport:
         assert rep.top5_clean is None and rep.top5_perturbed is None
         assert "top5_clean" not in rep.to_dict()
 
+    def test_to_dict_keeps_top5_from_five_classes(self):
+        rep = FoolingReport(0.5, 0.25, 0.125, 0.75, 0.625, 8)
+        assert rep.to_dict() == {
+            "fooling_rate": 0.5, "top1_clean": 0.25, "top1_perturbed": 0.125,
+            "top5_clean": 0.75, "top5_perturbed": 0.625, "n_samples": 8}
+
     def test_empty_dataset(self, trained):
         m, _, _ = trained
         with pytest.raises(EmptyDataset):
@@ -391,8 +417,8 @@ class TestFoolingReport:
         v = random_noise(m.input_shape, PerturbBudget(0.05), "high", 5)
         flips = top1c = top1p = 0
         for x, y in zip(xs, ys):
-            pc = int(np.argmax(forward(m, Tensor3(x))[0]))
-            pp = int(np.argmax(forward(m, Tensor3(x) + v)[0]))
+            pc = int(np.argmax(forward(m, x[None])[0][0]))
+            pp = int(np.argmax(forward(m, (x + v.data)[None])[0][0]))
             flips += pc != pp
             top1c += pc == y
             top1p += pp == y
@@ -407,8 +433,8 @@ class TestFoolingReport:
         v = random_noise(m.input_shape, PerturbBudget(epsilon=0.05), "low", 4)
         top5c = top5p = 0
         for x, y in zip(xs, ys):
-            top5c += y in np.argsort(forward(m, Tensor3(x))[0])[-5:]
-            top5p += y in np.argsort(forward(m, Tensor3(x) + v)[0])[-5:]
+            top5c += y in np.argsort(forward(m, x[None])[0][0])[-5:]
+            top5p += y in np.argsort(forward(m, (x + v.data)[None])[0][0])[-5:]
         rep = fooling_report(m, xs, ys, v)
         assert (rep.top5_clean, rep.top5_perturbed) == (top5c / 100,
                                                         top5p / 100)
@@ -437,8 +463,8 @@ class TestFoolingReport:
         m, _, held = trained
         v = random_noise(m.input_shape, PerturbBudget(epsilon=0.05), "low", 3)
         for x in held[0][:20]:
-            direct, _ = forward(m, Tensor3(x + v.data))
-            attacked, _ = forward(m, Tensor3(x), v)
+            direct, _ = forward(m, (x + v.data)[None])
+            attacked, _ = forward(m, x[None], v.data)
             assert np.allclose(direct, attacked, rtol=1e-12, atol=1e-12)
 
 
@@ -454,7 +480,7 @@ class TestCheckpoint:
         assert np.array_equal(back.fc_b, m.fc_b)
         assert back.input_shape == m.input_shape
         xs = held[0][:10]
-        assert np.array_equal(predict_batch(back, xs), predict_batch(m, xs))
+        assert np.array_equal(predict(back, xs), predict(m, xs))
 
     def test_magic_and_version(self, trained, tmp_path):
         m, _, _ = trained

@@ -4,9 +4,12 @@ import struct
 import numpy as np
 import pytest
 
-from advweave.adversary import init_model, save_model
-from advweave.cli import main
-from advweave.tensor import Tensor3, write_t3b
+from advweave.adversary import (PerturbBudget, TrainConfig, fooling_report,
+                                init_model, load_model, make_corpus,
+                                random_noise, save_model)
+from advweave.cli import build_parser, main
+from advweave.tensor import (Tensor3, read_t3b_stream, write_t3b,
+                             write_t3b_stream)
 
 
 def _reject_constant(name):
@@ -286,6 +289,64 @@ class TestTrainCraftEval:
                                  "--samples", "20")
             assert code == 0, err
             assert json.loads(out)["payload"]["n_samples"] == 20
+
+    def test_craft_and_eval_draw_the_model_classes(self, capsys, tmp_path):
+        # 4-class labels would put half the corpus out of a 2-class reach
+        ckpt = str(tmp_path / "two_class.tcnn")
+        save_model(init_model(0, num_classes=2), ckpt)
+        code, _, err = run(capsys, "craft", "--model", ckpt, "--out",
+                           str(tmp_path / "v.t3b"), "--iters", "2",
+                           "--samples", "40")
+        assert code == 0, err
+        code, out, err = run(capsys, "eval", "--model", ckpt, "--random",
+                             "low", "--samples", "400")
+        assert code == 0, err
+        # eval at --seed 0 draws its noise at seed 0 and its corpus at seed 1
+        model = load_model(ckpt)
+        xs, ys = make_corpus(400, 1, model.input_shape, num_classes=2)
+        v = random_noise(model.input_shape, PerturbBudget(0.05), "low", 0)
+        assert json.loads(out)["payload"] == \
+            fooling_report(model, xs, ys, v).to_dict()
+
+    @pytest.mark.parametrize("command", ["craft", "eval"])
+    def test_input_too_small_for_the_corpus(self, capsys, tmp_path, command):
+        ckpt = str(tmp_path / "tiny.tcnn")
+        save_model(init_model(0, input_shape=(1, 2, 2), kernel=1), ckpt)
+        source = {"craft": ["--out", str(tmp_path / "v.t3b")],
+                  "eval": ["--random", "low"]}
+        code, out, err = run(capsys, command, "--model", ckpt,
+                             *source[command], "--samples", "10")
+        assert code == 2 and out == ""
+        assert err.startswith("error: corpus shape (1, 2, 2)")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("meta", [
+        [1.0, 8.0, 8.0, np.inf], [1.0, 8.0, 8.0, np.nan], [1.5, 8.0, 8.0, 4.0],
+        [1, 8, 8], [1, 8, 8, 4, 4], [1, 8, 8, 0], [1, -8, 8, 4]],
+        ids=["inf", "nan", "fraction", "3-values", "5-values", "zero",
+             "negative"])
+    def test_bad_meta_block_usage_error(self, capsys, tmp_path, meta):
+        ckpt = tmp_path / "model.tcnn"
+        save_model(init_model(0), ckpt)
+        with open(ckpt, "rb") as f:
+            head = f.read(8)
+            read_t3b_stream(f)
+            rest = f.read()
+        with open(ckpt, "wb") as f:
+            f.write(head)
+            write_t3b_stream(Tensor3(np.array(meta).reshape(1, 1, -1)), f)
+            f.write(rest)
+        code, out, err = run(capsys, "eval", "--model", str(ckpt),
+                             "--random", "low")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {ckpt}: meta block")
+        assert len(err.splitlines()) == 1
+
+    def test_train_defaults_come_from_train_config(self):
+        args = build_parser().parse_args(["train", "--model", "m.tcnn"])
+        cfg = TrainConfig()
+        assert (args.lr, args.epochs, args.batch_size) == \
+            (cfg.learning_rate, cfg.epochs, cfg.batch_size) == (0.1, 40, 8)
 
     def test_epsilon_over_budget_usage_error(self, capsys, trained_ckpt,
                                              tmp_path):
