@@ -25,8 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .conv import (ConvGeometry, FilterBank, conv2d_nchw, dense,
-                   maxpool2_argmax, relu)
+from .conv import ConvGeometry, FilterBank, _conv, dense, maxpool2_argmax, relu
 from .errors import EmptyDataset, ShapeMismatch
 from .tensor import Tensor3, read_t3b_stream, write_t3b_stream
 from .weave import attacked_conv_nchw
@@ -170,8 +169,8 @@ def forward(model: TinyCNN, xs: np.ndarray,
     """
     if xs.shape[1:] != model.input_shape:
         raise ShapeMismatch(f"input {xs.shape[1:]} != model {model.input_shape}")
-    z1 = conv2d_nchw(xs, model.conv1) if noise is None \
-        else attacked_conv_nchw(xs, noise, model.conv1)
+    z1 = _conv(xs, model.conv1.weights, model.conv1.bias) \
+        if noise is None else attacked_conv_nchw(xs, noise, model.conv1)
     z1 = np.asarray(z1, dtype=np.float64)
     pooled, mask = maxpool2_argmax(z1)
     flat = relu(pooled).reshape(len(pooled), -1)
@@ -215,10 +214,9 @@ def _backprop_to_conv(model: TinyCNN, logits: np.ndarray, cache: ForwardCache,
 def _input_gradient(model: TinyCNN, dz1: np.ndarray) -> np.ndarray:
     """dx: the full (fully padded) convolution of dz1 by the flipped filters."""
     w = model.conv1.weights
-    _, c_in, kh, kw = w.shape
-    flipped = FilterBank(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
-                         np.zeros(c_in))
-    return conv2d_nchw(dz1, flipped, ConvGeometry(pad_h=kh - 1, pad_w=kw - 1))
+    _, _, kh, kw = w.shape
+    return _conv(dz1, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), None,
+                 ConvGeometry(pad_h=kh - 1, pad_w=kw - 1))
 
 
 def _parameter_gradients(model: TinyCNN, xs: np.ndarray,
@@ -227,12 +225,10 @@ def _parameter_gradients(model: TinyCNN, xs: np.ndarray,
     gradient at the first layer's output, for labels already checked."""
     logits, cache = forward(model, xs)
     dlogits, dz1 = _backprop_to_conv(model, logits, cache, labels)
-    c_out = model.conv1.out_channels
     # dW[o, c, j, k] = sum over n, y, x of dz1[n, o, y, x] * x[n, c, y+j, x+k]:
     # the inputs convolved by dz1, with batch and channel axes swapped
-    dconv_w = conv2d_nchw(cache.x.transpose(1, 0, 2, 3),
-                          FilterBank(dz1.transpose(1, 0, 2, 3),
-                                     np.zeros(c_out))).transpose(1, 0, 2, 3)
+    dconv_w = _conv(cache.x.transpose(1, 0, 2, 3), dz1.transpose(1, 0, 2, 3),
+                    None).transpose(1, 0, 2, 3)
     return Gradients(conv_w=dconv_w, conv_b=dz1.sum(axis=(0, 2, 3)),
                      fc_w=dlogits.T @ cache.flat,
                      fc_b=dlogits.sum(axis=0)), dz1
@@ -479,6 +475,10 @@ def load_model(path) -> TinyCNN:
     o, ikh, kw = conv_w.shape
     if ikh % c:
         raise ValueError(f"{path}: conv rows {ikh} do not divide by in_c {c}")
+    if conv_b.shape != (o,) or fc_b.shape != (num_classes,):
+        raise ValueError(f"{path}: bias blocks of {conv_b.size} and "
+                         f"{fc_b.size} values, expected conv filters and "
+                         f"num_classes = {o} and {num_classes}")
     conv1 = FilterBank(conv_w.reshape(o, c, ikh // c, kw), conv_b)
     flat = _flat_features((c, h, w), conv1)
     if fc_w.shape != (1, num_classes, flat):

@@ -6,8 +6,10 @@ pooling and dense act on plain arrays.
 
 conv2d is a cross-correlation (no kernel flip), the deep-learning
 convention; every equivalence oracle in this repo uses the same
-convention on both sides. One batched (N, C, H, W) kernel, conv2d_nchw,
-computes every convolution; conv2d is its N=1 wrapper on a Tensor3.
+convention on both sides. One private kernel, _conv, computes every
+convolution on plain arrays: conv2d_nchw checks a batch against a
+FilterBank and calls it, conv2d is its N=1 wrapper on a Tensor3, and the
+model's forward and backward passes call _conv directly.
 Integer inputs give a bit-exact int64 result on one of three routes. A
 layer of at least BLAS_MIN_MACS MACs runs on BLAS in float32 when
 max|x| * max_o sum|W[o]| < 2**24 and in float64 when it is below 2**53:
@@ -140,69 +142,62 @@ def _exact_float_dtype(x: np.ndarray,
                                    .sum(axis=(1, 2, 3)).max()))
 
 
-def window_view(x: np.ndarray, kh: int, kw: int, geom: ConvGeometry,
-                dtype) -> np.ndarray:
-    """Every window a kh x kw kernel meets on an (N, C, H, W) batch.
-
-    A read-only view win[j, c, k, n, y, x] = x[n, c, y * stride_v + j,
-    x * stride_h + k] of x converted to `dtype` and zero-padded per `geom`,
-    so win[..., y0:y1, :] reshaped to (kh*C*kw, N*(y1-y0)*ow) is the
-    im2col column matrix of output rows y0 to y1.
-    """
-    n, c, h, w = x.shape
-    oh, ow = geom.out_shape(h, w, kh, kw)
-    if geom.pad_h or geom.pad_w:
-        ph, pw = geom.pad_h, geom.pad_w
-        padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=dtype)
-        padded[:, :, ph:ph + h, pw:pw + w] = x
-        x = padded
-    else:
-        x = np.ascontiguousarray(x, dtype=dtype)
-    sn, sc, sy, sx = x.strides
-    # ndarray() on the contiguous buffer is cheaper than as_strided
-    win = np.ndarray((kh, c, kw, n, oh, ow), dtype=dtype, buffer=x,
-                     strides=(sy, sc, sx, sn, sy * geom.stride_v,
-                              sx * geom.stride_h))
-    win.flags.writeable = False
-    return win
-
-
 def conv2d_nchw(x: np.ndarray, filters: FilterBank,
                 geom: ConvGeometry = ConvGeometry()) -> np.ndarray:
     """Batched conv2d: (N, C, H, W) input -> (N, out_channels, oh, ow), plus bias.
 
-    im2col by blocks of output rows: each block's windows are copied into
-    one (C*kh*kw, N*rows*ow) column matrix of at most COLUMN_BYTES, which
-    the (out_channels, C*kh*kw) weights multiply in one GEMM. The block
-    height depends only on the input and filter shapes, so a float result
-    is the same for every call on those shapes. Integer operands give a
-    bit-exact int64 result. A layer of at least BLAS_MIN_MACS MACs runs on
-    BLAS in the narrowest exact float: float32 when max|x| * max_o
-    sum|W[o]| < 2**24, float64 when it is below 2**53 (see
-    _exact_float_dtype); any other integer layer runs in int64. Anything
-    else is computed in float64. The block height follows the compute
-    dtype's itemsize, so float32 blocks are twice as tall. Each block's
-    product is assigned straight into the int64 or float64 result (a cast
-    that is exact on the integer routes), so no full-size array of the
-    compute dtype exists.
+    Checks the input against the filters, then runs _conv.
     """
     if x.ndim != 4:
         raise ShapeMismatch(f"batched input needs 4 dims, got {x.ndim}")
+    if x.shape[1] != filters.in_channels:
+        raise ShapeMismatch(f"input has {x.shape[1]} channels, filters "
+                            f"expect {filters.in_channels}")
+    return _conv(x, filters.weights, filters.bias, geom)
+
+
+def _conv(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
+          geom: ConvGeometry = ConvGeometry()) -> np.ndarray:
+    """conv2d_nchw on plain arrays, unchecked: an (N, C, H, W) x by
+    (O, C, kh, kw) weights, plus `bias` unless it is None.
+
+    im2col by blocks of output rows: each block's windows are copied into
+    one (C*kh*kw, N*rows*ow) column matrix of at most COLUMN_BYTES, which
+    the (O, C*kh*kw) weights multiply in one GEMM. The block height depends
+    only on the shapes and the compute dtype's itemsize, so a float result
+    is the same for every call on those shapes. Integer operands take the
+    narrowest exact route of the module docstring (see _exact_float_dtype)
+    and give an int64 result; anything else is computed in float64. Each
+    block's product is assigned straight into the result (a cast that is
+    exact on the integer routes), so no full-size array of the compute
+    dtype exists.
+    """
     n, c, h, w = x.shape
-    if c != filters.in_channels:
-        raise ShapeMismatch(
-            f"input has {c} channels, filters expect {filters.in_channels}")
-    o, _, kh, kw = filters.weights.shape
+    o, _, kh, kw = weights.shape
     oh, ow = geom.out_shape(h, w, kh, kw)
-    integer = x.dtype.kind in "iu" and filters.weights.dtype.kind in "iu"
+    integer = x.dtype.kind in "iu" and weights.dtype.kind in "iu"
     dtype = np.int64 if integer else np.float64
     compute = dtype
     if integer and o * c * kh * kw * n * oh * ow >= BLAS_MIN_MACS:
-        compute = _exact_float_dtype(x, filters.weights) or np.int64
-    win = window_view(x, kh, kw, geom, compute)
+        compute = _exact_float_dtype(x, weights) or np.int64
+    if geom.pad_h or geom.pad_w:
+        ph, pw = geom.pad_h, geom.pad_w
+        padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=compute)
+        padded[:, :, ph:ph + h, pw:pw + w] = x
+        x = padded
+    else:
+        x = np.ascontiguousarray(x, dtype=compute)
+    sn, sc, sy, sx = x.strides
+    # win[j, c, k, n, y, x] = x[n, c, y * stride_v + j, x * stride_h + k], so
+    # win[..., y0:y1, :] reshaped to (kh*C*kw, N*(y1-y0)*ow) is the column
+    # matrix of output rows y0 to y1; ndarray() on the contiguous buffer is
+    # cheaper than as_strided
+    win = np.ndarray((kh, c, kw, n, oh, ow), dtype=compute, buffer=x,
+                     strides=(sy, sc, sx, sn, sy * geom.stride_v,
+                              sx * geom.stride_h))
     k = kh * c * kw
     # the weights in the view's (kh, C, kw) axis order
-    weights = filters.weights.astype(compute, copy=False) \
+    weights = weights.astype(compute, copy=False) \
         .transpose(0, 2, 1, 3).reshape(o, k)
     rows = max(1, COLUMN_BYTES // (k * n * ow * win.itemsize))
     out = np.empty((o, n, oh, ow), dtype=dtype)
@@ -211,7 +206,8 @@ def conv2d_nchw(x: np.ndarray, filters: FilterBank,
         r = block.shape[4]
         out[:, :, y:y + r] = (weights @ block.reshape(k, n * r * ow)) \
             .reshape(o, n, r, ow)
-    out += filters.bias.astype(dtype, copy=False)[:, None, None, None]
+    if bias is not None:
+        out += bias.astype(dtype, copy=False)[:, None, None, None]
     return out.transpose(1, 0, 2, 3)
 
 

@@ -178,26 +178,34 @@ def write_t3b_stream(t: Tensor3, f) -> None:
 
 
 def read_t3b_stream(f) -> Tensor3:
-    magic = f.read(4)
-    if magic != T3B_MAGIC:
-        raise ValueError(f"bad T3B magic {magic!r}")
-    header = f.read(13)
-    if len(header) != 13:
-        raise ValueError(f"truncated T3B header: {len(header)} of 13 bytes")
-    c, h, w, tag = struct.unpack("<IIIB", header)
-    if tag not in _DTYPE_TAGS:
-        raise ValueError(f"unknown T3B dtype tag {tag}")
-    dtype = _DTYPE_TAGS[tag]
-    size = c * h * w * dtype.itemsize
-    # checked before reading: a forged header must not size the read
-    here = f.tell()
-    left = f.seek(0, io.SEEK_END) - here
-    f.seek(here)
-    if size > left:
-        raise ValueError(f"truncated T3B payload: expected {size} bytes, "
-                         f"got {left}")
-    arr = np.frombuffer(f.read(size), dtype=dtype).reshape(c, h, w)
-    return Tensor3._adopt(arr.astype(np.int64 if tag == 1 else np.float64))
+    """One T3B tensor from the binary stream f. A format error keeps its
+    ValueError class and, when f is a file opened by path, names the file."""
+    try:
+        magic = f.read(4)
+        if magic != T3B_MAGIC:
+            raise ValueError(f"bad T3B magic {magic!r}")
+        header = f.read(13)
+        if len(header) != 13:
+            raise ValueError(f"truncated T3B header: {len(header)} of 13 bytes")
+        c, h, w, tag = struct.unpack("<IIIB", header)
+        if tag not in _DTYPE_TAGS:
+            raise ValueError(f"unknown T3B dtype tag {tag}")
+        dtype = _DTYPE_TAGS[tag]
+        size = c * h * w * dtype.itemsize
+        # checked before reading: a forged header must not size the read
+        here = f.tell()
+        left = f.seek(0, io.SEEK_END) - here
+        f.seek(here)
+        if size > left:
+            raise ValueError(f"truncated T3B payload: expected {size} bytes, "
+                             f"got {left}")
+        arr = np.frombuffer(f.read(size), dtype=dtype).reshape(c, h, w)
+        return Tensor3._adopt(arr.astype(np.int64 if tag == 1 else np.float64))
+    except ValueError as e:
+        name = getattr(f, "name", None)
+        if not isinstance(name, str):  # an in-memory stream has no path
+            raise
+        raise type(e)(f"{name}: {e}") from e
 
 
 def write_t3b(t: Tensor3, path) -> None:
@@ -207,10 +215,7 @@ def write_t3b(t: Tensor3, path) -> None:
 
 def read_t3b(path) -> Tensor3:
     with open(path, "rb") as f:
-        try:
-            t = read_t3b_stream(f)
-        except ValueError as e:  # name the file; keep the error class
-            raise type(e)(f"{path}: {e}") from e
+        t = read_t3b_stream(f)
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes after tensor payload")
     return t

@@ -1,12 +1,13 @@
 """The noise-interleaving convolution transform.
 
 Weaving noise rows between image rows, duplicating every filter row, and
-doubling the vertical stride makes the convolution output equal that of
-the noise-added image, without the addition ever being materialized:
-duplicated filter row 2j lands on an image row where row 2j+1 lands on
-the matching noise row, and the two partial sums add up to the direct sum.
-The identity holds only for unpadded (valid) convolution; padded requests
-are rejected rather than approximated.
+doubling the vertical stride and padding makes the convolution output
+equal that of the noise-added image, without the addition ever being
+materialized: duplicated filter row 2j lands on an image row where row
+2j+1 lands on the matching noise row, and the two partial sums add up to
+the direct sum. Doubled vertical padding adds a zero row pair for each
+padded row, so every image row keeps its even woven index and the identity
+holds for padded geometries too.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conv import ConvGeometry, FilterBank, conv2d, conv2d_nchw
-from .errors import BadGeometry, ShapeMismatch
+from .errors import ShapeMismatch
 from .tensor import Tensor3, exact_result_type
 
 
@@ -52,10 +53,9 @@ def duplicate_filter_rows(f: FilterBank) -> FilterBank:
 
 
 def attacked_geometry(g: ConvGeometry) -> ConvGeometry:
-    if g.pad_h != 0:
-        raise BadGeometry("attacked convolution is defined only for pad_h == 0")
+    """The woven layer's geometry: vertical stride and padding doubled."""
     return ConvGeometry(stride_v=2 * g.stride_v, stride_h=g.stride_h,
-                        pad_h=g.pad_h, pad_w=g.pad_w)
+                        pad_h=2 * g.pad_h, pad_w=g.pad_w)
 
 
 def attacked_conv_nchw(images: np.ndarray, noise: np.ndarray,

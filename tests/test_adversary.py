@@ -181,6 +181,20 @@ class TestBackward:
                            rtol=1e-12, atol=1e-14)
 
 
+@pytest.fixture
+def filter_banks(monkeypatch):
+    """Every FilterBank built while the test runs."""
+    built = []
+    post_init = FilterBank.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(FilterBank, "__post_init__", counting)
+    return built
+
+
 class TestTrain:
     def make_separable_2class(self, n=60, seed=0):
         # linearly separable toy set: bright left half vs bright right half
@@ -282,6 +296,14 @@ class TestTrain:
         for new, old, grad in pairs:
             assert np.allclose(new, old - lr / n * grad, rtol=0, atol=1e-12)
 
+    def test_builds_only_the_working_filter_bank(self, filter_banks):
+        # the training steps run the convolution kernel on plain arrays
+        model = init_model(0)
+        xs, ys = make_corpus(400, 0)
+        filter_banks.clear()
+        train(model, xs, ys, TrainConfig())
+        assert len(filter_banks) == 1
+
 
 class TestFGSM:
     def test_zero_epsilon(self):
@@ -380,6 +402,12 @@ class TestCraftUAP:
         rn = random_noise(m.input_shape, b, "low", 777)
         assert fooling_report(m, *held, v).fooling_rate > \
             fooling_report(m, *held, rn).fooling_rate
+
+    def test_builds_no_filter_bank(self, trained, filter_banks):
+        # the CLI's defaults: 200 samples, epsilon 0.05, 10 passes
+        m, _, _ = trained
+        craft_uap(m, make_corpus(200, 0)[0], PerturbBudget(epsilon=0.05))
+        assert filter_banks == []
 
 
 class TestFoolingReport:
@@ -522,6 +550,10 @@ class TestCheckpoint:
             fc_w = fc_w[:, :, 1:]
         elif case == "fc_w block has a second channel":
             fc_w = np.concatenate([fc_w, fc_w])
+        elif case == "fc_b length differs from num_classes":
+            fc_b = fc_b[:, 1:]
+        elif case == "conv_b length differs from conv_w":
+            conv_b = conv_b[1:]
         with open(path, "wb") as f:
             f.write(head)
             for block in (meta, conv_w, conv_b, fc_w, fc_b):
@@ -532,11 +564,28 @@ class TestCheckpoint:
         "trailing bytes", "conv rows not a multiple of in_c",
         "num_classes differs from fc_w rows",
         "fc_w columns differ from flat features",
-        "fc_w block has a second channel"])
+        "fc_w block has a second channel",
+        "fc_b length differs from num_classes",
+        "conv_b length differs from conv_w"])
     def test_inconsistent_checkpoint_rejected(self, tmp_path, case):
         p = tmp_path / "model.tcnn"
         save_model(init_model(0, input_shape=(2, 8, 8)), p)
         assert load_model(p).input_shape == (2, 8, 8)
         self._corrupt(p, case)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(f"{p}: ")):
             load_model(p)
+
+    def test_every_corrupt_byte_loads_or_names_the_file(self, tmp_path):
+        p = tmp_path / "model.tcnn"
+        save_model(init_model(0), p)
+        blob = p.read_bytes()
+        for i in range(len(blob)):
+            bad = bytearray(blob)
+            bad[i] ^= 0xFF
+            p.write_bytes(bad)
+            try:
+                load_model(p)
+            except ValueError as e:
+                # named once: a stream error is not prefixed again
+                assert str(e).startswith(f"{p}: ") and \
+                    str(e).count(str(p)) == 1, (i, str(e))

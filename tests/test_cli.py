@@ -258,7 +258,7 @@ class TestTrainCraftEval:
         code, _, err = run(capsys, "eval", "--model", str(big),
                            "--random", "low")
         assert code == 2
-        assert err.startswith("error: truncated T3B payload")
+        assert err.startswith(f"error: {big}: truncated T3B payload")
         assert len(err.splitlines()) == 1
 
     def test_noise_shape_rejected_on_both_paths(self, capsys, trained_ckpt,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from advweave.conv import ConvGeometry, FilterBank, conv2d
-from advweave.errors import BadGeometry, ShapeMismatch
+from advweave.errors import ShapeMismatch
 from advweave.tensor import Tensor3
 from advweave.weave import (attacked_conv, attacked_geometry,
                             duplicate_filter_rows, equivalence_report,
@@ -18,6 +18,7 @@ def rand_attack_instance(rng, max_dim=16, float_mode=False):
     kw = int(rng.integers(1, min(4, w) + 1))
     o = int(rng.integers(1, 4))
     sv, sh = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+    ph, pw = int(rng.integers(0, 3)), int(rng.integers(0, 3))
     if float_mode:
         img = rng.uniform(-1, 1, (c, h, w))
         noi = rng.uniform(-0.1, 0.1, (c, h, w))
@@ -28,7 +29,8 @@ def rand_attack_instance(rng, max_dim=16, float_mode=False):
         noi = rng.integers(-16, 17, (c, h, w))
         wt = rng.integers(-8, 9, (o, c, kh, kw))
         b = rng.integers(-8, 9, o)
-    return Tensor3(img), Tensor3(noi), FilterBank(wt, b), ConvGeometry(sv, sh)
+    return (Tensor3(img), Tensor3(noi), FilterBank(wt, b),
+            ConvGeometry(sv, sh, ph, pw))
 
 
 class TestInterleave:
@@ -107,17 +109,12 @@ class TestAttackedGeometry:
         assert (g.stride_v, g.stride_h) == (2, 1)
 
     def test_general_doubling(self):
-        g = attacked_geometry(ConvGeometry(2, 3))
-        assert (g.stride_v, g.stride_h) == (4, 3)
+        g = attacked_geometry(ConvGeometry(2, 3, 1, 2))
+        assert (g.stride_v, g.stride_h, g.pad_h, g.pad_w) == (4, 3, 2, 2)
 
     def test_not_idempotent(self):
         g = attacked_geometry(attacked_geometry(ConvGeometry(1, 1)))
         assert g.stride_v == 4  # applying twice keeps doubling
-
-    def test_vertical_padding_rejected(self):
-        with pytest.raises(BadGeometry):
-            attacked_geometry(ConvGeometry(1, 1, pad_h=1))
-        assert attacked_geometry(ConvGeometry(1, 1, pad_w=2)).pad_w == 2
 
 
 class TestAttackedConv:
@@ -134,19 +131,13 @@ class TestAttackedConv:
         zero = Tensor3(np.zeros(img.shape, dtype=np.int64))
         assert attacked_conv(img, zero, f, g) == conv2d(img, f, g)
 
-    def test_padded_rejected(self):
-        img = Tensor3(np.zeros((1, 4, 4)))
-        f = FilterBank(np.zeros((1, 1, 2, 2)), np.zeros(1))
-        with pytest.raises(BadGeometry):
-            attacked_conv(img, img, f, ConvGeometry(1, 1, pad_h=1))
-
     @pytest.mark.parametrize("seed", range(40))
     def test_equivalence_theorem_int_vs_naive_oracle(self, seed):
         rng = np.random.default_rng(seed + 1000)
         img, noi, f, g = rand_attack_instance(rng, max_dim=10)
         got = attacked_conv(img, noi, f, g)
         want = naive_conv2d(img.data + noi.data, f.weights, f.bias,
-                            g.stride_v, g.stride_h)
+                            g.stride_v, g.stride_h, g.pad_h, g.pad_w)
         assert np.array_equal(got.data, want)
 
     @pytest.mark.parametrize("seed", range(10))
