@@ -18,7 +18,8 @@ from .adversary import (FoolingReport, PerturbBudget, TinyCNN, TrainConfig,
                         random_noise, save_model, softmax, train)
 from .conv import (ConvGeometry, FilterBank, conv2d, conv2d_nchw, dense,
                    maxpool2_argmax, relu)
-from .errors import BadGeometry, EmptyDataset, OutOfRange, ShapeMismatch
+from .errors import (BadGeometry, EmptyDataset, FormatError, OutOfRange,
+                     ShapeMismatch)
 from .tensor import (BitStats, QuantSpec, Tensor3, bit_stats, linf_norm,
                      quantize, read_t3b, write_t3b)
 from .weave import (EquivalenceReport, attacked_conv, attacked_conv_nchw,

@@ -1,5 +1,5 @@
 """Trainable tiny CNN with from-scratch backprop, FGSM, universal
-perturbation crafting, random-noise baselines, and fooling metrics.
+perturbation crafting, random-noise baselines, fooling metrics, TCNN files.
 
 Architecture: conv (stride 1, valid, CONV_CHANNELS filters) -> ReLU ->
 2x2 maxpool -> flatten -> dense -> softmax, with cross-entropy loss, all
@@ -21,13 +21,14 @@ two paths must agree.
 from __future__ import annotations
 
 import struct
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .conv import ConvGeometry, FilterBank, _conv, dense, maxpool2_argmax, relu
-from .errors import EmptyDataset, ShapeMismatch
-from .tensor import Tensor3, read_t3b_stream, write_t3b_stream
+from .errors import EmptyDataset, FormatError, ShapeMismatch
+from .tensor import Tensor3, _naming, read_t3b_stream, write_t3b_stream
 from .weave import attacked_conv_nchw
 
 TCNN_MAGIC = b"TCNN"
@@ -68,10 +69,13 @@ class TinyCNN:
 
 
 def _flat_features(input_shape: tuple[int, int, int], conv1: FilterBank) -> int:
-    """Width of the dense layer: conv1's (stride 1, valid) output, 2x2 pooled."""
+    """Width of the dense layer: conv1's (stride 1, valid) output, 2x2 pooled.
+    The model's one shape rule, for init_model and load_model alike."""
     _, h, w = input_shape
     oh = h - conv1.kernel_h + 1
     ow = w - conv1.kernel_w + 1
+    if oh < 2 or ow < 2 or oh % 2 or ow % 2:
+        raise ShapeMismatch("conv output dims must be even and >= 2 for pooling")
     return conv1.out_channels * (oh // 2) * (ow // 2)
 
 
@@ -123,10 +127,7 @@ class FoolingReport:
 
 def init_model(seed: int, input_shape: tuple[int, int, int] = (1, 8, 8),
                num_classes: int = 4, kernel: int = 3) -> TinyCNN:
-    c, h, w = input_shape
-    oh, ow = h - kernel + 1, w - kernel + 1
-    if oh < 2 or ow < 2 or oh % 2 or ow % 2:
-        raise ShapeMismatch("conv output dims must be even and >= 2 for pooling")
+    c = input_shape[0]
     rng = np.random.default_rng(seed)
     fan_in = c * kernel * kernel
     conv1 = FilterBank(rng.normal(0.0, (2.0 / fan_in) ** 0.5,
@@ -433,7 +434,9 @@ def make_corpus(n: int, seed: int, shape: tuple[int, int, int] = (1, 8, 8),
 # Checkpoint format: magic "TCNN", u32le version, then parameter tensors in
 # T3B framing. Block 0 is an integer meta tensor (in_c, in_h, in_w,
 # num_classes); conv weights are framed as (out_channels, in_channels *
-# kernel_h, kernel_w).
+# kernel_h, kernel_w). load_model parses, then builds: it checks only the
+# framing; FilterBank checks the conv bias and _flat_features the kernel's
+# fit, all inside _naming, so every error is one FormatError naming the file.
 
 def save_model(model: TinyCNN, path) -> None:
     c, h, w = model.input_shape
@@ -442,8 +445,7 @@ def save_model(model: TinyCNN, path) -> None:
     cw = model.conv1.weights
     o, i, kh, kw = cw.shape
     with open(path, "wb") as f:
-        f.write(TCNN_MAGIC)
-        f.write(struct.pack("<I", TCNN_VERSION))
+        f.write(TCNN_MAGIC + struct.pack("<I", TCNN_VERSION))
         write_t3b_stream(meta, f)
         write_t3b_stream(Tensor3(cw.reshape(o, i * kh, kw).astype(np.float64)), f)
         write_t3b_stream(Tensor3(model.conv1.bias.astype(np.float64)
@@ -454,34 +456,26 @@ def save_model(model: TinyCNN, path) -> None:
 
 
 def load_model(path) -> TinyCNN:
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != TCNN_MAGIC:
-            raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
-        version = f.read(4)
-        if version != struct.pack("<I", TCNN_VERSION):
-            raise ValueError(f"{path}: unsupported checkpoint version {version!r}")
+    with _naming(path), open(path, "rb") as f:
+        head = f.read(8)
+        if head != TCNN_MAGIC + struct.pack("<I", TCNN_VERSION):
+            raise FormatError(f"bad checkpoint magic or version {head!r}")
         meta = read_t3b_stream(f).data.ravel()
         if meta.dtype.kind not in "iu" or meta.shape != (4,) or (meta < 1).any():
-            raise ValueError(f"{path}: meta block must be 4 positive integers, "
-                             f"got {meta.dtype} {np.array2string(meta, threshold=8)}")
+            # on one line, however long the block: an error is one line
+            values = np.array2string(meta, threshold=8, max_line_width=sys.maxsize)
+            raise FormatError(f"meta block must be 4 positive integers, "
+                              f"got {meta.dtype} {values}")
         c, h, w, num_classes = (int(v) for v in meta)
-        conv_w = read_t3b_stream(f).data
-        conv_b = read_t3b_stream(f).data.ravel()
-        fc_w = read_t3b_stream(f).data
-        fc_b = read_t3b_stream(f).data.ravel()
+        conv_w, conv_b, fc_w, fc_b = (read_t3b_stream(f).data for _ in range(4))
         if f.read(1):
-            raise ValueError(f"{path}: trailing bytes after checkpoint")
-    o, ikh, kw = conv_w.shape
-    if ikh % c:
-        raise ValueError(f"{path}: conv rows {ikh} do not divide by in_c {c}")
-    if conv_b.shape != (o,) or fc_b.shape != (num_classes,):
-        raise ValueError(f"{path}: bias blocks of {conv_b.size} and "
-                         f"{fc_b.size} values, expected conv filters and "
-                         f"num_classes = {o} and {num_classes}")
-    conv1 = FilterBank(conv_w.reshape(o, c, ikh // c, kw), conv_b)
-    flat = _flat_features((c, h, w), conv1)
-    if fc_w.shape != (1, num_classes, flat):
-        raise ValueError(f"{path}: fc_w block {fc_w.shape} != (1, num_classes, "
-                         f"flat features) = (1, {num_classes}, {flat})")
-    return TinyCNN(conv1=conv1, fc_w=fc_w[0], fc_b=fc_b, input_shape=(c, h, w))
+            raise FormatError("trailing bytes after checkpoint")
+        o, ikh, kw = conv_w.shape
+        if ikh % c:
+            raise FormatError(f"conv rows {ikh} do not divide by in_c {c}")
+        conv1 = FilterBank(conv_w.reshape(o, c, ikh // c, kw), conv_b.ravel())
+        flat = _flat_features((c, h, w), conv1)
+        if fc_w.shape != (1, num_classes, flat) or fc_b.size != num_classes:
+            raise FormatError(f"fc blocks {fc_w.shape} and {fc_b.shape} do not fit "
+                              f"num_classes {num_classes}, flat features {flat}")
+        return TinyCNN(conv1, fc_w[0], fc_b.ravel(), (c, h, w))

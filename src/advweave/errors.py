@@ -15,3 +15,7 @@ class OutOfRange(ValueError):
 
 class EmptyDataset(ValueError):
     """An operation requiring samples received none."""
+
+
+class FormatError(ValueError):
+    """A T3B or TCNN file (or stream) is malformed."""

@@ -1,4 +1,4 @@
-"""Channel-major 3D tensors, quantization, norms, and bit-level statistics.
+"""Channel-major 3D tensors, quantization, norms, bit statistics, T3B files.
 
 exact_result_type is the one dtype rule for combining an image with
 noise: integer operands must stay integer, on the direct (Tensor3 +) and
@@ -7,16 +7,20 @@ the woven path alike.
 The layout is channel-major, row-major: element (c, y, x) lives at flat
 index c*H*W + y*W + x, so a single row (c, y, :) is contiguous. Rows are
 the unit the interleaving attack and the memory-layout model operate on.
+
+A malformed T3B stream raises FormatError. _naming is the one place that
+puts a file's path into an error: read_t3b here and load_model use it.
 """
 from __future__ import annotations
 
 import io
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfRange, ShapeMismatch
+from .errors import FormatError, OutOfRange, ShapeMismatch
 
 T3B_MAGIC = b"T3B1"
 _DTYPE_TAGS = {0: np.dtype("<f8"), 1: np.dtype("<i4")}
@@ -177,35 +181,39 @@ def write_t3b_stream(t: Tensor3, f) -> None:
     f.write(arr.tobytes())
 
 
-def read_t3b_stream(f) -> Tensor3:
-    """One T3B tensor from the binary stream f. A format error keeps its
-    ValueError class and, when f is a file opened by path, names the file."""
+@contextmanager
+def _naming(path):
+    """Re-raise a ValueError raised inside as a FormatError naming `path`."""
     try:
-        magic = f.read(4)
-        if magic != T3B_MAGIC:
-            raise ValueError(f"bad T3B magic {magic!r}")
-        header = f.read(13)
-        if len(header) != 13:
-            raise ValueError(f"truncated T3B header: {len(header)} of 13 bytes")
-        c, h, w, tag = struct.unpack("<IIIB", header)
-        if tag not in _DTYPE_TAGS:
-            raise ValueError(f"unknown T3B dtype tag {tag}")
-        dtype = _DTYPE_TAGS[tag]
-        size = c * h * w * dtype.itemsize
-        # checked before reading: a forged header must not size the read
-        here = f.tell()
-        left = f.seek(0, io.SEEK_END) - here
-        f.seek(here)
-        if size > left:
-            raise ValueError(f"truncated T3B payload: expected {size} bytes, "
-                             f"got {left}")
-        arr = np.frombuffer(f.read(size), dtype=dtype).reshape(c, h, w)
-        return Tensor3._adopt(arr.astype(np.int64 if tag == 1 else np.float64))
+        yield
     except ValueError as e:
-        name = getattr(f, "name", None)
-        if not isinstance(name, str):  # an in-memory stream has no path
-            raise
-        raise type(e)(f"{name}: {e}") from e
+        raise FormatError(f"{path}: {e}") from e
+
+
+def read_t3b_stream(f) -> Tensor3:
+    """One T3B tensor from the binary stream f. A format error is a
+    FormatError; it names no file (read_t3b and load_model add the path)."""
+    magic = f.read(4)
+    if magic != T3B_MAGIC:
+        raise FormatError(f"bad T3B magic {magic!r}")
+    header = f.read(13)
+    if len(header) != 13:
+        raise FormatError(f"truncated T3B header: {len(header)} of 13 bytes")
+    c, h, w, tag = struct.unpack("<IIIB", header)
+    if tag not in _DTYPE_TAGS or min(c, h, w) < 1:
+        raise FormatError(f"bad T3B header: dims {c}x{h}x{w} (each must be "
+                          f">= 1), dtype tag {tag} (0 or 1)")
+    dtype = _DTYPE_TAGS[tag]
+    size = c * h * w * dtype.itemsize
+    # checked before reading: a forged header must not size the read
+    here = f.tell()
+    left = f.seek(0, io.SEEK_END) - here
+    f.seek(here)
+    if size > left:
+        raise FormatError(f"truncated T3B payload: expected {size} bytes, "
+                          f"got {left}")
+    arr = np.frombuffer(f.read(size), dtype=dtype).reshape(c, h, w)
+    return Tensor3._adopt(arr.astype(np.int64 if tag == 1 else np.float64))
 
 
 def write_t3b(t: Tensor3, path) -> None:
@@ -214,8 +222,8 @@ def write_t3b(t: Tensor3, path) -> None:
 
 
 def read_t3b(path) -> Tensor3:
-    with open(path, "rb") as f:
+    with _naming(path), open(path, "rb") as f:
         t = read_t3b_stream(f)
         if f.read(1):
-            raise ValueError(f"{path}: trailing bytes after tensor payload")
+            raise FormatError("trailing bytes after tensor payload")
     return t

@@ -11,7 +11,7 @@ from advweave.adversary import (FoolingReport, PerturbBudget, TrainConfig,
                                 load_model, make_corpus, predict,
                                 random_noise, save_model, softmax, train)
 from advweave.conv import FilterBank
-from advweave.errors import EmptyDataset, ShapeMismatch
+from advweave.errors import EmptyDataset, FormatError, ShapeMismatch
 from advweave.tensor import (Tensor3, linf_norm, read_t3b_stream,
                              write_t3b_stream)
 
@@ -521,14 +521,14 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.tcnn"
         p.write_bytes(b"XXXX" + bytes(64))
-        with pytest.raises(ValueError):
+        with pytest.raises(FormatError):
             load_model(p)
 
     @pytest.mark.parametrize("blob", [b"TCNN", b"TCNN\x01\x00"])
     def test_truncated_version_is_value_error(self, tmp_path, blob):
         p = tmp_path / "short.tcnn"
         p.write_bytes(blob)
-        with pytest.raises(ValueError):
+        with pytest.raises(FormatError):
             load_model(p)
 
     @staticmethod
@@ -554,6 +554,13 @@ class TestCheckpoint:
             fc_b = fc_b[:, 1:]
         elif case == "conv_b length differs from conv_w":
             conv_b = conv_b[1:]
+        elif case == "kernel larger than the input":
+            # a 1x1 input under a 3x3 kernel: without a fit check, the
+            # pooled dims (-1 // 2) * (-1 // 2) times 6 filters give the
+            # 6 columns of this fc_w
+            meta = meta.copy()
+            meta[0, 0, 1:3] = 1
+            fc_w = fc_w[:, :, :6]
         with open(path, "wb") as f:
             f.write(head)
             for block in (meta, conv_w, conv_b, fc_w, fc_b):
@@ -566,13 +573,13 @@ class TestCheckpoint:
         "fc_w columns differ from flat features",
         "fc_w block has a second channel",
         "fc_b length differs from num_classes",
-        "conv_b length differs from conv_w"])
+        "conv_b length differs from conv_w", "kernel larger than the input"])
     def test_inconsistent_checkpoint_rejected(self, tmp_path, case):
         p = tmp_path / "model.tcnn"
         save_model(init_model(0, input_shape=(2, 8, 8)), p)
         assert load_model(p).input_shape == (2, 8, 8)
         self._corrupt(p, case)
-        with pytest.raises(ValueError, match=re.escape(f"{p}: ")):
+        with pytest.raises(FormatError, match=re.escape(f"{p}: ")):
             load_model(p)
 
     def test_every_corrupt_byte_loads_or_names_the_file(self, tmp_path):
@@ -585,7 +592,44 @@ class TestCheckpoint:
             p.write_bytes(bad)
             try:
                 load_model(p)
-            except ValueError as e:
-                # named once: a stream error is not prefixed again
+            except FormatError as e:
+                # named once: a stream error is not prefixed again; and one
+                # line, as the CLI's `error:` message must be
                 assert str(e).startswith(f"{p}: ") and \
-                    str(e).count(str(p)) == 1, (i, str(e))
+                    str(e).count(str(p)) == 1 and "\n" not in str(e), \
+                    (i, str(e))
+
+    @pytest.fixture(scope="class")
+    def checkpoint_body(self, tmp_path_factory):
+        """The bytes after the 8-byte header of an init_model(0) checkpoint."""
+        p = tmp_path_factory.mktemp("body") / "model.tcnn"
+        save_model(init_model(0, input_shape=(2, 8, 8)), p)
+        return p.read_bytes()[8:]
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_tail_loads_or_raises_format_error(self, checkpoint_body,
+                                                   tmp_path_factory, data):
+        # random bytes rarely frame a block; a few bytes of a real
+        # checkpoint changed, then cut or extended, reach every check
+        if data.draw(st.booleans()):
+            tail = data.draw(st.binary(max_size=64))
+        else:
+            tail = bytearray(checkpoint_body)
+            for i, v in data.draw(st.lists(st.tuples(
+                    st.integers(0, len(tail) - 1), st.integers(0, 255)),
+                    max_size=5)):
+                tail[i] = v
+            tail = tail[:data.draw(st.integers(0, len(tail)))] + \
+                data.draw(st.binary(max_size=4))
+        p = tmp_path_factory.getbasetemp() / "fuzzed.tcnn"
+        p.write_bytes(b"TCNN\x01\0\0\0" + tail)
+        try:
+            model = load_model(p)
+        except FormatError as e:
+            assert str(e).startswith(f"{p}: ") and \
+                str(e).count(str(p)) == 1 and "\n" not in str(e), str(e)
+            return
+        # a checkpoint that loads is a model that runs
+        assert forward(model, np.zeros((1, *model.input_shape)))[0].shape == \
+            (1, model.num_classes)

@@ -11,7 +11,7 @@ from advweave.accel import layout_rows, stream_rows
 from advweave.adversary import (PerturbBudget, craft_uap, fgsm, init_model,
                                 make_corpus, random_noise)
 from advweave.conv import FilterBank, conv2d
-from advweave.errors import OutOfRange, ShapeMismatch
+from advweave.errors import FormatError, OutOfRange, ShapeMismatch
 from advweave.tensor import (BitStats, QuantSpec, Tensor3, bit_stats,
                              linf_norm, quantize, read_t3b, read_t3b_stream,
                              write_t3b, write_t3b_stream)
@@ -266,21 +266,58 @@ class TestT3B:
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.t3b"
         p.write_bytes(b"NOPE" + bytes(20))
-        with pytest.raises(ValueError):
+        with pytest.raises(FormatError):
             read_t3b(p)
 
     @pytest.mark.parametrize("blob", [b"T3B1", b"T3B1\x01\x00",
                                       b"T3B1" + bytes(12)])
     def test_truncated_header_is_value_error(self, blob):
-        with pytest.raises(ValueError, match="truncated T3B header"):
+        with pytest.raises(FormatError, match="truncated T3B header"):
+            read_t3b_stream(io.BytesIO(blob))
+
+    @pytest.mark.parametrize("dims, tag", [((0, 2, 3), 0), ((2, 0, 3), 1),
+                                           ((2, 2, 0), 0), ((1, 1, 1), 2)])
+    def test_bad_header_is_format_error(self, dims, tag):
+        # a zero dim frames no tensor; it must not pass as a shape error
+        blob = b"T3B1" + struct.pack("<IIIB", *dims, tag) + bytes(8)
+        with pytest.raises(FormatError, match="bad T3B header"):
             read_t3b_stream(io.BytesIO(blob))
 
     def test_truncated_rejected(self, tmp_path):
         p = tmp_path / "x.t3b"
         write_t3b(t3(np.zeros((1, 2, 3))), p)
         p.write_bytes(p.read_bytes()[:-3])
-        with pytest.raises(ValueError):
+        with pytest.raises(FormatError):
             read_t3b(p)
+
+    def test_stream_names_no_file_and_read_t3b_names_it_once(self, tmp_path):
+        p = tmp_path / "x.t3b"
+        write_t3b(t3(np.zeros((1, 2, 3))), p)
+        p.write_bytes(p.read_bytes() + b"\x00")
+        with pytest.raises(FormatError) as e:
+            read_t3b(p)
+        assert str(e.value) == f"{p}: trailing bytes after tensor payload"
+        p.write_bytes(b"NOPE")
+        with open(p, "rb") as f, pytest.raises(FormatError) as e:
+            read_t3b_stream(f)
+        assert str(e.value) == "bad T3B magic b'NOPE'"
+        with pytest.raises(FormatError) as e:
+            read_t3b(p)
+        assert str(e.value) == f"{p}: bad T3B magic b'NOPE'"
+
+    @given(st.one_of(
+        st.binary(max_size=64),
+        st.builds(lambda dims, tag, payload:
+                  struct.pack("<IIIB", *dims, tag) + payload,
+                  st.tuples(*[st.integers(0, 3)] * 3), st.integers(0, 2),
+                  st.binary(max_size=300))))
+    @settings(max_examples=200, deadline=None)
+    def test_any_stream_parses_or_raises_format_error(self, rest):
+        try:
+            t = read_t3b_stream(io.BytesIO(b"T3B1" + rest))
+        except FormatError:
+            return
+        assert isinstance(t, Tensor3)
 
     @pytest.mark.parametrize("dims", [(2 ** 32 - 1,) * 3,
                                       (65535, 65535, 1000)])
@@ -288,5 +325,5 @@ class TestT3B:
         # a 25-byte file whose header claims more f64 payload than it holds
         p = tmp_path / "big.t3b"
         p.write_bytes(b"T3B1" + struct.pack("<IIIB", *dims, 0) + bytes(8))
-        with pytest.raises(ValueError, match="truncated T3B payload"):
+        with pytest.raises(FormatError, match="truncated T3B payload"):
             read_t3b(p)
