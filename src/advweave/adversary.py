@@ -13,9 +13,23 @@ arrays. One image is a Tensor3 at the edges: fgsm (the only one-image
 model call) and random_noise, the perturbation fooling_report applies and
 the one craft_uap returns.
 
+The first layer works window-major. _columns copies a batch's im2col
+columns so that the four conv outputs of each 2x2 pooling window come from
+adjacent columns: cols[j, c, k, n, py, px, dy, dx] = x[n, c, 2py+dy+j,
+2px+dx+k]. Reshaped to (kh*C*kw, N*oh*ow), that is the operand conv._conv
+would give the forward GEMM, with the columns permuted, so the GEMM's output
+(O, N, ph, pw, 4) is window-major and conv._pool_windows pools it along the
+last axis. Backprop routes each window's gradient to its first maximum with
+one broadcast product, and the dW GEMM sums in _conv's order, so every
+result is bit-identical to running the layer through _conv. train builds its
+corpus's columns once (about 1 MB at the CLI defaults) and gathers each
+batch's with one fancy index (np.take along the sample axis); forward and
+backward build a batch's per call.
+
 The fooling-rate evaluation can route the first layer either through
 ordinary convolution of the explicitly noise-added input ("direct") or
-through the noise-interleaved attacked convolution ("interleaved"); the
+through the noise-interleaved attacked convolution ("interleaved"), whose
+(N, O, oh, ow) output is reordered window-major once, before pooling; the
 two paths must agree.
 """
 from __future__ import annotations
@@ -26,7 +40,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .conv import ConvGeometry, FilterBank, _conv, dense, maxpool2_argmax, relu
+from .conv import (ConvGeometry, FilterBank, _block_rows, _conv,
+                   _pool_windows, dense, relu)
 from .errors import EmptyDataset, FormatError, ShapeMismatch
 from .tensor import Tensor3, _naming, read_t3b_stream, write_t3b_stream
 from .weave import attacked_conv_nchw
@@ -128,6 +143,11 @@ class FoolingReport:
 def init_model(seed: int, input_shape: tuple[int, int, int] = (1, 8, 8),
                num_classes: int = 4, kernel: int = 3) -> TinyCNN:
     c = input_shape[0]
+    # checked before fan_in divides: FilterBank would reject them only later
+    if kernel < 1:
+        raise ShapeMismatch(f"kernel must be >= 1, got {kernel}")
+    if c < 1:
+        raise ShapeMismatch(f"input needs at least 1 channel, got {c}")
     rng = np.random.default_rng(seed)
     fan_in = c * kernel * kernel
     conv1 = FilterBank(rng.normal(0.0, (2.0 / fan_in) ** 0.5,
@@ -141,9 +161,9 @@ def init_model(seed: int, input_shape: tuple[int, int, int] = (1, 8, 8),
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis: one vector of logits, or one per row."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def cross_entropy(logits: np.ndarray, label: int) -> float:
@@ -153,10 +173,72 @@ def cross_entropy(logits: np.ndarray, label: int) -> float:
 
 @dataclass
 class ForwardCache:
-    x: np.ndarray          # (N, C, H, W) float64 input
-    pool_mask: np.ndarray  # where each 2x2 window's conv maximum sits
-    pooled: np.ndarray     # pooled conv output, before ReLU
+    pool_mask: np.ndarray  # (O, N, ph, pw, 4): each window's first maximum
+    pooled: np.ndarray     # (O, N, ph, pw) pooled conv output, before ReLU
     flat: np.ndarray       # (N, features) ReLU output
+
+
+def _check_input(model: TinyCNN, xs: np.ndarray) -> None:
+    if xs.shape[1:] != model.input_shape:
+        raise ShapeMismatch(f"input {xs.shape[1:]} != model {model.input_shape}")
+
+
+def _columns(model: TinyCNN, xs: np.ndarray) -> np.ndarray:
+    """The first layer's im2col columns of an (N, C, H, W) batch, window-major:
+    cols[j, c, k, n, py, px, dy, dx] = xs[n, c, 2py+dy+j, 2px+dx+k], so the
+    four conv outputs of pooling window (py, px) come from adjacent columns
+    and cols.reshape(kh*C*kw, -1) is the forward GEMM's operand as it is.
+    """
+    _check_input(model, xs)
+    x = np.ascontiguousarray(xs, dtype=np.float64)
+    n, c, h, w = x.shape
+    _, _, kh, kw = model.conv1.weights.shape
+    ph, pw = (h - kh + 1) // 2, (w - kw + 1) // 2
+    sn, sc, sy, sx = x.strides
+    # a window row's two values (dx = 0, 1) are adjacent in x, so they move
+    # as one complex128: numpy copies one 16-byte item faster than two
+    # 8-byte ones, and copying moves the bits untouched
+    return np.ndarray((kh, c, kw, n, ph, pw, 2), dtype=np.complex128, buffer=x,
+                      strides=(sy, sc, sx, sn, 2 * sy, 2 * sx, sy)) \
+        .copy().view(np.float64).reshape(kh, c, kw, n, ph, pw, 2, 2)
+
+
+def _nchw(z: np.ndarray) -> np.ndarray:
+    """A window-major (O, N, ph, pw, 4) float64 first-layer array as a
+    contiguous (N, O, 2ph, 2pw) one."""
+    o, n, ph, pw, _ = z.shape
+    # window rows move as complex128 pairs, as in _columns
+    return np.ascontiguousarray(z.view(np.complex128).reshape(o, n, ph, pw, 2)
+                                .transpose(1, 0, 2, 4, 3)) \
+        .reshape(n, o, 2 * ph, pw).view(np.float64)
+
+
+def _forward(model: TinyCNN,
+             cols: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """forward from a batch's _columns.
+
+    The GEMM gets the operands _conv would give it, (O, kh*C*kw) weights by
+    (kh*C*kw, N*oh*ow) columns, with the columns of each pooling window
+    adjacent, so its output is window-major: (O, N, ph, pw, 4).
+    """
+    w = model.conv1.weights
+    o, c, kh, kw = w.shape
+    n, ph, pw = cols.shape[3:6]
+    z = w.astype(np.float64, copy=False).transpose(0, 2, 1, 3).reshape(o, -1) \
+        @ cols.reshape(kh * c * kw, -1)
+    z = z.reshape(o, n, ph, pw, 4)
+    z += model.conv1.bias[:, None, None, None, None]
+    return _tail(model, z)
+
+
+def _tail(model: TinyCNN, z: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """Pooling, ReLU and dense on a window-major first-layer output z. ReLU
+    runs after pooling, with which it commutes."""
+    pooled, mask = _pool_windows(z)
+    o, n, ph, pw = pooled.shape
+    flat = relu(pooled).transpose(1, 0, 2, 3).reshape(n, o * ph * pw)
+    logits = dense(flat, model.fc_w, model.fc_b)
+    return logits, ForwardCache(pool_mask=mask, pooled=pooled, flat=flat)
 
 
 def forward(model: TinyCNN, xs: np.ndarray,
@@ -165,19 +247,19 @@ def forward(model: TinyCNN, xs: np.ndarray,
 
     With `noise` (a (C, H, W) pattern, or a batch of them that broadcasts
     over xs) the first layer runs the noise-interleaved attacked
-    convolution; the cache then holds the clean inputs. ReLU runs after
-    pooling, with which it commutes.
+    convolution, whose (N, O, oh, ow) output is reordered window-major
+    before pooling.
     """
-    if xs.shape[1:] != model.input_shape:
-        raise ShapeMismatch(f"input {xs.shape[1:]} != model {model.input_shape}")
-    z1 = _conv(xs, model.conv1.weights, model.conv1.bias) \
-        if noise is None else attacked_conv_nchw(xs, noise, model.conv1)
-    z1 = np.asarray(z1, dtype=np.float64)
-    pooled, mask = maxpool2_argmax(z1)
-    flat = relu(pooled).reshape(len(pooled), -1)
-    logits = dense(flat, model.fc_w, model.fc_b)
-    return logits, ForwardCache(x=np.asarray(xs, dtype=np.float64),
-                                pool_mask=mask, pooled=pooled, flat=flat)
+    if noise is None:
+        return _forward(model, _columns(model, xs))
+    _check_input(model, xs)
+    z = np.asarray(attacked_conv_nchw(xs, noise, model.conv1), dtype=np.float64)
+    n, o, oh, ow = z.shape
+    # (O, N, ph, dy, pw) -> (O, N, ph, pw, dy), in complex128 pairs as in _columns
+    z = np.ascontiguousarray(z.transpose(1, 0, 2, 3)).view(np.complex128) \
+        .reshape(o, n, oh // 2, 2, ow // 2).transpose(0, 1, 2, 4, 3)
+    z = np.ascontiguousarray(z).view(np.float64).reshape(o, n, oh // 2, ow // 2, 4)
+    return _tail(model, z)
 
 
 @dataclass
@@ -203,33 +285,49 @@ def _checked_labels(model: TinyCNN, xs: np.ndarray, labels) -> np.ndarray:
 
 def _backprop_to_conv(model: TinyCNN, logits: np.ndarray, cache: ForwardCache,
                       labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Loss gradients at the logits and at the first layer's output."""
+    """Loss gradients at the logits and, window-major, at the first layer's
+    output: each window's pooled gradient goes to its first maximum."""
     dlogits = softmax(logits)
     dlogits[np.arange(len(labels)), labels] -= 1.0
-    dflat = dlogits @ model.fc_w
-    dpooled = dflat.reshape(cache.pooled.shape) * (cache.pooled > 0)
-    dz1 = cache.pool_mask * dpooled.repeat(2, axis=-2).repeat(2, axis=-1)
-    return dlogits, dz1
+    o, n, ph, pw = cache.pooled.shape
+    dpooled = (dlogits @ model.fc_w).reshape(n, o, ph, pw) \
+        .transpose(1, 0, 2, 3) * (cache.pooled > 0)
+    return dlogits, cache.pool_mask * dpooled[..., None]
 
 
 def _input_gradient(model: TinyCNN, dz1: np.ndarray) -> np.ndarray:
-    """dx: the full (fully padded) convolution of dz1 by the flipped filters."""
+    """dx: the full (fully padded) convolution of an (N, O, oh, ow) dz1 by
+    the flipped filters."""
     w = model.conv1.weights
     _, _, kh, kw = w.shape
     return _conv(dz1, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), None,
                  ConvGeometry(pad_h=kh - 1, pad_w=kw - 1))
 
 
-def _parameter_gradients(model: TinyCNN, xs: np.ndarray,
+def _parameter_gradients(model: TinyCNN, cols: np.ndarray,
                          labels: np.ndarray) -> tuple[Gradients, np.ndarray]:
     """Batch-summed parameter gradients (with `input` unset) and the loss
-    gradient at the first layer's output, for labels already checked."""
-    logits, cache = forward(model, xs)
+    gradient at the first layer's output as (N, O, oh, ow), from a batch's
+    _columns and labels already checked."""
+    logits, cache = _forward(model, cols)
     dlogits, dz1 = _backprop_to_conv(model, logits, cache, labels)
-    # dW[o, c, j, k] = sum over n, y, x of dz1[n, o, y, x] * x[n, c, y+j, x+k]:
-    # the inputs convolved by dz1, with batch and channel axes swapped
-    dconv_w = _conv(cache.x.transpose(1, 0, 2, 3), dz1.transpose(1, 0, 2, 3),
-                    None).transpose(1, 0, 2, 3)
+    dz1 = _nchw(dz1)
+    n, o, _, _ = dz1.shape
+    kh, c, kw = cols.shape[:3]
+    # dW[o, c, j, k] = sum over y, n, x of dz1[n, o, y, x] * x[n, c, y+j, x+k]:
+    # _conv's dW GEMMs, summing in its (oh, N, ow) order over its blocks of
+    # kernel rows j (one block unless the columns pass COLUMN_BYTES)
+    a = dz1.transpose(1, 2, 0, 3).reshape(o, -1)
+    rows = _block_rows(a.shape[1] * c * kw * a.itemsize)
+    blocks = []
+    for j in range(0, kh, rows):
+        block = cols[j:j + rows]
+        r = len(block)
+        blocks.append((a @ block.transpose(4, 6, 3, 5, 7, 1, 0, 2)
+                       .reshape(-1, c * r * kw)).reshape(o, c, r, kw))
+    dconv_w = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=2)
+    # the bias gradient sums a contiguous (N, O, oh, ow) array: the order of
+    # a reduction over a window-major one would change its bytes
     return Gradients(conv_w=dconv_w, conv_b=dz1.sum(axis=(0, 2, 3)),
                      fc_w=dlogits.T @ cache.flat,
                      fc_b=dlogits.sum(axis=0)), dz1
@@ -241,7 +339,8 @@ def backward(model: TinyCNN, xs: np.ndarray, labels) -> Gradients:
     Parameter gradients are summed over the batch; `input` holds each
     sample's own input gradient, shape (N, C, H, W).
     """
-    g, dz1 = _parameter_gradients(model, xs, _checked_labels(model, xs, labels))
+    labels = _checked_labels(model, xs, labels)
+    g, dz1 = _parameter_gradients(model, _columns(model, xs), labels)
     g.input = _input_gradient(model, dz1)
     return g
 
@@ -253,7 +352,10 @@ def predict(model: TinyCNN, xs: np.ndarray) -> np.ndarray:
 
 def train(model: TinyCNN, xs: np.ndarray, ys: np.ndarray,
           cfg: TrainConfig) -> TinyCNN:
-    """Minibatch SGD: w <- w - lr * dLoss/dw, deterministic per seed."""
+    """Minibatch SGD: w <- w - lr * dLoss/dw, deterministic per seed.
+
+    The corpus's _columns are built once; each step gathers its batch's.
+    """
     if len(xs) == 0:
         raise EmptyDataset("training set is empty")
     ys = _checked_labels(model, xs, ys)
@@ -263,12 +365,14 @@ def train(model: TinyCNN, xs: np.ndarray, ys: np.ndarray,
                               model.conv1.bias.astype(np.float64)),
                    model.fc_w.copy(), model.fc_b.copy(), model.input_shape)
     params = (work.conv1.weights, work.conv1.bias, work.fc_w, work.fc_b)
+    cols = _columns(work, xs)
     n = len(xs)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            g, _ = _parameter_gradients(work, xs[batch], ys[batch])
+            g, _ = _parameter_gradients(work, np.take(cols, batch, axis=3),
+                                        ys[batch])
             lr = cfg.learning_rate / len(batch)
             for p, dp in zip(params, (g.conv_w, g.conv_b, g.fc_w, g.fc_b)):
                 p -= lr * dp
@@ -280,7 +384,7 @@ def _fgsm_step(model: TinyCNN, logits: np.ndarray, cache: ForwardCache,
     """epsilon * sign(input gradient of the loss of `label`), from the logits
     and cache of a one-sample forward; computes no parameter gradient."""
     _, dz1 = _backprop_to_conv(model, logits, cache, np.array([label]))
-    return epsilon * np.sign(_input_gradient(model, dz1)[0])
+    return epsilon * np.sign(_input_gradient(model, _nchw(dz1))[0])
 
 
 def fgsm(model: TinyCNN, x: Tensor3, label: int, budget: PerturbBudget) -> Tensor3:

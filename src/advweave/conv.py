@@ -8,8 +8,17 @@ conv2d is a cross-correlation (no kernel flip), the deep-learning
 convention; every equivalence oracle in this repo uses the same
 convention on both sides. One private kernel, _conv, computes every
 convolution on plain arrays: conv2d_nchw checks a batch against a
-FilterBank and calls it, conv2d is its N=1 wrapper on a Tensor3, and the
-model's forward and backward passes call _conv directly.
+FilterBank (_check_batch) and calls it, conv2d is its N=1 wrapper on a
+Tensor3, and the attacked convolution and the model's input gradient call
+_conv directly. The model's forward and dW GEMMs take _conv's operands
+from its window-major columns instead (see adversary).
+
+Pooling has one rule, _pool_windows, on a window-major array: its last
+axis holds the four values of one 2x2 window in row-major order (q00, q01,
+q10, q11). It pools max(max(q00, q01), max(q10, q11)) and marks each
+window's first maximum. maxpool2_argmax copies its input into that layout;
+the model's first layer computes its output in it.
+
 Integer inputs give a bit-exact int64 result on one of three routes. A
 layer of at least BLAS_MIN_MACS MACs runs on BLAS in float32 when
 max|x| * max_o sum|W[o]| < 2**24 and in float64 when it is below 2**53:
@@ -107,6 +116,12 @@ BLAS_MIN_MACS = 1 << 17
 COLUMN_BYTES = 1 << 21
 
 
+def _block_rows(row_bytes: int) -> int:
+    """Output rows per im2col block, given the column bytes of one row: as
+    many as fit in COLUMN_BYTES, and at least one."""
+    return max(1, COLUMN_BYTES // row_bytes)
+
+
 def _max_abs(a: np.ndarray) -> int:
     """max |a| as a Python int (np.abs of int64 min would wrap)."""
     return max(-int(a.min()), int(a.max()))
@@ -148,12 +163,18 @@ def conv2d_nchw(x: np.ndarray, filters: FilterBank,
 
     Checks the input against the filters, then runs _conv.
     """
+    _check_batch(x, filters)
+    return _conv(x, filters.weights, filters.bias, geom)
+
+
+def _check_batch(x: np.ndarray, filters: FilterBank) -> None:
+    """conv2d_nchw's input checks: x is an (N, C, H, W) batch with the
+    filters' C. The attacked convolution makes the same checks."""
     if x.ndim != 4:
         raise ShapeMismatch(f"batched input needs 4 dims, got {x.ndim}")
     if x.shape[1] != filters.in_channels:
         raise ShapeMismatch(f"input has {x.shape[1]} channels, filters "
                             f"expect {filters.in_channels}")
-    return _conv(x, filters.weights, filters.bias, geom)
 
 
 def _conv(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
@@ -199,7 +220,7 @@ def _conv(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
     # the weights in the view's (kh, C, kw) axis order
     weights = weights.astype(compute, copy=False) \
         .transpose(0, 2, 1, 3).reshape(o, k)
-    rows = max(1, COLUMN_BYTES // (k * n * ow * win.itemsize))
+    rows = _block_rows(k * n * ow * win.itemsize)
     out = np.empty((o, n, oh, ow), dtype=dtype)
     for y in range(0, oh, rows):
         block = win[..., y:y + rows, :]
@@ -226,26 +247,41 @@ def maxpool2_argmax(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the pooled array and a boolean mask of `a`'s shape that marks
     where each window's maximum sits (the first in row-major order on
-    ties); backprop routes the pooled gradient through that mask.
+    ties); backprop routes the pooled gradient through that mask. Copies
+    `a` into the window-major layout and applies _pool_windows.
     """
     *lead, h, w = a.shape
     if h % 2 or w % 2:
         raise BadGeometry(f"maxpool2 needs even dims, got {h}x{w}")
-    win = a.reshape(*lead, h // 2, 2, w // 2, 2)
+    # (..., y, dy, x, dx) -> (..., y, x, dy, dx): each window's four values
+    # side by side
+    z = a.reshape(*lead, h // 2, 2, w // 2, 2).swapaxes(-3, -2)
+    pooled, mask = _pool_windows(z.reshape(*lead, h // 2, w // 2, 4))
+    return pooled, mask.reshape(z.shape).swapaxes(-3, -2).reshape(a.shape)
+
+
+def _pool_windows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """2x2 max pooling of a window-major array: z[..., i] is value i of a
+    window, in row-major order (q00, q01, q10, q11).
+
+    Returns the pooled array z.shape[:-1] and a boolean mask of z's shape
+    that marks each window's first maximum. The pooling rule of
+    maxpool2_argmax and of the model's first layer.
+    """
+    q = z.reshape(-1, 4)  # two axes iterate faster than many
     # max(max(q00, q01), max(q10, q11)): which zero np.maximum returns when
     # 0.0 meets -0.0 depends on operand order, so this order fixes its sign
-    cols = np.maximum(win[..., 0], win[..., 1])
-    pooled = np.maximum(cols[..., 0, :], cols[..., 1, :])
-    mask = win == pooled[..., :, None, :, None]
+    pooled = np.maximum(q[:, 0], q[:, 1])
+    np.maximum(pooled, np.maximum(q[:, 2], q[:, 3]), out=pooled)
+    mask = q == pooled[:, None]
     # one hit per window is already the first hit; a NaN window has none,
     # so it could balance a tied window's extra hit
     if np.count_nonzero(mask) != pooled.size or (pooled != pooled).any():
         taken = np.zeros(pooled.shape, dtype=bool)
-        for dy in (0, 1):  # row-major window order
-            for dx in (0, 1):
-                mask[..., dy, :, dx] &= ~taken
-                taken |= mask[..., dy, :, dx]
-    return pooled, mask.reshape(a.shape)
+        for i in range(4):  # row-major window order
+            mask[:, i] &= ~taken
+            taken |= mask[:, i]
+    return pooled.reshape(z.shape[:-1]), mask.reshape(z.shape)
 
 
 def dense(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:

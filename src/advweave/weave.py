@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import ConvGeometry, FilterBank, conv2d, conv2d_nchw
+from .conv import ConvGeometry, FilterBank, _check_batch, _conv, conv2d
 from .errors import ShapeMismatch
 from .tensor import Tensor3, exact_result_type
 
@@ -61,9 +61,15 @@ def attacked_geometry(g: ConvGeometry) -> ConvGeometry:
 def attacked_conv_nchw(images: np.ndarray, noise: np.ndarray,
                        filters: FilterBank,
                        geom: ConvGeometry = ConvGeometry()) -> np.ndarray:
-    """Batched attacked_conv: (N, C, H, W) images, noise as in weave_rows."""
-    return conv2d_nchw(weave_rows(images, noise),
-                       duplicate_filter_rows(filters), attacked_geometry(geom))
+    """Batched attacked_conv: (N, C, H, W) images, noise as in weave_rows.
+
+    The woven batch gets conv2d_nchw's checks, then runs _conv on the
+    duplicated filter rows as a plain array: no FilterBank is built.
+    """
+    woven = weave_rows(images, noise)
+    _check_batch(woven, filters)
+    return _conv(woven, np.repeat(filters.weights, 2, axis=2), filters.bias,
+                 attacked_geometry(geom))
 
 
 def attacked_conv(image: Tensor3, noise: Tensor3, filters: FilterBank,

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advweave.adversary import (FoolingReport, PerturbBudget, TrainConfig,
-                                backward, craft_uap, cross_entropy, fgsm,
+from advweave.adversary import (FoolingReport, PerturbBudget, TinyCNN,
+                                TrainConfig, backward, craft_uap,
+                                cross_entropy, fgsm,
                                 fooling_report, forward, init_model,
                                 load_model, make_corpus, predict,
                                 random_noise, save_model, softmax, train)
@@ -165,6 +166,28 @@ class TestBackward:
         with pytest.raises(ShapeMismatch, match="5 samples"):
             backward(init_model(0), xs, ys[:1])
 
+    def test_tied_window_sends_its_gradient_to_the_first_hit(self):
+        # all-zero filters and a positive bias tie all four values of every
+        # pooling window; only each window's first value gets the gradient
+        m0 = init_model(0)
+        m = TinyCNN(FilterBank(np.zeros_like(m0.conv1.weights), np.full(6, 0.5)),
+                    m0.fc_w, m0.fc_b, m0.input_shape)
+        xs, ys = make_corpus(5, seed=1)
+        g = backward(m, xs, ys)
+        dlogits = softmax(forward(m, xs)[0])
+        dlogits[np.arange(5), ys] -= 1.0
+        dz1 = np.zeros((5, 6, 6, 6))
+        dz1[:, :, ::2, ::2] = (dlogits @ m.fc_w).reshape(5, 6, 3, 3)
+        want_w = np.empty((6, 1, 3, 3))
+        for j in range(3):
+            for k in range(3):
+                want_w[:, :, j, k] = np.einsum("noyx,ncyx->oc", dz1,
+                                               xs[:, :, j:j + 6, k:k + 6])
+        assert np.allclose(g.conv_b, dz1.sum(axis=(0, 2, 3)), rtol=1e-12,
+                           atol=1e-14)
+        assert np.allclose(g.conv_w, want_w, rtol=1e-12, atol=1e-14)
+        assert np.abs(g.conv_b).min() > 1e-6  # the routing shows in each bias
+
     @pytest.mark.parametrize("seed", range(3))
     def test_batch_sums_per_sample_gradients(self, seed):
         m = init_model(seed, input_shape=(2, 8, 8))
@@ -193,6 +216,16 @@ def filter_banks(monkeypatch):
 
     monkeypatch.setattr(FilterBank, "__post_init__", counting)
     return built
+
+
+class TestInitModel:
+    @pytest.mark.parametrize("kwargs, what", [
+        ({"kernel": 0}, "kernel"),
+        ({"kernel": -1, "input_shape": (1, 7, 7)}, "kernel"),
+        ({"input_shape": (0, 8, 8)}, "channel")])
+    def test_empty_kernel_or_input_is_shape_mismatch(self, kwargs, what):
+        with pytest.raises(ShapeMismatch, match=what):
+            init_model(0, **kwargs)
 
 
 class TestTrain:
@@ -295,6 +328,34 @@ class TestTrain:
                  (got.fc_w, m.fc_w, g.fc_w), (got.fc_b, m.fc_b, g.fc_b)]
         for new, old, grad in pairs:
             assert np.allclose(new, old - lr / n * grad, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape, n, batch", [((1, 8, 8), 20, 8),
+                                                 ((2, 10, 8), 13, 5)],
+                             ids=["one channel", "two channels"])
+    def test_epochs_are_sgd_steps_through_backward(self, shape, n, batch):
+        # train gathers each batch from columns built once for the corpus;
+        # backward builds them per call: the weights agree bit for bit,
+        # including after the final batch, which is shorter than the rest
+        xs, ys = make_corpus(n, seed=2, shape=shape)
+        m = init_model(2, input_shape=shape)
+        cfg = TrainConfig(0.1, 2, batch, 9)
+        got = train(m, xs, ys, cfg)
+        params = [a.astype(np.float64)
+                  for a in (m.conv1.weights, m.conv1.bias, m.fc_w, m.fc_b)]
+        rng = np.random.default_rng(cfg.seed)
+        for _ in range(cfg.epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, batch):
+                b = order[start:start + batch]
+                step = TinyCNN(FilterBank(params[0], params[1]), params[2],
+                               params[3], shape)
+                g = backward(step, xs[b], ys[b])
+                lr = cfg.learning_rate / len(b)
+                for p, dp in zip(params, (g.conv_w, g.conv_b, g.fc_w, g.fc_b)):
+                    p -= lr * dp
+        for want, have in zip(params, (got.conv1.weights, got.conv1.bias,
+                                       got.fc_w, got.fc_b)):
+            assert want.tobytes() == have.tobytes()
 
     def test_builds_only_the_working_filter_bank(self, filter_banks):
         # the training steps run the convolution kernel on plain arrays
@@ -467,6 +528,13 @@ class TestFoolingReport:
         assert (rep.top5_clean, rep.top5_perturbed) == (top5c / 100,
                                                         top5p / 100)
         assert 0 < rep.top5_clean < 1
+
+    def test_interleaved_builds_no_filter_bank(self, trained, filter_banks):
+        # the attacked route runs the kernel on the duplicated rows as an array
+        m, _, held = trained
+        v = random_noise(m.input_shape, PerturbBudget(epsilon=0.05), "low", 1)
+        fooling_report(m, *held, v, path="interleaved")
+        assert filter_banks == []
 
     def test_noise_shape_mismatch_same_error_on_both_paths(self, trained):
         m, _, held = trained

@@ -475,6 +475,35 @@ class TestMaxpool2:
             assert pooled[idx] == win.max()
             assert np.array_equal(got.ravel(), want)
 
+    def test_ties_nans_and_signed_zeros_bit_for_bit(self):
+        # 3,000 arrays pooled by maxpool2_argmax and, laid out window-major
+        # as the model's first layer is, by _pool_windows; both against the
+        # rule max(max(q00, q01), max(q10, q11)) taken window by window
+        rng = np.random.default_rng(0)
+        values = np.array([0.0, -0.0, 1.0, -1.0, 2.0, np.nan])
+        for i in range(3000):
+            shape = (*rng.integers(1, 3, rng.integers(0, 3)),
+                     *(2 * rng.integers(1, 3, 2)))
+            a = rng.uniform(-1, 1, shape) if i % 4 == 0 \
+                else rng.choice(values, shape)
+            z = np.stack([a[..., 0::2, 0::2], a[..., 0::2, 1::2],
+                          a[..., 1::2, 0::2], a[..., 1::2, 1::2]], axis=-1)
+            want = np.empty(z.shape[:-1])
+            first = np.zeros(z.shape, dtype=bool)
+            for idx in np.ndindex(want.shape):
+                q = z[idx]
+                want[idx] = np.maximum(np.maximum(q[0], q[1]),
+                                       np.maximum(q[2], q[3]))
+                hits = np.flatnonzero(q == want[idx])
+                if hits.size:
+                    first[(*idx, hits[0])] = True
+            pooled, mask = maxpool2_argmax(a)
+            wm_pooled, wm_mask = conv._pool_windows(z)
+            assert pooled.tobytes() == want.tobytes() == wm_pooled.tobytes()
+            assert np.array_equal(wm_mask, first)
+            for k, (dy, dx) in enumerate(np.ndindex(2, 2)):
+                assert np.array_equal(mask[..., dy::2, dx::2], first[..., k])
+
     def test_tied_and_nan_windows_in_one_array(self):
         # the tied window's extra hit and the NaN window's missing one
         # leave as many hits as windows; the mask still marks first maxima

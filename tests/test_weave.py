@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from advweave.conv import ConvGeometry, FilterBank, conv2d
+from advweave.conv import ConvGeometry, FilterBank, conv2d, conv2d_nchw
 from advweave.errors import ShapeMismatch
 from advweave.tensor import Tensor3
-from advweave.weave import (attacked_conv, attacked_geometry,
-                            duplicate_filter_rows, equivalence_report,
-                            interleave_rows)
+from advweave.weave import (attacked_conv, attacked_conv_nchw,
+                            attacked_geometry, duplicate_filter_rows,
+                            equivalence_report, interleave_rows)
 from test_conv import naive_conv2d
 
 
@@ -145,6 +145,18 @@ class TestAttackedConv:
         rng = np.random.default_rng(seed + 2000)
         img, noi, f, g = rand_attack_instance(rng)
         assert attacked_conv(img, noi, f, g).shape == conv2d(img, f, g).shape
+
+    @pytest.mark.parametrize("shape", [(1, 8, 8), (3, 1, 1, 8, 8), (2, 2, 8, 8)],
+                             ids=["no batch axis", "5-D batch", "2 channels"])
+    def test_batch_checks_match_conv2d_nchw(self, shape):
+        # the attacked route makes the direct route's checks, with its text
+        f = FilterBank(np.ones((2, 1, 3, 3)), np.zeros(2))
+        xs = np.zeros(shape)
+        with pytest.raises(ShapeMismatch) as direct:
+            conv2d_nchw(xs + xs, f)
+        with pytest.raises(ShapeMismatch) as woven:
+            attacked_conv_nchw(xs, xs, f)
+        assert str(woven.value) == str(direct.value)
 
     def test_only_first_layer_contract(self):
         # feeding the attacked first-layer output into a regular downstream
