@@ -6,12 +6,16 @@ pooling and dense act on plain arrays.
 
 conv2d is a cross-correlation (no kernel flip), the deep-learning
 convention; every equivalence oracle in this repo uses the same
-convention on both sides. One private kernel, _conv, computes every
-convolution on plain arrays: conv2d_nchw checks a batch against a
-FilterBank (_check_batch) and calls it, conv2d is its N=1 wrapper on a
+convention on both sides. One private kernel, _conv_blocks, computes every
+convolution on plain arrays, one block of output rows at a time: it yields
+each block's raw GEMM product in the compute dtype, with no cast and no
+bias. _conv is its ordinary consumer: it assigns each block into the
+result, then adds the bias once. conv2d_nchw checks a batch against a
+FilterBank (_check_batch) and calls _conv, conv2d is its N=1 wrapper on a
 Tensor3, and the attacked convolution and the model's input gradient call
-_conv directly. The model's forward and dW GEMMs take _conv's operands
-from its window-major columns instead (see adversary).
+_conv directly. weave.equivalence_report consumes two streams of blocks
+itself, so no full output exists. The model's forward and dW GEMMs take
+_conv's operands from its window-major columns instead (see adversary).
 
 Pooling has one rule, _pool_windows, on a window-major array: its last
 axis holds the four values of one 2x2 window in row-major order (q00, q01,
@@ -23,8 +27,8 @@ Integer inputs give a bit-exact int64 result on one of three routes. A
 layer of at least BLAS_MIN_MACS MACs runs on BLAS in float32 when
 max|x| * max_o sum|W[o]| < 2**24 and in float64 when it is below 2**53:
 every product and partial sum is then an integer below the float's 2**24
-or 2**53, which it holds exactly, so BLAS may sum in any order; each
-block's product is cast straight into the int64 result. Any other integer
+or 2**53, which it holds exactly, so BLAS may sum in any order; _conv
+casts each block's product straight into the int64 result. Any other integer
 layer runs in int64. The kernel multiplies the full C*kh*kw filter once
 per block of output rows; the block height depends only on the input and
 filter shapes (and, through its itemsize, the compute dtype), so float
@@ -118,8 +122,9 @@ COLUMN_BYTES = 1 << 21
 
 def _block_rows(row_bytes: int) -> int:
     """Output rows per im2col block, given the column bytes of one row: as
-    many as fit in COLUMN_BYTES, and at least one."""
-    return max(1, COLUMN_BYTES // row_bytes)
+    many as fit in COLUMN_BYTES, and at least one (all of them when a row
+    has no bytes, as in an empty batch)."""
+    return max(1, COLUMN_BYTES // max(1, row_bytes))
 
 
 def _max_abs(a: np.ndarray) -> int:
@@ -177,29 +182,55 @@ def _check_batch(x: np.ndarray, filters: FilterBank) -> None:
                             f"expect {filters.in_channels}")
 
 
+def _result_dtype(x: np.ndarray, weights: np.ndarray) -> type:
+    """The dtype of _conv's result: int64 for integer x and weights, else
+    float64."""
+    if x.dtype.kind in "iu" and weights.dtype.kind in "iu":
+        return np.int64
+    return np.float64
+
+
 def _conv(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
           geom: ConvGeometry = ConvGeometry()) -> np.ndarray:
     """conv2d_nchw on plain arrays, unchecked: an (N, C, H, W) x by
     (O, C, kh, kw) weights, plus `bias` unless it is None.
 
-    im2col by blocks of output rows: each block's windows are copied into
-    one (C*kh*kw, N*rows*ow) column matrix of at most COLUMN_BYTES, which
-    the (O, C*kh*kw) weights multiply in one GEMM. The block height depends
-    only on the shapes and the compute dtype's itemsize, so a float result
+    The one ordinary consumer of _conv_blocks: each block's product is
+    assigned straight into the result (a cast that is exact on the integer
+    routes), so no full-size array of the compute dtype exists, and the
+    bias is added once at the end.
+    """
+    n, _, h, w = x.shape
+    o, _, kh, kw = weights.shape
+    dtype = _result_dtype(x, weights)
+    out = np.empty((o, n, *geom.out_shape(h, w, kh, kw)), dtype=dtype)
+    for y0, y1, product in _conv_blocks(x, weights, geom):
+        out[:, :, y0:y1] = product
+        del product  # so the next block's columns are not built beside it
+    if bias is not None:
+        out += bias.astype(dtype, copy=False)[:, None, None, None]
+    return out.transpose(1, 0, 2, 3)
+
+
+def _conv_blocks(x: np.ndarray, weights: np.ndarray, geom: ConvGeometry):
+    """The GEMM products of _conv, one block of output rows at a time.
+
+    Yields (y0, y1, product) for consecutive blocks that cover all output
+    rows: product is the (O, N, y1 - y0, ow) product of the weights and the
+    block's columns in the compute dtype, without cast or bias. im2col by
+    blocks of output rows: each block's windows are copied into one
+    (C*kh*kw, N*rows*ow) column matrix of at most COLUMN_BYTES, which the
+    (O, C*kh*kw) weights multiply in one GEMM. The block height depends
+    only on the shapes and the compute dtype's itemsize, so a float product
     is the same for every call on those shapes. Integer operands take the
-    narrowest exact route of the module docstring (see _exact_float_dtype)
-    and give an int64 result; anything else is computed in float64. Each
-    block's product is assigned straight into the result (a cast that is
-    exact on the integer routes), so no full-size array of the compute
-    dtype exists.
+    narrowest exact route of the module docstring (see _exact_float_dtype);
+    anything else is computed in float64.
     """
     n, c, h, w = x.shape
     o, _, kh, kw = weights.shape
     oh, ow = geom.out_shape(h, w, kh, kw)
-    integer = x.dtype.kind in "iu" and weights.dtype.kind in "iu"
-    dtype = np.int64 if integer else np.float64
-    compute = dtype
-    if integer and o * c * kh * kw * n * oh * ow >= BLAS_MIN_MACS:
+    compute = _result_dtype(x, weights)
+    if compute is np.int64 and o * c * kh * kw * n * oh * ow >= BLAS_MIN_MACS:
         compute = _exact_float_dtype(x, weights) or np.int64
     if geom.pad_h or geom.pad_w:
         ph, pw = geom.pad_h, geom.pad_w
@@ -221,15 +252,11 @@ def _conv(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
     weights = weights.astype(compute, copy=False) \
         .transpose(0, 2, 1, 3).reshape(o, k)
     rows = _block_rows(k * n * ow * win.itemsize)
-    out = np.empty((o, n, oh, ow), dtype=dtype)
     for y in range(0, oh, rows):
-        block = win[..., y:y + rows, :]
-        r = block.shape[4]
-        out[:, :, y:y + r] = (weights @ block.reshape(k, n * r * ow)) \
-            .reshape(o, n, r, ow)
-    if bias is not None:
-        out += bias.astype(dtype, copy=False)[:, None, None, None]
-    return out.transpose(1, 0, 2, 3)
+        r = min(rows, oh - y)
+        # no local holds the columns or the product across the yield
+        yield y, y + r, (weights @ win[..., y:y + r, :]
+                         .reshape(k, n * r * ow)).reshape(o, n, r, ow)
 
 
 def conv2d(input: Tensor3, filters: FilterBank, geom: ConvGeometry = ConvGeometry()) -> Tensor3:

@@ -108,6 +108,16 @@ class TestForward:
 
 
 class TestBackward:
+    def test_empty_batch(self):
+        m = init_model(0)
+        g = backward(m, np.empty((0, *m.input_shape)),
+                     np.zeros(0, dtype=np.int64))
+        for got, like in [(g.conv_w, m.conv1.weights), (g.conv_b, m.conv1.bias),
+                          (g.fc_w, m.fc_w), (g.fc_b, m.fc_b)]:
+            assert got.shape == like.shape
+            assert not got.any()
+        assert g.input.shape == (0, *m.input_shape)
+
     @pytest.mark.parametrize("seed", [3, 11, 42])
     def test_gradients_match_finite_differences(self, seed):
         m = init_model(seed)

@@ -211,6 +211,15 @@ class TestConv2dBatch:
             conv2d_nchw(np.zeros((2, 2, 4, 4)),
                         FilterBank(np.zeros((1, 3, 2, 2)), np.zeros(1)))
 
+    @pytest.mark.parametrize("dtype, geom", [
+        (np.float64, ConvGeometry()), (np.int64, ConvGeometry(2, 1, 1, 2))])
+    def test_empty_batch(self, dtype, geom):
+        # a batch of no samples has no column bytes: one block, no division
+        f = FilterBank(np.ones((2, 1, 3, 3), dtype=dtype), np.ones(2, dtype))
+        got = conv2d_nchw(np.empty((0, 1, 8, 8), dtype=dtype), f, geom)
+        assert got.shape == (0, 2, *geom.out_shape(8, 8, 3, 3))
+        assert got.dtype == (np.int64 if dtype == np.int64 else np.float64)
+
 
 class TestIntegerBlasRoute:
     """Integer convolutions of at least BLAS_MIN_MACS MACs run on float32

@@ -1,12 +1,17 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
+from advweave import conv, weave
 from advweave.conv import ConvGeometry, FilterBank, conv2d, conv2d_nchw
 from advweave.errors import ShapeMismatch
 from advweave.tensor import Tensor3
 from advweave.weave import (attacked_conv, attacked_conv_nchw,
                             attacked_geometry, duplicate_filter_rows,
-                            equivalence_report, interleave_rows)
+                            EquivalenceReport, equivalence_report,
+                            interleave_rows)
 from test_conv import naive_conv2d
 
 
@@ -116,6 +121,15 @@ class TestAttackedGeometry:
         g = attacked_geometry(attacked_geometry(ConvGeometry(1, 1)))
         assert g.stride_v == 4  # applying twice keeps doubling
 
+    def test_equal_geometry_builds_none(self, monkeypatch):
+        first = attacked_geometry(ConvGeometry(3, 2, 1, 4))
+        again = ConvGeometry(3, 2, 1, 4)  # equal, not the same object
+        built = []
+        monkeypatch.setattr(ConvGeometry, "__post_init__",
+                            lambda self: built.append(self))
+        assert attacked_geometry(again) is first
+        assert built == []
+
 
 class TestAttackedConv:
     def test_identity_filter_hand_check(self):
@@ -157,6 +171,13 @@ class TestAttackedConv:
         with pytest.raises(ShapeMismatch) as woven:
             attacked_conv_nchw(xs, xs, f)
         assert str(woven.value) == str(direct.value)
+
+    def test_empty_batch(self):
+        f = FilterBank(np.ones((2, 1, 3, 3), dtype=np.int64),
+                       np.ones(2, dtype=np.int64))
+        got = attacked_conv_nchw(np.empty((0, 1, 8, 8), dtype=np.int64),
+                                 np.ones((1, 8, 8), dtype=np.int64), f)
+        assert got.shape == (0, 2, 6, 6) and got.dtype == np.int64
 
     def test_only_first_layer_contract(self):
         # feeding the attacked first-layer output into a regular downstream
@@ -206,3 +227,173 @@ class TestEquivalenceReport:
                            duplicate_filter_rows(f), ag(g))
         rep = equivalence_report(img, noi, f, g, attacked_output=corrupted)
         assert not rep.exact
+
+    @staticmethod
+    def _full_report(img, noi, f, g, attacked_output=None):
+        """The report from both full outputs, compared whole."""
+        direct = conv2d(img + noi, f, g)
+        attacked = attacked_output if attacked_output is not None \
+            else attacked_conv(img, noi, f, g)
+        if direct.shape != attacked.shape:
+            return EquivalenceReport(max_abs_diff=float("inf"), exact=False)
+        integer = direct.is_integer() and attacked.is_integer()
+        diff = np.abs(direct.data.astype(np.float64)
+                      - attacked.data.astype(np.float64))
+        max_abs_diff = float(diff.max())
+        if integer:
+            exact = np.array_equal(direct.data, attacked.data)
+        else:
+            ref = float(np.max(np.abs(direct.data))) or 1.0
+            exact = max_abs_diff <= 1e-9 * ref
+        return EquivalenceReport(max_abs_diff=max_abs_diff, exact=exact)
+
+    @staticmethod
+    def _sabotaged(img, noi, f, g):
+        """attacked_conv with noise row 0 raised, as --sabotage does."""
+        wrong = noi.data.copy()
+        wrong[:, 0, :] += 1
+        return attacked_conv(img, Tensor3(wrong), f, g)
+
+    def _check_instances(self, rng, trials, max_dim=16):
+        caught = 0  # sabotaged integer outputs that differ
+        for i in range(trials):
+            float_mode = i % 2 == 1
+            img, noi, f, g = rand_attack_instance(rng, max_dim, float_mode)
+            f = FilterBank(f.weights, np.where(f.bias == 0, 1, f.bias))
+            assert equivalence_report(img, noi, f, g) \
+                == self._full_report(img, noi, f, g)
+            wrong = self._sabotaged(img, noi, f, g)
+            rep = equivalence_report(img, noi, f, g, attacked_output=wrong)
+            assert rep == self._full_report(img, noi, f, g, wrong)
+            caught += not float_mode and rep.max_abs_diff > 0
+        assert caught > trials // 4
+
+    def test_matches_full_output_comparison(self):
+        self._check_instances(np.random.default_rng(13), 60)
+
+    @pytest.mark.parametrize("column_bytes", [1, 700, 3000])
+    def test_multi_block_layers(self, monkeypatch, column_bytes):
+        monkeypatch.setattr(conv, "COLUMN_BYTES", column_bytes)
+        self._check_instances(np.random.default_rng(column_bytes), 30,
+                              max_dim=24)
+
+    def test_blocks_that_do_not_nest(self, monkeypatch):
+        # the woven K = C*2kh*kw is twice the direct one, so its blocks hold
+        # fewer rows: here 2 against 5 (of 6*6*8 and 12*6*8 column bytes per
+        # output row), whose edges do not nest
+        monkeypatch.setattr(conv, "COLUMN_BYTES", 1500)
+        edges = []  # each stream's block starts, in the order they start
+
+        def recording(x, weights, geom):
+            starts = []
+            edges.append(starts)
+            for y0, y1, product in conv._conv_blocks(x, weights, geom):
+                starts.append(y0)
+                yield y0, y1, product
+
+        monkeypatch.setattr(weave, "_conv_blocks", recording)
+        rng = np.random.default_rng(15)
+        for float_mode in (False, True):
+            img, noi, f, g = rand_attack_instance(rng, float_mode=float_mode)
+            img = Tensor3(rng.integers(-128, 128, (1, 14, 7))
+                          .astype(img.data.dtype))
+            noi = Tensor3(rng.integers(-16, 17, img.shape)
+                          .astype(noi.data.dtype))
+            f = FilterBank(f.weights[:1, :1, :1, :1].repeat(3, axis=2)
+                           .repeat(2, axis=3), f.bias[:1])
+            g = ConvGeometry(1, 1)
+            del edges[:]
+            assert equivalence_report(img, noi, f, g) \
+                == self._full_report(img, noi, f, g)
+            assert edges == [[0, 5, 10], [0, 2, 4, 6, 8, 10]]  # direct first
+            wrong = self._sabotaged(img, noi, f, g)
+            assert equivalence_report(img, noi, f, g, attacked_output=wrong) \
+                == self._full_report(img, noi, f, g, wrong)
+
+    def test_each_block_released_before_the_next(self):
+        def stream(heights):
+            y, refs = 0, []
+            for h in heights:
+                assert all(r() is None for r in refs)  # earlier blocks gone
+                block = np.arange(y, y + h).reshape(1, 1, h, 1)
+                refs.append(weakref.ref(block))
+                yield y, y + h, block
+                del block
+                y += h
+
+        rows = []
+
+        def visit(a, b):
+            assert np.array_equal(a, b)  # the same output rows
+            rows.extend(a.ravel())
+
+        weave._zip_rows(stream([5, 5, 2]), stream([2] * 6), visit)
+        assert rows == list(range(12))
+
+    def test_nan_in_a_late_block(self, monkeypatch):
+        # a NaN in any block makes the whole report NaN and inexact, as
+        # np.max over full outputs does, whatever block comes first
+        monkeypatch.setattr(conv, "COLUMN_BYTES", 600)
+        rng = np.random.default_rng(16)
+        data = rng.uniform(-1, 1, (1, 12, 5))
+        data[0, -1, 2] = np.nan
+        img, noi = Tensor3(data), Tensor3(rng.uniform(-1, 1, data.shape))
+        f = FilterBank(rng.uniform(-1, 1, (2, 1, 2, 2)), rng.uniform(-1, 1, 2))
+        g = ConvGeometry()
+        for attacked in (None, attacked_conv(img, noi, f, g)):
+            rep = equivalence_report(img, noi, f, g, attacked)
+            assert np.isnan(rep.max_abs_diff) and not rep.exact
+            assert np.isnan(self._full_report(img, noi, f, g, attacked)
+                            .max_abs_diff)
+
+    def test_products_on_different_exact_routes(self, monkeypatch):
+        # max|image + noise| * max sum|W| is below 2**24 where the woven
+        # max(|image|, |noise|) * 2 max sum|W| is not: float32 products
+        # against float64 ones, compared exactly
+        monkeypatch.setattr(conv, "BLAS_MIN_MACS", 0)
+        monkeypatch.setattr(conv, "COLUMN_BYTES", 2000)
+        routes = []
+        choose = conv._exact_float_dtype
+        monkeypatch.setattr(conv, "_exact_float_dtype", lambda x, weights:
+                            routes.append(choose(x, weights)) or routes[-1])
+        rng = np.random.default_rng(3)
+        img = Tensor3(rng.integers(-2000, 2001, (2, 11, 9)))
+        noi = Tensor3(rng.integers(-16, 17, (2, 11, 9)))
+        w = np.zeros((3, 2, 3, 2), dtype=np.int64)
+        w[:, :, 0, 0] = 2500  # sum|W[o]| = 5000 + up to 2 * 5 * 7
+        w[:, :, 1:] = rng.integers(-7, 8, (3, 2, 2, 2))
+        f = FilterBank(w, rng.integers(-9, 10, 3))
+        g = ConvGeometry(1, 2)
+        rep = equivalence_report(img, noi, f, g)
+        assert routes == [np.float32, np.float64]  # direct, then woven
+        assert rep == EquivalenceReport(max_abs_diff=0.0, exact=True)
+        wrong = self._sabotaged(img, noi, f, g)
+        assert equivalence_report(img, noi, f, g, attacked_output=wrong) \
+            == self._full_report(img, noi, f, g, wrong)
+
+    def test_wrong_shape_is_never_exact(self):
+        img, noi, f, g = rand_attack_instance(np.random.default_rng(14))
+        out = attacked_conv(img, noi, f, g)
+        wide = Tensor3(np.concatenate([out.data, out.data], axis=2))
+        assert equivalence_report(img, noi, f, g, attacked_output=wide) \
+            == EquivalenceReport(max_abs_diff=float("inf"), exact=False)
+
+    def test_no_full_size_output(self):
+        # the footprint layer: a full int64 output is 64*109*109*8 bytes;
+        # the streamed report holds the operands and one block of each side
+        rng = np.random.default_rng(0)
+        img = Tensor3(rng.integers(0, 256, (3, 224, 224)))
+        noi = Tensor3(rng.integers(-12, 13, (3, 224, 224)))
+        f = FilterBank(rng.integers(-127, 128, (64, 3, 7, 7)),
+                       rng.integers(-9, 10, 64))
+        g = ConvGeometry(2, 2)
+        output_bytes = 64 * 109 * 109 * 8
+        assert g.out_shape(224, 224, 7, 7) == (109, 109)
+        tracemalloc.start()
+        try:
+            rep = equivalence_report(img, noi, f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.exact
+        assert peak < output_bytes
