@@ -8,13 +8,13 @@ with each image's zero pattern.
 """
 import numpy as np
 
-from advweave import (ConvGeometry, FilterBank, SystolicConfig, Tensor3,
+from advweave import (ConvGeometry, FilterBank, SystolicConfig,
                       compare_attack_footprint, count_macs, layout_rows,
                       preset_config)
 
 rng = np.random.default_rng(3)
-image = Tensor3(rng.integers(0, 16, (1, 16, 16)) * (rng.random((1, 16, 16)) < 0.7))
-noise = Tensor3(rng.integers(-3, 4, (1, 16, 16)) * (rng.random((1, 16, 16)) < 0.2))
+image = rng.integers(0, 16, (1, 16, 16)) * (rng.random((1, 16, 16)) < 0.7)
+noise = rng.integers(-3, 4, (1, 16, 16)) * (rng.random((1, 16, 16)) < 0.2)
 filters = FilterBank(rng.integers(-3, 4, (4, 1, 3, 3)), np.zeros(4, dtype=np.int64))
 geom = ConvGeometry()
 
@@ -40,7 +40,7 @@ for zero_skip in (False, True):
 cfg = preset_config("small")
 counts = []
 for _ in range(30):
-    img = Tensor3(rng.integers(0, 16, (1, 16, 16)) * (rng.random((1, 16, 16)) < 0.7))
+    img = rng.integers(0, 16, (1, 16, 16)) * (rng.random((1, 16, 16)) < 0.7)
     counts.append(count_macs(img, filters, geom, cfg).mac_executed)
 print("\nclean executed-MAC counts over 30 random images:")
 print(f"  min {min(counts)}, max {max(counts)}, "

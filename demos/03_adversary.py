@@ -5,7 +5,7 @@ that the interleaved evaluation path agrees with explicit noise addition.
 """
 import numpy as np
 
-from advweave import (PerturbBudget, QuantSpec, Tensor3, TrainConfig,
+from advweave import (PerturbBudget, QuantSpec, TrainConfig,
                       bit_stats, craft_uap, fooling_report, init_model,
                       linf_norm, make_corpus, quantize, random_noise, train)
 

@@ -12,10 +12,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .conv import ConvGeometry, FilterBank, _exact_float
+from .conv import (ConvGeometry, FilterBank, _check_batch, _check_image,
+                   _exact_float)
 from .errors import ShapeMismatch
-from .tensor import Tensor3
-from .weave import attacked_geometry, duplicate_filter_rows, interleave_rows
+from .weave import attacked_geometry, duplicate_filter_rows, weave_rows
 
 
 @dataclass(frozen=True)
@@ -74,40 +74,21 @@ class FootprintComparison:
     noise_only: SimReport
 
 
-def layout_rows(image: Tensor3, noise: Tensor3 | None = None,
+def layout_rows(image: np.ndarray, noise: np.ndarray | None = None,
                 base: int = 0, row_stride: int | None = None) -> MemoryImage:
-    """Assign memory addresses to rows: image rows in order, or alternating
-    image row r / noise row r when a noise pattern is present."""
-    if noise is not None and noise.shape != image.shape:
-        raise ShapeMismatch(f"image {image.shape} vs noise {noise.shape}")
+    """Assign memory addresses to a (C, H, W) image's rows: in order, or
+    alternating image row r / noise row r (weave_rows' order) with noise."""
+    image = _check_image(image)
+    c, h, w = image.shape
+    if noise is not None and np.shape(noise) != image.shape:
+        raise ShapeMismatch(f"image {image.shape} vs noise {np.shape(noise)}")
     if row_stride is None:
-        row_stride = image.width * image.data.itemsize
-    descriptors = []
-    addr = base
-    for flat in range(image.channels * image.height):
-        descriptors.append(RowDescriptor("image", flat, addr))
-        addr += row_stride
-        if noise is not None:
-            descriptors.append(RowDescriptor("noise", flat, addr))
-            addr += row_stride
-    return MemoryImage(base_address=base, row_stride=row_stride,
-                       rows=tuple(descriptors))
-
-
-def stream_rows(mem: MemoryImage, image: Tensor3, noise: Tensor3 | None = None) -> Tensor3:
-    """Replay the layout row-by-row into a tensor, as the accelerator's
-    global buffer would see it. With noise present this reconstructs the
-    woven tensor of the interleaving attack."""
-    sources = {"image": image}
-    per_channel = image.height
-    if noise is not None:
-        sources["noise"] = noise
-        per_channel *= 2
-    out_rows = [sources[d.source].data[d.index // image.height, d.index % image.height]
-                for d in mem.rows]
-    stacked = np.stack(out_rows)
-    return Tensor3._adopt(stacked.reshape(image.channels, per_channel,
-                                          image.width))
+        row_stride = w * image.itemsize
+    sources = ("image",) if noise is None else ("image", "noise")
+    rows = [(source, flat) for flat in range(c * h) for source in sources]
+    return MemoryImage(base_address=base, row_stride=row_stride, rows=tuple(
+        RowDescriptor(source, flat, base + i * row_stride)
+        for i, (source, flat) in enumerate(rows)))
 
 
 def _taps(size: int, k: int, out: int, stride: int, dtype) -> np.ndarray:
@@ -119,9 +100,9 @@ def _taps(size: int, k: int, out: int, stride: int, dtype) -> np.ndarray:
     return t
 
 
-def count_macs(input: Tensor3, filters: FilterBank, geom: ConvGeometry,
+def count_macs(input: np.ndarray, filters: FilterBank, geom: ConvGeometry,
                cfg: SystolicConfig) -> SimReport:
-    """Count MACs for one conv layer; skips apply when either operand is zero.
+    """Count MACs of one conv layer on a (C, H, W) input; a zero operand skips.
 
     Executed MACs in closed form, per kernel offset (c, j, k): the filters
     whose weight there is nonzero times the nonzero inputs that offset's
@@ -132,15 +113,13 @@ def count_macs(input: Tensor3, filters: FilterBank, geom: ConvGeometry,
     partial sum counts at most the h*w inputs of one channel plane, so the
     float that _exact_float picks for h*w sums them exactly in any order.
     """
-    if input.channels != filters.in_channels:
-        raise ShapeMismatch(
-            f"input has {input.channels} channels, filters expect "
-            f"{filters.in_channels}")
+    x = _check_image(input)
+    _check_batch(x[None], filters)
+    c, h, w = x.shape
     kh, kw = filters.kernel_h, filters.kernel_w
-    oh, ow = geom.out_shape(input.height, input.width, kh, kw)
+    oh, ow = geom.out_shape(h, w, kh, kw)
     issued = oh * ow * filters.out_channels * filters.in_channels * kh * kw
     if cfg.zero_skip:
-        c, h, w = input.shape
         ph, pw = geom.pad_h, geom.pad_w
         sv, sh = geom.stride_v, geom.stride_h
         hp, wp = h + 2 * ph, w + 2 * pw
@@ -148,7 +127,7 @@ def count_macs(input: Tensor3, filters: FilterBank, geom: ConvGeometry,
         # a plane in memory has fewer than 2**53 elements: never None
         dtype = _exact_float(h * w)
         m = np.zeros((c, hp, wp), dtype=dtype)
-        m[:, ph:ph + h, pw:pw + w] = input.data != 0
+        m[:, ph:ph + h, pw:pw + w] = x != 0
         # row_nnz[c, r, k] = sum over x < ow of m[c, r, x * sh + k]
         row_nnz = (m.reshape(c * hp, wp)
                    @ _taps(wp, kw, ow, sh, dtype)).reshape(c, hp, kw)
@@ -158,26 +137,27 @@ def count_macs(input: Tensor3, filters: FilterBank, geom: ConvGeometry,
         executed = int((w_nnz * x_nnz.astype(np.int64)).sum())
     else:
         executed = issued
-    skipped = issued - executed
     array = cfg.rows * cfg.cols
     cycles = math.ceil(executed / array)
     util = executed / (cycles * array) if cycles else 0.0
-    return SimReport(mac_issued=issued, mac_skipped=skipped,
+    return SimReport(mac_issued=issued, mac_skipped=issued - executed,
                      mac_executed=executed, cycles=cycles,
                      array_utilization=util)
 
 
-def compare_attack_footprint(image: Tensor3, noise: Tensor3, filters: FilterBank,
-                             geom: ConvGeometry, cfg: SystolicConfig) -> FootprintComparison:
-    """Clean vs attacked first-layer MAC accounting.
+def compare_attack_footprint(image: np.ndarray, noise: np.ndarray,
+                             filters: FilterBank, geom: ConvGeometry,
+                             cfg: SystolicConfig) -> FootprintComparison:
+    """Clean vs attacked first-layer MAC accounting of a (C, H, W) image.
 
     With zero-skip off the attacked layer issues exactly twice the MACs;
     with zero-skip on the attacked executed count decomposes into the
     clean count plus the noise-only count.
     """
+    image, noise = _check_image(image), _check_image(noise)
     return FootprintComparison(
         clean=count_macs(image, filters, geom, cfg),
-        attacked=count_macs(interleave_rows(image, noise),
+        attacked=count_macs(weave_rows(image, noise),
                             duplicate_filter_rows(filters),
                             attacked_geometry(geom), cfg),
         noise_only=count_macs(noise, filters, geom, cfg))

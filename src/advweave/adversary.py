@@ -9,9 +9,9 @@ budget is at most 5% of the maximum pixel magnitude.
 A corpus is one read-only (N, C, H, W) float64 array and an int64 label
 vector, as make_corpus returns them. The model runs on batches only:
 forward, backward, predict, train, craft_uap and fooling_report take those
-arrays. One image is a Tensor3 at the edges: fgsm (the only one-image
-model call) and random_noise, the perturbation fooling_report applies and
-the one craft_uap returns.
+arrays. One image or perturbation is a (C, H, W) array: fgsm (the only
+one-image model call) takes and returns one, as random_noise and craft_uap
+return and fooling_report applies one.
 
 The first layer works window-major. _columns copies a batch's im2col
 columns so that the four conv outputs of each 2x2 pooling window come from
@@ -43,7 +43,7 @@ import numpy as np
 from .conv import (ConvGeometry, FilterBank, _block_rows, _conv,
                    _pool_windows, dense, relu)
 from .errors import EmptyDataset, FormatError, ShapeMismatch
-from .tensor import Tensor3, _naming, read_t3b_stream, write_t3b_stream
+from .tensor import _naming, read_t3b_stream, write_t3b_stream
 from .weave import attacked_conv_nchw
 
 TCNN_MAGIC = b"TCNN"
@@ -57,8 +57,9 @@ CONV_CHANNELS = 6
 RELATIVE_CAP = 0.05
 MAX_MAGNITUDE = 1.0
 
-# Samples per batched forward in fooling_report: large enough to amortise
-# per-call overhead, small enough that a 2000-sample eval adds no memory.
+# Samples per batched forward in predict and fooling_report: large enough
+# to amortise per-call overhead, small enough that a 2000-sample eval adds
+# no memory.
 EVAL_BLOCK = 64
 
 # Reference-only context: published ImageNet fooling rates for pretrained
@@ -274,6 +275,8 @@ class Gradients:
 def _checked_labels(model: TinyCNN, xs: np.ndarray, labels) -> np.ndarray:
     """`labels` as an array: one class index per sample of xs."""
     labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
     # labels shorter than N, or of shape (N, 1), would broadcast silently
     if labels.shape != xs.shape[:1]:
         raise ShapeMismatch(f"{len(xs)} samples, labels of shape {labels.shape}")
@@ -334,20 +337,30 @@ def _parameter_gradients(model: TinyCNN, cols: np.ndarray,
 
 
 def backward(model: TinyCNN, xs: np.ndarray, labels) -> Gradients:
-    """Gradients of the summed cross-entropy loss of an (N, C, H, W) batch.
-
-    Parameter gradients are summed over the batch; `input` holds each
-    sample's own input gradient, shape (N, C, H, W).
-    """
+    """Gradients of the summed cross-entropy loss of an (N, C, H, W) batch:
+    parameter gradients summed over the batch, and in `input` each sample's
+    own (N, C, H, W) input gradient."""
     labels = _checked_labels(model, xs, labels)
     g, dz1 = _parameter_gradients(model, _columns(model, xs), labels)
     g.input = _input_gradient(model, dz1)
     return g
 
 
+def _block_logits(model: TinyCNN, xs: np.ndarray, noise: np.ndarray | None = None,
+                  path: str = "interleaved") -> np.ndarray:
+    """forward's logits of an (N, C, H, W) batch from forwards of EVAL_BLOCK
+    samples, which bound the memory used; "direct" adds `noise` to each."""
+    # an empty batch still takes one forward, which checks its shape
+    blocks = [xs[i:i + EVAL_BLOCK]
+              for i in range(0, max(len(xs), 1), EVAL_BLOCK)]
+    if path == "direct":
+        return np.concatenate([forward(model, b + noise)[0] for b in blocks])
+    return np.concatenate([forward(model, b, noise)[0] for b in blocks])
+
+
 def predict(model: TinyCNN, xs: np.ndarray) -> np.ndarray:
-    """Predicted labels of an (N, C, H, W) batch, from one batched forward."""
-    return forward(model, xs)[0].argmax(axis=1)
+    """Predicted labels of an (N, C, H, W) batch, forwarded in blocks."""
+    return _block_logits(model, xs).argmax(axis=1)
 
 
 def train(model: TinyCNN, xs: np.ndarray, ys: np.ndarray,
@@ -387,30 +400,26 @@ def _fgsm_step(model: TinyCNN, logits: np.ndarray, cache: ForwardCache,
     return epsilon * np.sign(_input_gradient(model, _nchw(dz1))[0])
 
 
-def fgsm(model: TinyCNN, x: Tensor3, label: int, budget: PerturbBudget) -> Tensor3:
-    """Perturbation = epsilon * sign(input gradient of the loss)."""
-    xs = x.data[None]
+def fgsm(model: TinyCNN, x: np.ndarray, label: int, budget: PerturbBudget) -> np.ndarray:
+    """Perturbation = epsilon * sign(input gradient of the loss) of a (C, H, W) x."""
+    xs = np.asarray(x)[None]
     _checked_labels(model, xs, [label])
     logits, cache = forward(model, xs)
-    return Tensor3._adopt(_fgsm_step(model, logits, cache, label,
-                                     budget.epsilon))
+    return _fgsm_step(model, logits, cache, label, budget.epsilon)
 
 
 def random_noise(shape: tuple[int, int, int], budget: PerturbBudget,
-                 mode: str, seed: int) -> Tensor3:
+                 mode: str, seed: int) -> np.ndarray:
     """Uniform noise bounded by epsilon (low) or the full image magnitude (high)."""
-    rng = np.random.default_rng(seed)
-    if mode == "low":
-        bound = budget.epsilon
-    elif mode == "high":
-        bound = MAX_MAGNITUDE
-    else:
+    bounds = {"low": budget.epsilon, "high": MAX_MAGNITUDE}
+    if mode not in bounds:
         raise ValueError(f"mode must be 'low' or 'high', got {mode!r}")
-    return Tensor3._adopt(rng.uniform(-bound, bound, shape))
+    return np.random.default_rng(seed).uniform(-bounds[mode], bounds[mode],
+                                               shape)
 
 
 def craft_uap(model: TinyCNN, xs: np.ndarray, budget: PerturbBudget,
-              max_iters: int = 10) -> Tensor3:
+              max_iters: int = 10) -> np.ndarray:
     """Iteratively build one input-shaped perturbation that flips predictions
     across the (N, C, H, W) sample set xs.
 
@@ -426,7 +435,7 @@ def craft_uap(model: TinyCNN, xs: np.ndarray, budget: PerturbBudget,
     eps = budget.epsilon
     v = np.zeros(xs.shape[1:])
     if eps == 0:
-        return Tensor3._adopt(v)
+        return v
     clean_preds = predict(model, xs)
     for _ in range(max_iters):
         fooled = 0
@@ -441,17 +450,16 @@ def craft_uap(model: TinyCNN, xs: np.ndarray, budget: PerturbBudget,
             v = np.clip(v + eta, -eps, eps)
         if fooled == len(xs):
             break
-    return Tensor3._adopt(v)
+    return v
 
 
 def fooling_report(model: TinyCNN, xs: np.ndarray, ys: np.ndarray,
-                   perturbation: Tensor3,
+                   perturbation: np.ndarray,
                    path: str = "direct") -> FoolingReport:
     """Label-flip rate and top-k accuracy under one universal perturbation.
 
     `path` selects explicit noise addition ("direct") or the interleaved
-    first-layer attack ("interleaved"). Samples are evaluated in batches
-    of EVAL_BLOCK, which bounds the memory used.
+    first-layer attack ("interleaved"). Samples are forwarded in blocks.
     """
     if len(xs) == 0:
         raise EmptyDataset("evaluation set is empty")
@@ -459,34 +467,20 @@ def fooling_report(model: TinyCNN, xs: np.ndarray, ys: np.ndarray,
     if path not in ("direct", "interleaved"):
         raise ValueError(f"unknown path {path!r}")
     # checked here: the direct sum would broadcast a smaller pattern
-    if perturbation.shape != model.input_shape:
-        raise ShapeMismatch(f"{model.input_shape} vs {perturbation.shape}")
-    noise = perturbation.data
-    k5 = model.num_classes >= 5
-    flips = top1c = top1p = top5c = top5p = 0
-    for start in range(0, len(xs), EVAL_BLOCK):
-        bx, by = xs[start:start + EVAL_BLOCK], ys[start:start + EVAL_BLOCK]
-        clean_logits, _ = forward(model, bx)
-        if path == "direct":
-            pert_logits, _ = forward(model, bx + noise)
-        else:
-            pert_logits, _ = forward(model, bx, noise)
-        pc, pp = clean_logits.argmax(axis=1), pert_logits.argmax(axis=1)
-        flips += int((pc != pp).sum())
-        top1c += int((pc == by).sum())
-        top1p += int((pp == by).sum())
-        if k5:
-            top5c += _in_top5(clean_logits, by)
-            top5p += _in_top5(pert_logits, by)
-    n = len(xs)
+    noise = np.asarray(perturbation)
+    if noise.shape != model.input_shape:
+        raise ShapeMismatch(f"{model.input_shape} vs {noise.shape}")
+    clean = _block_logits(model, xs)
+    perturbed = _block_logits(model, xs, noise, path)
+    pc, pp = clean.argmax(axis=1), perturbed.argmax(axis=1)
+    n, k5 = len(xs), model.num_classes >= 5
     return FoolingReport(
-        fooling_rate=flips / n,
-        top1_clean=top1c / n,
-        top1_perturbed=top1p / n,
-        top5_clean=top5c / n if k5 else None,
-        top5_perturbed=top5p / n if k5 else None,
-        n_samples=n,
-    )
+        fooling_rate=int((pc != pp).sum()) / n,
+        top1_clean=int((pc == ys).sum()) / n,
+        top1_perturbed=int((pp == ys).sum()) / n,
+        top5_clean=_in_top5(clean, ys) / n if k5 else None,
+        top5_perturbed=_in_top5(perturbed, ys) / n if k5 else None,
+        n_samples=n)
 
 
 def _in_top5(logits: np.ndarray, labels: np.ndarray) -> int:
@@ -544,19 +538,17 @@ def make_corpus(n: int, seed: int, shape: tuple[int, int, int] = (1, 8, 8),
 
 def save_model(model: TinyCNN, path) -> None:
     c, h, w = model.input_shape
-    meta = Tensor3(np.array([c, h, w, model.num_classes],
-                            dtype=np.int64).reshape(1, 1, 4))
     cw = model.conv1.weights
     o, i, kh, kw = cw.shape
+    blocks = (np.array([c, h, w, model.num_classes]).reshape(1, 1, 4),
+              cw.reshape(o, i * kh, kw).astype(np.float64),
+              model.conv1.bias.astype(np.float64).reshape(o, 1, 1),
+              model.fc_w[None, :, :].astype(np.float64),
+              model.fc_b.astype(np.float64).reshape(1, -1, 1))
     with open(path, "wb") as f:
         f.write(TCNN_MAGIC + struct.pack("<I", TCNN_VERSION))
-        write_t3b_stream(meta, f)
-        write_t3b_stream(Tensor3(cw.reshape(o, i * kh, kw).astype(np.float64)), f)
-        write_t3b_stream(Tensor3(model.conv1.bias.astype(np.float64)
-                                 .reshape(o, 1, 1)), f)
-        write_t3b_stream(Tensor3(model.fc_w[None, :, :].astype(np.float64)), f)
-        write_t3b_stream(Tensor3(model.fc_b.astype(np.float64)
-                                 .reshape(1, -1, 1)), f)
+        for block in blocks:
+            write_t3b_stream(block, f)
 
 
 def load_model(path) -> TinyCNN:
@@ -564,14 +556,15 @@ def load_model(path) -> TinyCNN:
         head = f.read(8)
         if head != TCNN_MAGIC + struct.pack("<I", TCNN_VERSION):
             raise FormatError(f"bad checkpoint magic or version {head!r}")
-        meta = read_t3b_stream(f).data.ravel()
+        meta = np.asarray(read_t3b_stream(f)).ravel()
         if meta.dtype.kind not in "iu" or meta.shape != (4,) or (meta < 1).any():
             # on one line, however long the block: an error is one line
             values = np.array2string(meta, threshold=8, max_line_width=sys.maxsize)
             raise FormatError(f"meta block must be 4 positive integers, "
                               f"got {meta.dtype} {values}")
         c, h, w, num_classes = (int(v) for v in meta)
-        conv_w, conv_b, fc_w, fc_b = (read_t3b_stream(f).data for _ in range(4))
+        conv_w, conv_b, fc_w, fc_b = (np.asarray(read_t3b_stream(f))
+                                      for _ in range(4))
         if f.read(1):
             raise FormatError("trailing bytes after checkpoint")
         o, ikh, kw = conv_w.shape

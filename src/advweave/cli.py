@@ -26,9 +26,9 @@ from .adversary import (IMAGENET_FOOLING_RATES, PerturbBudget, TrainConfig,
                         make_corpus, predict, random_noise, save_model, train)
 from .conv import ConvGeometry, FilterBank
 from .errors import EmptyDataset, ShapeMismatch
-from .tensor import QuantSpec, Tensor3, bit_stats, linf_norm, quantize, \
-    read_t3b, write_t3b
-from .weave import attacked_conv, equivalence_report
+from .tensor import QuantSpec, bit_stats, linf_norm, quantize, read_t3b, \
+    write_t3b
+from .weave import attacked_conv_nchw, equivalence_report
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -72,13 +72,13 @@ def random_instance(rng: np.random.Generator, max_dim: int = 16,
     sv = int(rng.integers(1, 3))
     sh = int(rng.integers(1, 3))
     if float_mode:
-        image = Tensor3(rng.uniform(-1, 1, (c, h, w)))
-        noise = Tensor3(rng.uniform(-1, 1, (c, h, w)))
+        image = rng.uniform(-1, 1, (c, h, w))
+        noise = rng.uniform(-1, 1, (c, h, w))
         weights = rng.uniform(-1, 1, (out_ch, c, kh, kw))
         bias = rng.uniform(-1, 1, out_ch)
     else:
-        image = Tensor3(rng.integers(-128, 128, (c, h, w)))
-        noise = Tensor3(rng.integers(-16, 17, (c, h, w)))
+        image = rng.integers(-128, 128, (c, h, w))
+        noise = rng.integers(-16, 17, (c, h, w))
         weights = rng.integers(-8, 9, (out_ch, c, kh, kw))
         bias = rng.integers(-8, 9, out_ch)
     return image, noise, FilterBank(weights, bias), ConvGeometry(sv, sh)
@@ -102,9 +102,10 @@ def cmd_verify_equivalence(args) -> int:
             attacked = None
             if args.sabotage:
                 # raise noise row 0 (woven row 1) off its true value
-                wrong = noise.data.copy()
+                wrong = noise.copy()
                 wrong[:, 0, :] += 1
-                attacked = attacked_conv(image, Tensor3(wrong), filters, geom)
+                attacked = attacked_conv_nchw(image[None], wrong, filters,
+                                              geom)[0]
             rep = equivalence_report(image, noise, filters, geom,
                                      attacked_output=attacked)
             failures += not rep.exact
@@ -136,15 +137,16 @@ def cmd_simulate(args) -> int:
         "config": args.config, "zero_skip": args.zero_skip,
         "noise": args.noise, "filters": args.filters})
     noise = read_t3b(args.noise)
-    filters_t = read_t3b(args.filters)
+    filters_t = np.asarray(read_t3b(args.filters))
+    o_i, kh, kw = filters_t.shape
     lines = []
     for p in paths:
-        image = read_t3b(p)
-        o_i, kh, kw = filters_t.shape
-        if o_i % image.channels:
+        image = np.asarray(read_t3b(p))
+        c = image.shape[0]
+        if o_i % c:
             raise ShapeMismatch(f"filter tensor channels {o_i} not divisible "
-                                f"by image channels {image.channels}")
-        w = filters_t.data.reshape(o_i // image.channels, image.channels, kh, kw)
+                                f"by image channels {c}")
+        w = filters_t.reshape(o_i // c, c, kh, kw)
         filters = FilterBank(w, np.zeros(w.shape[0], dtype=w.dtype))
         cmp = compare_attack_footprint(image, noise, filters, ConvGeometry(), cfg)
         lines.append({"image": p.name, "payload": {

@@ -1,27 +1,23 @@
-"""Reference convolution, activation, pooling, and dense layers.
+"""Reference convolution, activation, pooling, and dense layers, on plain
+arrays: conv2d_nchw, relu, _pool_windows (2x2 max pooling that also returns
+the mask backprop needs) and dense. _check_batch checks an (N, C, H, W)
+batch against a FilterBank, _check_image one (C, H, W) image.
 
-The layers are conv2d / conv2d_nchw, relu, maxpool2_argmax (2x2 max
-pooling that also returns the mask backprop needs) and dense; relu,
-pooling and dense act on plain arrays.
-
-conv2d is a cross-correlation (no kernel flip), the deep-learning
-convention; every equivalence oracle in this repo uses the same
-convention on both sides. One private kernel, _conv_blocks, computes every
-convolution on plain arrays, one block of output rows at a time: it yields
-each block's raw GEMM product in the compute dtype, with no cast and no
-bias. _conv is its ordinary consumer: it assigns each block into the
-result, then adds the bias once. conv2d_nchw checks a batch against a
-FilterBank (_check_batch) and calls _conv, conv2d is its N=1 wrapper on a
-Tensor3, and the attacked convolution and the model's input gradient call
-_conv directly. weave.equivalence_report consumes two streams of blocks
-itself, so no full output exists. The model's forward and dW GEMMs take
-_conv's operands from its window-major columns instead (see adversary).
+conv2d_nchw is a cross-correlation (no kernel flip), the deep-learning
+convention; every equivalence oracle in this repo uses it on both sides.
+One private kernel, _conv_blocks, computes every convolution, one block of
+output rows at a time: it yields each block's raw GEMM product in the
+compute dtype, with no cast and no bias. _conv assigns each block into the
+result, then adds the bias once; conv2d_nchw, the attacked convolution and
+the model's input gradient call it. weave.equivalence_report consumes two
+streams of blocks itself, so no full output exists. The model's forward
+and dW GEMMs take _conv's operands from its window-major columns instead.
 
 Pooling has one rule, _pool_windows, on a window-major array: its last
 axis holds the four values of one 2x2 window in row-major order (q00, q01,
 q10, q11). It pools max(max(q00, q01), max(q10, q11)) and marks each
-window's first maximum. maxpool2_argmax copies its input into that layout;
-the model's first layer computes its output in it.
+window's first maximum. The model's first layer computes its output in
+that layout.
 
 Integer inputs give a bit-exact int64 result on one of three routes. A
 layer of at least BLAS_MIN_MACS MACs runs on BLAS in float32 when
@@ -41,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadGeometry, ShapeMismatch
-from .tensor import Tensor3
 
 
 @dataclass(frozen=True)
@@ -164,10 +159,8 @@ def _exact_float_dtype(x: np.ndarray,
 
 def conv2d_nchw(x: np.ndarray, filters: FilterBank,
                 geom: ConvGeometry = ConvGeometry()) -> np.ndarray:
-    """Batched conv2d: (N, C, H, W) input -> (N, out_channels, oh, ow), plus bias.
-
-    Checks the input against the filters, then runs _conv.
-    """
+    """Convolution of an (N, C, H, W) batch -> (N, out_channels, oh, ow),
+    plus bias: _check_batch, then _conv."""
     _check_batch(x, filters)
     return _conv(x, filters.weights, filters.bias, geom)
 
@@ -180,6 +173,14 @@ def _check_batch(x: np.ndarray, filters: FilterBank) -> None:
     if x.shape[1] != filters.in_channels:
         raise ShapeMismatch(f"input has {x.shape[1]} channels, filters "
                             f"expect {filters.in_channels}")
+
+
+def _check_image(x) -> np.ndarray:
+    """x, an array or Tensor3, as an array checked to be one (C, H, W) image."""
+    x = np.asarray(x)
+    if x.ndim != 3:
+        raise ShapeMismatch(f"image needs 3 dims (C, H, W), got {x.ndim}")
+    return x
 
 
 def _result_dtype(x: np.ndarray, weights: np.ndarray) -> type:
@@ -259,32 +260,9 @@ def _conv_blocks(x: np.ndarray, weights: np.ndarray, geom: ConvGeometry):
                          .reshape(k, n * r * ow)).reshape(o, n, r, ow)
 
 
-def conv2d(input: Tensor3, filters: FilterBank, geom: ConvGeometry = ConvGeometry()) -> Tensor3:
-    """Sliding dot product of each filter over the input, plus bias."""
-    return Tensor3._adopt(conv2d_nchw(input.data[None], filters, geom)[0])
-
-
 def relu(x: np.ndarray) -> np.ndarray:
     """max(x, 0) elementwise, for an array of any shape."""
     return np.maximum(x, 0)
-
-
-def maxpool2_argmax(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """2x2 max pooling with stride 2 over the last two axes of `a`.
-
-    Returns the pooled array and a boolean mask of `a`'s shape that marks
-    where each window's maximum sits (the first in row-major order on
-    ties); backprop routes the pooled gradient through that mask. Copies
-    `a` into the window-major layout and applies _pool_windows.
-    """
-    *lead, h, w = a.shape
-    if h % 2 or w % 2:
-        raise BadGeometry(f"maxpool2 needs even dims, got {h}x{w}")
-    # (..., y, dy, x, dx) -> (..., y, x, dy, dx): each window's four values
-    # side by side
-    z = a.reshape(*lead, h // 2, 2, w // 2, 2).swapaxes(-3, -2)
-    pooled, mask = _pool_windows(z.reshape(*lead, h // 2, w // 2, 4))
-    return pooled, mask.reshape(z.shape).swapaxes(-3, -2).reshape(a.shape)
 
 
 def _pool_windows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -292,8 +270,8 @@ def _pool_windows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     window, in row-major order (q00, q01, q10, q11).
 
     Returns the pooled array z.shape[:-1] and a boolean mask of z's shape
-    that marks each window's first maximum. The pooling rule of
-    maxpool2_argmax and of the model's first layer.
+    that marks each window's first maximum. The pooling rule of the
+    model's first layer.
     """
     q = z.reshape(-1, 4)  # two axes iterate faster than many
     # max(max(q00, q01), max(q10, q11)): which zero np.maximum returns when

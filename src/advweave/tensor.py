@@ -1,8 +1,10 @@
-"""Channel-major 3D tensors, quantization, norms, bit statistics, T3B files.
+"""Quantization, norms, bit statistics and T3B files of (C, H, W) arrays.
+Tensor3 is only a T3B file's record: what read_t3b returns, and the check
+every array passes on its way into write_t3b.
 
-exact_result_type is the one dtype rule for combining an image with
-noise: integer operands must stay integer, on the direct (Tensor3 +) and
-the woven path alike.
+exact_result_type is the one rule for combining images with noise: their
+(C, H, W) shapes must match and integer operands must stay integer, on
+the direct (image + noise) and the woven path alike.
 
 The layout is channel-major, row-major: element (c, y, x) lives at flat
 index c*H*W + y*W + x, so a single row (c, y, :) is contiguous. Rows are
@@ -27,12 +29,15 @@ _DTYPE_TAGS = {0: np.dtype("<f8"), 1: np.dtype("<i4")}
 
 
 def exact_result_type(a: np.ndarray, b: np.ndarray) -> np.dtype:
-    """The dtype that combining `a` and `b` gives.
+    """The dtype that combining images `a` with noise `b` gives.
 
-    Raises TypeError where two integer arrays would promote to float
-    (uint64 with a signed type gives float64), which cannot hold both
-    exactly; every path that combines an image with noise uses this rule.
+    Raises ShapeMismatch unless their last three (C, H, W) axes match, and
+    TypeError where two integer arrays would promote to float (uint64 with
+    a signed type gives float64), which cannot hold both exactly; every
+    path that combines an image with noise uses this rule.
     """
+    if b.shape[-3:] != a.shape[-3:]:
+        raise ShapeMismatch(f"{a.shape[-3:]} vs {b.shape[-3:]}")
     dtype = np.result_type(a, b)
     if a.dtype.kind in "iu" and b.dtype.kind in "iu" and dtype.kind not in "iu":
         raise TypeError(f"{a.dtype} and {b.dtype} promote to {dtype}, "
@@ -40,25 +45,16 @@ def exact_result_type(a: np.ndarray, b: np.ndarray) -> np.dtype:
     return dtype
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tensor3:
-    """3D array of shape (channels, height, width), float64 or integer."""
+    """A T3B file's frozen (channels, height, width) array, float or
+    integer. np.asarray(t) is `data` itself: no copy."""
 
     data: np.ndarray
 
     def __post_init__(self):
         # copy before freezing so the caller's array is never mutated
-        self._freeze(np.array(self.data, order="C"))
-
-    @classmethod
-    def _adopt(cls, arr: np.ndarray) -> "Tensor3":
-        """Wrap an array the package has just made and holds no other
-        reference to; it is frozen in place, not copied."""
-        t = object.__new__(cls)
-        t._freeze(np.ascontiguousarray(arr))
-        return t
-
-    def _freeze(self, arr: np.ndarray) -> None:
+        arr = np.array(self.data, order="C")
         if arr.ndim != 3:
             raise ShapeMismatch(f"Tensor3 needs 3 dims, got {arr.ndim}")
         if min(arr.shape) < 1:
@@ -68,35 +64,17 @@ class Tensor3:
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
-    @property
-    def channels(self) -> int:
-        return self.data.shape[0]
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "Tensor3":
+        """The reader's Tensor3 of a valid array it has just made: frozen in
+        place, not copied."""
+        arr.setflags(write=False)
+        t = object.__new__(cls)
+        object.__setattr__(t, "data", arr)
+        return t
 
-    @property
-    def height(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[2]
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.data.shape
-
-    def is_integer(self) -> bool:
-        return self.data.dtype.kind in "iu"
-
-    def __add__(self, other: "Tensor3") -> "Tensor3":
-        if self.shape != other.shape:
-            raise ShapeMismatch(f"{self.shape} vs {other.shape}")
-        exact_result_type(self.data, other.data)
-        return Tensor3._adopt(self.data + other.data)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Tensor3):
-            return NotImplemented
-        return self.shape == other.shape and bool(np.array_equal(self.data, other.data))
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.data, dtype=dtype, copy=copy)
 
 
 @dataclass(frozen=True)
@@ -134,50 +112,48 @@ class BitStats:
     total_nonzero_bits: int
 
 
-def quantize(t: Tensor3, q: QuantSpec) -> Tensor3:
+def quantize(x: np.ndarray, q: QuantSpec) -> np.ndarray:
     """Round value/scale to the nearest integer, ties away from zero."""
-    r = t.data.astype(np.float64) / q.scale
+    r = np.asarray(x, dtype=np.float64) / q.scale
     levels = np.sign(r) * np.floor(np.abs(r) + 0.5)
     lo, hi = levels.min(initial=0), levels.max(initial=0)
     if hi > q.max_level or lo < q.min_level:
         raise OutOfRange(
             f"quantized levels span [{int(lo)}, {int(hi)}], representable "
             f"range is [{q.min_level}, {q.max_level}]")
-    return Tensor3._adopt(levels.astype(np.int64))
+    return levels.astype(np.int64)
 
 
-def linf_norm(t: Tensor3) -> float:
-    return float(np.max(np.abs(t.data)))
+def linf_norm(x: np.ndarray) -> float:
+    # initial=0: an array with a zero-length axis has norm 0
+    return float(np.max(np.abs(x), initial=0.0))
 
 
-def bit_stats(t: Tensor3) -> BitStats:
-    if not t.is_integer():
-        raise TypeError("bit_stats requires an integer tensor")
-    x = t.data.ravel()
+def bit_stats(x: np.ndarray) -> BitStats:
+    x = np.ravel(x)
+    if x.dtype.kind not in "iu":
+        raise TypeError("bit_stats requires an integer array")
     # uint64 holds |int64 min|; negating a uint64 wraps to the magnitude
     mags = x.astype(np.uint64)
     np.negative(mags, out=mags, where=x < 0)
     nonzero = int(np.count_nonzero(mags))
     max_bits = int(mags.max()).bit_length() if nonzero else 0
     total_bits = int(np.bitwise_count(mags).sum())
-    return BitStats(
-        total_elements=mags.size,
-        nonzero_elements=nonzero,
-        max_magnitude_bits=max_bits,
-        total_nonzero_bits=total_bits,
-    )
+    return BitStats(total_elements=mags.size, nonzero_elements=nonzero,
+                    max_magnitude_bits=max_bits, total_nonzero_bits=total_bits)
 
 
-def write_t3b_stream(t: Tensor3, f) -> None:
-    """T3B framing: magic "T3B1", u32le C/H/W, u8 dtype tag (0=f64, 1=i32), raw data."""
-    if t.is_integer():
-        tag, arr = 1, t.data.astype("<i4")
-        if not np.array_equal(arr, t.data):
+def write_t3b_stream(t: np.ndarray | Tensor3, f) -> None:
+    """T3B framing of a (C, H, W) array, checked as a Tensor3: magic "T3B1",
+    u32le C/H/W, u8 dtype tag (0=f64, 1=i32), raw data."""
+    x = (t if isinstance(t, Tensor3) else Tensor3(t)).data  # checks arrays once
+    if x.dtype.kind in "iu":
+        tag, arr = 1, x.astype("<i4")
+        if not np.array_equal(arr, x):
             raise OutOfRange("integer tensor does not fit in i32")
     else:
-        tag, arr = 0, t.data.astype("<f8")
-    f.write(T3B_MAGIC)
-    f.write(struct.pack("<IIIB", t.channels, t.height, t.width, tag))
+        tag, arr = 0, x.astype("<f8")
+    f.write(T3B_MAGIC + struct.pack("<IIIB", *x.shape, tag))
     f.write(arr.tobytes())
 
 
@@ -216,7 +192,7 @@ def read_t3b_stream(f) -> Tensor3:
     return Tensor3._adopt(arr.astype(np.int64 if tag == 1 else np.float64))
 
 
-def write_t3b(t: Tensor3, path) -> None:
+def write_t3b(t: np.ndarray | Tensor3, path) -> None:
     with open(path, "wb") as f:
         write_t3b_stream(t, f)
 

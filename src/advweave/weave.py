@@ -23,10 +23,9 @@ from functools import cache
 
 import numpy as np
 
-from .conv import (ConvGeometry, FilterBank, _check_batch, _conv,
-                   _conv_blocks, _result_dtype)
-from .errors import ShapeMismatch
-from .tensor import Tensor3, exact_result_type
+from .conv import (ConvGeometry, FilterBank, _check_batch, _check_image,
+                   _conv, _conv_blocks, _result_dtype)
+from .tensor import exact_result_type
 
 
 @dataclass(frozen=True)
@@ -36,24 +35,16 @@ class EquivalenceReport:
 
 
 def weave_rows(images: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """Array form of interleave_rows over the last three (C, H, W) axes.
+    """Woven row 2r is image row r, woven row 2r+1 is noise row r, per channel.
 
     `images` may carry a leading batch axis, over which `noise` broadcasts:
     one pattern for every image, or one pattern per image.
     """
-    if noise.shape[-3:] != images.shape[-3:]:
-        raise ShapeMismatch(f"{images.shape[-3:]} vs {noise.shape[-3:]}")
     *lead, h, w = images.shape
-    woven = np.empty((*lead, 2 * h, w),
-                     dtype=exact_result_type(images, noise))
+    woven = np.empty((*lead, 2 * h, w), dtype=exact_result_type(images, noise))
     woven[..., 0::2, :] = images
     woven[..., 1::2, :] = noise
     return woven
-
-
-def interleave_rows(image: Tensor3, noise: Tensor3) -> Tensor3:
-    """Woven row 2r is image row r, woven row 2r+1 is noise row r, per channel."""
-    return Tensor3._adopt(weave_rows(image.data, noise.data))
 
 
 def duplicate_filter_rows(f: FilterBank) -> FilterBank:
@@ -72,7 +63,8 @@ def attacked_geometry(g: ConvGeometry) -> ConvGeometry:
 def attacked_conv_nchw(images: np.ndarray, noise: np.ndarray,
                        filters: FilterBank,
                        geom: ConvGeometry = ConvGeometry()) -> np.ndarray:
-    """Batched attacked_conv: (N, C, H, W) images, noise as in weave_rows.
+    """Convolution over the woven (N, C, H, W) images, noise as in
+    weave_rows; equals conv2d_nchw(images + noise, filters, geom).
 
     The woven batch gets conv2d_nchw's checks, then runs _conv on the
     duplicated filter rows as a plain array: no FilterBank is built.
@@ -83,23 +75,15 @@ def attacked_conv_nchw(images: np.ndarray, noise: np.ndarray,
                  attacked_geometry(geom))
 
 
-def attacked_conv(image: Tensor3, noise: Tensor3, filters: FilterBank,
-                  geom: ConvGeometry = ConvGeometry()) -> Tensor3:
-    """Convolution over the woven input; equals conv2d(image + noise, ...)."""
-    return Tensor3._adopt(attacked_conv_nchw(image.data[None], noise.data,
-                                             filters, geom)[0])
+def equivalence_report(image: np.ndarray, noise: np.ndarray,
+                       filters: FilterBank, geom: ConvGeometry = ConvGeometry(),
+                       attacked_output: np.ndarray | None = None) -> EquivalenceReport:
+    """Compare the attacked path against convolving the noise-added image,
+    both (C, H, W). `attacked_output` overrides the attacked-path result
+    (used by negative controls that deliberately corrupt the woven tensor).
 
-
-def equivalence_report(image: Tensor3, noise: Tensor3, filters: FilterBank,
-                       geom: ConvGeometry = ConvGeometry(),
-                       attacked_output: Tensor3 | None = None) -> EquivalenceReport:
-    """Compare the attacked path against convolving the noise-added image.
-
-    `attacked_output` overrides the attacked-path result (used by negative
-    controls that deliberately corrupt the woven tensor).
-
-    The report is that of comparing the full outputs of conv2d(image +
-    noise) and attacked_conv (or `attacked_output`), but neither is built:
+    The report is that of comparing the full direct and attacked outputs
+    (or `attacked_output`), but neither is built:
     the direct and woven block streams of _conv_blocks are walked together
     by output row (_zip_rows), so at most one block of each is alive.
     Integer rows are compared as unbiased products, which are equal iff the
@@ -109,22 +93,25 @@ def equivalence_report(image: Tensor3, noise: Tensor3, filters: FilterBank,
     With `attacked_output`, the direct rows get the cast and bias and are
     compared with its row slices.
     """
-    x = (image + noise).data[None]
+    image, noise = _check_image(image), _check_image(noise)
+    exact_result_type(image, noise)  # the woven path's checks, text and all
+    x = (image + noise)[None]
     _check_batch(x, filters)
-    oh, ow = geom.out_shape(image.height, image.width, filters.kernel_h,
+    oh, ow = geom.out_shape(*image.shape[1:], filters.kernel_h,
                             filters.kernel_w)
     dtype = _result_dtype(x, filters.weights)
     direct = _conv_blocks(x, filters.weights, geom)
     del x  # the stream's copy in its compute dtype replaces it
     raw = attacked_output is None  # both sides are unbiased products
     if raw:
-        woven = _woven_blocks(image.data, noise.data, filters.weights, geom)
+        woven = _woven_blocks(image, noise, filters.weights, geom)
         integer = dtype is np.int64
-    elif attacked_output.shape != (filters.out_channels, oh, ow):
+    elif np.shape(attacked_output) != (filters.out_channels, oh, ow):
         return EquivalenceReport(max_abs_diff=float("inf"), exact=False)
     else:
-        woven = iter([(0, oh, attacked_output.data[:, None])])
-        integer = dtype is np.int64 and attacked_output.is_integer()
+        attacked_output = np.asarray(attacked_output)
+        woven = iter([(0, oh, attacked_output[:, None])])
+        integer = dtype is np.int64 and attacked_output.dtype.kind in "iu"
     bias = filters.bias.astype(dtype, copy=False)[:, None, None, None]
     diffs, refs = [], []
 
@@ -158,7 +145,7 @@ def equivalence_report(image: Tensor3, noise: Tensor3, filters: FilterBank,
 
 def _woven_blocks(image: np.ndarray, noise: np.ndarray, weights: np.ndarray,
                   geom: ConvGeometry):
-    """The _conv_blocks stream of attacked_conv on one image. The woven
+    """The _conv_blocks stream of attacked_conv_nchw on one image. The woven
     input is built only once the stream starts, so it does not sit beside
     the direct stream's first block."""
     yield from _conv_blocks(weave_rows(image, noise)[None],

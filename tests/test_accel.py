@@ -4,13 +4,20 @@ import numpy as np
 import pytest
 
 from advweave.accel import (SystolicConfig, compare_attack_footprint,
-                            count_macs, layout_rows, preset_config,
-                            stream_rows)
+                            count_macs, layout_rows, preset_config)
 from advweave.conv import ConvGeometry, FilterBank
 from advweave.errors import BadGeometry, ShapeMismatch
-from advweave.tensor import Tensor3
-from advweave.weave import interleave_rows
+from advweave.weave import weave_rows
 from test_weave import rand_attack_instance
+
+
+def replay(mem, image, noise=None):
+    """The laid-out rows read back from their sources in address order, as
+    the accelerator's global buffer sees them, as a (C, rows, W) array."""
+    sources, h = {"image": image, "noise": noise}, image.shape[1]
+    rows = [sources[d.source][d.index // h, d.index % h]
+            for d in sorted(mem.rows, key=lambda d: d.address)]
+    return np.stack(rows).reshape(image.shape[0], -1, image.shape[2])
 
 
 def naive_skip_count(x, w, sv, sh, pad_h=0, pad_w=0):
@@ -56,18 +63,18 @@ def sparse_instance(rng, density=0.5):
     o = int(rng.integers(1, 4))
     x = rng.integers(-5, 6, (c, h, w)) * (rng.random((c, h, w)) < density)
     wt = rng.integers(-3, 4, (o, c, kh, kw)) * (rng.random((o, c, kh, kw)) < density)
-    return Tensor3(x), FilterBank(wt, np.zeros(o, dtype=np.int64))
+    return x, FilterBank(wt, np.zeros(o, dtype=np.int64))
 
 
 class TestLayoutRows:
     def test_regular_layout(self):
-        img = Tensor3(np.zeros((1, 2, 3)))
+        img = np.zeros((1, 2, 3))
         mem = layout_rows(img, base=0x1000, row_stride=64)
         assert [(d.source, d.index, d.address) for d in mem.rows] == [
             ("image", 0, 0x1000), ("image", 1, 0x1040)]
 
     def test_attacked_layout_alternates(self):
-        img = Tensor3(np.zeros((1, 2, 3)))
+        img = np.zeros((1, 2, 3))
         mem = layout_rows(img, img, base=0, row_stride=32)
         assert [(d.source, d.index) for d in mem.rows] == [
             ("image", 0), ("noise", 0), ("image", 1), ("noise", 1)]
@@ -75,32 +82,31 @@ class TestLayoutRows:
         assert addrs == [0, 32, 64, 96]
 
     def test_addresses_strictly_increasing(self):
-        img = Tensor3(np.zeros((2, 3, 4)))
+        img = np.zeros((2, 3, 4))
         mem = layout_rows(img, img)
         addrs = [d.address for d in mem.rows]
         assert all(b - a == mem.row_stride for a, b in zip(addrs, addrs[1:]))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            layout_rows(Tensor3(np.zeros((1, 2, 2))),
-                        Tensor3(np.zeros((1, 3, 2))))
+            layout_rows(np.zeros((1, 2, 2)), np.zeros((1, 3, 2)))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_streaming_reconstructs_woven(self, seed):
         rng = np.random.default_rng(seed)
         img, noi, _, _ = rand_attack_instance(rng, max_dim=8)
         mem = layout_rows(img, noi)
-        assert stream_rows(mem, img, noi) == interleave_rows(img, noi)
+        assert np.array_equal(replay(mem, img, noi), weave_rows(img, noi))
 
     def test_streaming_regular_reconstructs_image(self):
         rng = np.random.default_rng(1)
-        img = Tensor3(rng.integers(0, 9, (2, 3, 4)))
-        assert stream_rows(layout_rows(img), img) == img
+        img = rng.integers(0, 9, (2, 3, 4))
+        assert np.array_equal(replay(layout_rows(img), img), img)
 
 
 class TestCountMacs:
     def test_dense_closed_form(self):
-        x = Tensor3(np.ones((1, 4, 4), dtype=np.int64))
+        x = np.ones((1, 4, 4), dtype=np.int64)
         f = FilterBank(np.ones((1, 1, 2, 2), dtype=np.int64), np.zeros(1, dtype=np.int64))
         rep = count_macs(x, f, ConvGeometry(), SystolicConfig(8, 8, True))
         assert rep.mac_issued == 3 * 3 * 1 * 1 * 2 * 2 == 36
@@ -108,7 +114,7 @@ class TestCountMacs:
         assert rep.mac_executed == 36
 
     def test_all_zero_input_skips_everything(self):
-        x = Tensor3(np.zeros((1, 4, 4), dtype=np.int64))
+        x = np.zeros((1, 4, 4), dtype=np.int64)
         f = FilterBank(np.ones((1, 1, 2, 2), dtype=np.int64), np.zeros(1, dtype=np.int64))
         rep = count_macs(x, f, ConvGeometry(), SystolicConfig(8, 8, True))
         assert rep.mac_executed == 0
@@ -116,7 +122,7 @@ class TestCountMacs:
         assert rep.cycles == 0
 
     def test_zero_skip_off_executes_all(self):
-        x = Tensor3(np.zeros((1, 4, 4), dtype=np.int64))
+        x = np.zeros((1, 4, 4), dtype=np.int64)
         f = FilterBank(np.ones((1, 1, 2, 2), dtype=np.int64), np.zeros(1, dtype=np.int64))
         rep = count_macs(x, f, ConvGeometry(), SystolicConfig(8, 8, False))
         assert rep.mac_executed == rep.mac_issued == 36
@@ -132,12 +138,11 @@ class TestCountMacs:
                       int(rng.integers(0, f.kernel_w + 1)))
         elif seed >= 25:
             # strides that leave the last input rows and columns in no window
-            sv = next(s for s in range(2, 9) if (x.height - f.kernel_h) % s)
-            sh = next(s for s in range(2, 9) if (x.width - f.kernel_w) % s)
+            sv = next(s for s in range(2, 9) if (x.shape[1] - f.kernel_h) % s)
+            sh = next(s for s in range(2, 9) if (x.shape[2] - f.kernel_w) % s)
         rep = count_macs(x, f, ConvGeometry(sv, sh, ph, pw),
                          SystolicConfig(4, 4, True))
-        assert rep.mac_skipped == naive_skip_count(x.data, f.weights, sv, sh,
-                                                   ph, pw)
+        assert rep.mac_skipped == naive_skip_count(x, f.weights, sv, sh, ph, pw)
         assert rep.mac_executed == rep.mac_issued - rep.mac_skipped
 
     def test_footprint_layer_matches_separable_oracle(self):
@@ -149,13 +154,13 @@ class TestCountMacs:
         image[:, 40:130, 10:100] = 0
         noise = rng.integers(-12, 13, (3, 224, 224)) \
             * (rng.random((3, 224, 224)) < 0.1)
-        x = interleave_rows(Tensor3(image), Tensor3(noise))
+        x = weave_rows(image, noise)
         w = np.repeat(rng.integers(-127, 128, (64, 3, 7, 7))
                       * (rng.random((64, 3, 7, 7)) >= 0.3), 2, axis=2)
         rep = count_macs(x, FilterBank(w, np.zeros(64, dtype=np.int64)),
                          ConvGeometry(4, 2), preset_config("tpu"))
         assert 0 < rep.mac_executed < rep.mac_issued
-        assert rep.mac_executed == separable_executed(x.data, w, 4, 2)
+        assert rep.mac_executed == separable_executed(x, w, 4, 2)
 
     def test_padded_ragged_layer_matches_separable_oracle(self):
         # padding on both axes and strides that leave the last rows and
@@ -166,7 +171,7 @@ class TestCountMacs:
         geom = ConvGeometry(3, 4, 2, 3)
         assert (62 + 4 - 5) % 3 and (53 + 6 - 4) % 4
         f = FilterBank(w, np.zeros(5, dtype=np.int64))
-        rep = count_macs(Tensor3(x), f, geom, SystolicConfig(8, 8, True))
+        rep = count_macs(x, f, geom, SystolicConfig(8, 8, True))
         assert rep.mac_executed == separable_executed(x, w, 3, 4, 2, 3)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -179,13 +184,13 @@ class TestCountMacs:
         assert 0.0 <= rep.array_utilization <= 1.0
 
     def test_bad_geometry(self):
-        x = Tensor3(np.zeros((1, 2, 2), dtype=np.int64))
+        x = np.zeros((1, 2, 2), dtype=np.int64)
         f = FilterBank(np.zeros((1, 1, 3, 3), dtype=np.int64), np.zeros(1, dtype=np.int64))
         with pytest.raises(BadGeometry):
             count_macs(x, f, ConvGeometry(), SystolicConfig(2, 2))
 
     def test_report_json_field_names(self):
-        x = Tensor3(np.ones((1, 2, 2), dtype=np.int64))
+        x = np.ones((1, 2, 2), dtype=np.int64)
         f = FilterBank(np.ones((1, 1, 1, 1), dtype=np.int64), np.zeros(1, dtype=np.int64))
         d = count_macs(x, f, ConvGeometry(), SystolicConfig(2, 2)).to_dict()
         assert set(d) == {"mac_issued", "mac_skipped", "mac_executed",
@@ -218,7 +223,7 @@ class TestFootprint:
     def test_zero_noise_adds_nothing_with_zero_skip(self):
         rng = np.random.default_rng(7)
         img, _, f, g = rand_attack_instance(rng, max_dim=8)
-        zero = Tensor3(np.zeros(img.shape, dtype=np.int64))
+        zero = np.zeros(img.shape, dtype=np.int64)
         cmp = compare_attack_footprint(img, zero, f, g, SystolicConfig(8, 8, True))
         assert cmp.attacked.mac_executed == cmp.clean.mac_executed
 
@@ -227,7 +232,7 @@ class TestFootprint:
         # attacked executed == clean executed + noise-only executed, exactly
         rng = np.random.default_rng(seed + 200)
         img, noi, f, g = rand_attack_instance(rng, max_dim=10)
-        sparse_noi = Tensor3(noi.data * (rng.random(noi.shape) < 0.4))
+        sparse_noi = noi * (rng.random(noi.shape) < 0.4)
         cmp = compare_attack_footprint(img, sparse_noi, f, g,
                                        SystolicConfig(8, 8, True))
         assert cmp.attacked.mac_executed == \
@@ -240,11 +245,11 @@ class TestFootprint:
         rng = np.random.default_rng(seed + 300)
         img, noi, f, g = rand_attack_instance(rng, max_dim=8)
         sparse = [a * (rng.random(a.shape) < 0.5)
-                  for a in (img.data, noi.data, f.weights)]
+                  for a in (img, noi, f.weights)]
         pad_w = int(rng.integers(0, f.kernel_w + 1))
         geom = ConvGeometry(g.stride_v, g.stride_h, g.pad_h, pad_w)
         cmp = compare_attack_footprint(
-            Tensor3(sparse[0]), Tensor3(sparse[1]),
+            sparse[0], sparse[1],
             FilterBank(sparse[2], f.bias), geom, SystolicConfig(8, 8, True))
         c, h, w = img.shape
         woven = np.empty((c, 2 * h, w), dtype=np.int64)
@@ -262,8 +267,7 @@ class TestFootprint:
         f = FilterBank(rng.integers(-3, 4, (2, 1, 3, 3)), np.zeros(2, dtype=np.int64))
         counts = []
         for _ in range(20):
-            x = Tensor3(rng.integers(0, 6, (1, 8, 8)) *
-                        (rng.random((1, 8, 8)) < 0.6))
+            x = rng.integers(0, 6, (1, 8, 8)) * (rng.random((1, 8, 8)) < 0.6)
             counts.append(count_macs(x, f, ConvGeometry(),
                                      SystolicConfig(8, 8, True)).mac_executed)
         assert len(set(counts)) > 1

@@ -10,15 +10,15 @@ import numpy as np
 import pytest
 
 from advweave.accel import SystolicConfig, compare_attack_footprint, \
-    layout_rows, stream_rows
+    layout_rows
 from advweave.adversary import (PerturbBudget, TrainConfig, backward,
                                 craft_uap, cross_entropy, fgsm,
                                 fooling_report, forward, init_model,
                                 make_corpus, random_noise, train)
 from advweave.cli import main, random_instance
-from advweave.tensor import QuantSpec, Tensor3, bit_stats, linf_norm, quantize
-from advweave.weave import attacked_conv, interleave_rows
-from advweave.conv import conv2d
+from advweave.tensor import QuantSpec, bit_stats, linf_norm, quantize
+from advweave.weave import attacked_conv_nchw, weave_rows
+from advweave.conv import conv2d_nchw
 
 
 def ok(criterion, detail=""):
@@ -30,16 +30,16 @@ def test_criterion_1_equivalence_theorem():
     t0 = time.time()
     for _ in range(1000):
         image, noise, filters, geom = random_instance(rng, max_dim=16)
-        got = attacked_conv(image, noise, filters, geom)
-        want = conv2d(image + noise, filters, geom)
-        assert got == want, "integer instance not bit-exact"
+        got = attacked_conv_nchw(image[None], noise, filters, geom)
+        want = conv2d_nchw((image + noise)[None], filters, geom)
+        assert np.array_equal(got, want), "integer instance not bit-exact"
     elapsed = time.time() - t0
     assert elapsed < 10.0, f"1000 integer trials took {elapsed:.1f}s"
     for _ in range(100):
         image, noise, filters, geom = random_instance(rng, max_dim=16,
                                                       float_mode=True)
-        got = attacked_conv(image, noise, filters, geom).data
-        want = conv2d(image + noise, filters, geom).data
+        got = attacked_conv_nchw(image[None], noise, filters, geom)
+        want = conv2d_nchw((image + noise)[None], filters, geom)
         ref = max(float(np.abs(want).max()), 1e-300)
         assert np.abs(got - want).max() <= 1e-9 * ref
     ok(1, f"(1000 integer trials bit-exact in {elapsed:.2f}s; "
@@ -61,7 +61,7 @@ def test_criterion_3_mac_decomposition_zero_skip_on():
     cfg = SystolicConfig(8, 8, zero_skip=True)
     for _ in range(100):
         image, noise, filters, geom = random_instance(rng, max_dim=12)
-        sparse = Tensor3(noise.data * (rng.random(noise.shape) < 0.4))
+        sparse = noise * (rng.random(noise.shape) < 0.4)
         cmp = compare_attack_footprint(image, sparse, filters, geom, cfg)
         assert cmp.attacked.mac_executed == \
             cmp.clean.mac_executed + cmp.noise_only.mac_executed
@@ -74,12 +74,12 @@ def test_criterion_4_gradient_check():
     for seed in (3, 11, 42):
         model = init_model(seed)
         rng = np.random.default_rng(seed + 100)
-        x = Tensor3(rng.uniform(0, 1, model.input_shape))
+        x = rng.uniform(0, 1, model.input_shape)
         y = int(rng.integers(model.num_classes))
-        g = backward(model, x.data[None], [y])
+        g = backward(model, x[None], [y])
 
         def loss():
-            return cross_entropy(forward(model, x.data[None])[0][0], y)
+            return cross_entropy(forward(model, x[None])[0][0], y)
 
         def fd_check(arr, grad):
             for idx in np.ndindex(arr.shape):
@@ -97,7 +97,7 @@ def test_criterion_4_gradient_check():
         fd_check(model.conv1.bias, g.conv_b)
         fd_check(model.fc_w, g.fc_w)
         fd_check(model.fc_b, g.fc_b)
-        xd = x.data.copy()
+        xd = x.copy()
         for idx in np.ndindex(xd.shape):
             orig = xd[idx]
             xd[idx] = orig + h
@@ -118,11 +118,11 @@ def test_criterion_5_fgsm_contract():
     rng = np.random.default_rng(1)
     eps = 0.05
     for _ in range(10):
-        x = Tensor3(rng.uniform(0, 1, model.input_shape))
+        x = rng.uniform(0, 1, model.input_shape)
         eta = fgsm(model, x, int(rng.integers(4)), PerturbBudget(epsilon=eps))
-        assert set(np.unique(eta.data)) <= {-eps, 0.0, eps}
-    x = Tensor3(rng.uniform(0, 1, model.input_shape))
-    assert np.all(fgsm(model, x, 0, PerturbBudget(epsilon=0.0)).data == 0)
+        assert set(np.unique(eta)) <= {-eps, 0.0, eps}
+    x = rng.uniform(0, 1, model.input_shape)
+    assert np.all(fgsm(model, x, 0, PerturbBudget(epsilon=0.0)) == 0)
     ok(5, "(components in {-eps, 0, +eps}; eps=0 gives zero perturbation)")
 
 
@@ -155,12 +155,12 @@ def test_criterion_7_4bit_digitization():
     # 8-bit image scale: one integer step = 1/255 of the pixel range
     q = QuantSpec(magnitude_bits=4, signed=True, scale=1.0 / 255.0)
     rng = np.random.default_rng(5)
-    worst = Tensor3(np.full((3, 8, 8), 0.05))  # saturated budget, worst case
-    cases = [worst, Tensor3(-worst.data)]
+    worst = np.full((3, 8, 8), 0.05)  # saturated budget, worst case
+    cases = [worst, -worst]
     for seed in range(20):
         cases.append(random_noise((1, 8, 8), PerturbBudget(epsilon=0.05),
                                   "low", seed))
-    cases.append(Tensor3(rng.uniform(-0.05, 0.05, (3, 16, 16))))
+    cases.append(rng.uniform(-0.05, 0.05, (3, 16, 16)))
     for v in cases:
         assert linf_norm(v) <= 0.05
         stats = bit_stats(quantize(v, q))
@@ -196,11 +196,16 @@ def test_criterion_9_memory_layout_roundtrip():
         c = int(rng.integers(1, 4))
         h = int(rng.integers(2, 17))
         w = int(rng.integers(2, 17))
-        image = Tensor3(rng.integers(-128, 128, (c, h, w)))
-        noise = Tensor3(rng.integers(-16, 17, (c, h, w)))
+        image = rng.integers(-128, 128, (c, h, w))
+        noise = rng.integers(-16, 17, (c, h, w))
         mem = layout_rows(image, noise)
-        assert stream_rows(mem, image, noise) == \
-            interleave_rows(image, noise)
+        # replay the rows in address order, as the accelerator's global
+        # buffer reads them
+        sources = {"image": image, "noise": noise}
+        rows = [sources[d.source][d.index // h, d.index % h]
+                for d in sorted(mem.rows, key=lambda d: d.address)]
+        streamed = np.stack(rows).reshape(c, 2 * h, w)
+        assert np.array_equal(streamed, weave_rows(image, noise))
     ok(9, "(streamed attacked layout reconstructs woven tensor, 100 images)")
 
 

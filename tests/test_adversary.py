@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,12 +14,11 @@ from advweave.adversary import (FoolingReport, PerturbBudget, TinyCNN,
                                 random_noise, save_model, softmax, train)
 from advweave.conv import FilterBank
 from advweave.errors import EmptyDataset, FormatError, ShapeMismatch
-from advweave.tensor import (Tensor3, linf_norm, read_t3b_stream,
-                             write_t3b_stream)
+from advweave.tensor import linf_norm, read_t3b_stream, write_t3b_stream
 
 
 def loss_of(model, x, y):
-    return cross_entropy(forward(model, x.data[None])[0][0], y)
+    return cross_entropy(forward(model, x[None])[0][0], y)
 
 
 def naive_forward(model, x):
@@ -35,7 +35,7 @@ def naive_forward(model, x):
                 for c in range(c_in):
                     for j in range(kh):
                         for k in range(kw):
-                            acc += w[o, c, j, k] * x.data[c, m + j, n + k]
+                            acc += w[o, c, j, k] * x[c, m + j, n + k]
                 z[o, m, n] = acc
     a = np.maximum(z, 0)
     pooled = np.zeros((c_out, oh // 2, ow // 2))
@@ -68,8 +68,8 @@ class TestForward:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_naive_reimplementation(self, seed):
         m = init_model(seed)
-        x = Tensor3(np.random.default_rng(seed + 50).uniform(0, 1, m.input_shape))
-        logits, _ = forward(m, x.data[None])
+        x = np.random.default_rng(seed + 50).uniform(0, 1, m.input_shape)
+        logits, _ = forward(m, x[None])
         assert np.allclose(logits[0], naive_forward(m, x), rtol=1e-10,
                            atol=1e-12)
 
@@ -107,6 +107,31 @@ class TestForward:
             assert cross_entropy(logits, int(rng.integers(4))) >= 0
 
 
+class TestPredict:
+    def test_blocks_bound_memory(self):
+        # predict forwards EVAL_BLOCK samples at a time; one forward of the
+        # whole batch would hold all its window-major columns, about 29 MB
+        # here against 0.6 MB
+        m = init_model(0)
+        xs, _ = make_corpus(5000, seed=0)
+        whole = forward(m, xs)[0].argmax(axis=1)
+        tracemalloc.start()
+        try:
+            labels = predict(m, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(labels, whole)
+        assert peak < xs.nbytes / 2
+
+    def test_empty_batch(self):
+        m = init_model(0)
+        labels = predict(m, np.empty((0, *m.input_shape)))
+        assert labels.shape == (0,) and labels.dtype.kind == "i"
+        with pytest.raises(ShapeMismatch):
+            predict(m, np.empty((0, 2, 8, 8)))
+
+
 class TestBackward:
     def test_empty_batch(self):
         m = init_model(0)
@@ -122,9 +147,9 @@ class TestBackward:
     def test_gradients_match_finite_differences(self, seed):
         m = init_model(seed)
         rng = np.random.default_rng(seed + 100)
-        x = Tensor3(rng.uniform(0, 1, m.input_shape))
+        x = rng.uniform(0, 1, m.input_shape)
         y = int(rng.integers(m.num_classes))
-        g = backward(m, x.data[None], [y])
+        g = backward(m, x[None], [y])
         h = 1e-5
 
         def fd_check(arr, grad):
@@ -143,13 +168,13 @@ class TestBackward:
         fd_check(m.conv1.bias, g.conv_b)
         fd_check(m.fc_w, g.fc_w)
         fd_check(m.fc_b, g.fc_b)
-        xd = x.data.copy()
+        xd = x.copy()
         for idx in np.ndindex(xd.shape):
             orig = xd[idx]
             xd[idx] = orig + h
-            lp = loss_of(m, Tensor3(xd), y)
+            lp = loss_of(m, xd, y)
             xd[idx] = orig - h
-            lm = loss_of(m, Tensor3(xd), y)
+            lm = loss_of(m, xd, y)
             xd[idx] = orig
             fd = (lp - lm) / (2 * h)
             denom = max(abs(fd), abs(g.input[0][idx]), 1e-8)
@@ -157,10 +182,10 @@ class TestBackward:
 
     def test_loss_decreases_when_overfitting_one_sample(self):
         m = init_model(7)
-        x = Tensor3(np.random.default_rng(8).uniform(0, 1, m.input_shape))
+        x = np.random.default_rng(8).uniform(0, 1, m.input_shape)
         losses = [loss_of(m, x, 1)]
         for _ in range(30):
-            m = train(m, x.data[None], np.array([1]), TrainConfig(0.2, 1, 1, 0))
+            m = train(m, x[None], np.array([1]), TrainConfig(0.2, 1, 1, 0))
             losses.append(loss_of(m, x, 1))
         assert losses[-1] < losses[0]
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
@@ -175,6 +200,27 @@ class TestBackward:
         xs, ys = make_corpus(5, seed=0)
         with pytest.raises(ShapeMismatch, match="5 samples"):
             backward(init_model(0), xs, ys[:1])
+
+    @pytest.mark.parametrize("labels", [[1.0], [True], ["1"]],
+                             ids=["float", "bool", "str"])
+    def test_non_integer_labels_rejected_by_dtype(self, labels):
+        # numpy would raise IndexError on indexing with them, naming no dtype
+        m = init_model(0)
+        xs = np.zeros((1, *m.input_shape))
+        dtype = np.asarray(labels).dtype
+        for call in (lambda: backward(m, xs, labels),
+                     lambda: train(m, xs, labels, TrainConfig(0.1, 1, 1, 0)),
+                     lambda: fooling_report(m, xs, labels,
+                                            np.zeros(m.input_shape))):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"labels must be integers, got dtype {dtype}")):
+                call()
+
+    def test_empty_float_labels_rejected(self):
+        # np.asarray([]) is float64; int64 empty labels pass (test_empty_batch)
+        m = init_model(0)
+        with pytest.raises(ValueError, match="got dtype float64"):
+            backward(m, np.empty((0, *m.input_shape)), [])
 
     def test_tied_window_sends_its_gradient_to_the_first_hit(self):
         # all-zero filters and a positive bias tie all four values of every
@@ -306,7 +352,7 @@ class TestTrain:
         with pytest.raises(ValueError, match="out of range"):
             train(init_model(0), xs, ys, TrainConfig(0.1, 1, 4, 0))
         with pytest.raises(ValueError, match="out of range"):
-            fooling_report(init_model(0), xs, ys, Tensor3(np.zeros((1, 8, 8))))
+            fooling_report(init_model(0), xs, ys, np.zeros((1, 8, 8)))
 
     @pytest.mark.parametrize("cut", [lambda ys: ys[:1], lambda ys: ys[:-1],
                                      lambda ys: ys[:, None]],
@@ -317,8 +363,7 @@ class TestTrain:
         with pytest.raises(ShapeMismatch):
             train(init_model(0), xs, cut(ys), TrainConfig(0.1, 1, 4, 0))
         with pytest.raises(ShapeMismatch):
-            fooling_report(init_model(0), xs, cut(ys),
-                           Tensor3(np.zeros((1, 8, 8))))
+            fooling_report(init_model(0), xs, cut(ys), np.zeros((1, 8, 8)))
 
     @pytest.mark.parametrize("lr", [-0.1, np.nan, np.inf])
     def test_learning_rate_must_be_finite_and_nonnegative(self, lr):
@@ -379,16 +424,16 @@ class TestTrain:
 class TestFGSM:
     def test_zero_epsilon(self):
         m = init_model(0)
-        x = Tensor3(np.random.default_rng(1).uniform(0, 1, m.input_shape))
+        x = np.random.default_rng(1).uniform(0, 1, m.input_shape)
         eta = fgsm(m, x, 0, PerturbBudget(epsilon=0.0))
-        assert np.all(eta.data == 0)
+        assert np.all(eta == 0)
 
     def test_sign_values_only(self):
         m = init_model(0)
-        x = Tensor3(np.random.default_rng(2).uniform(0, 1, m.input_shape))
+        x = np.random.default_rng(2).uniform(0, 1, m.input_shape)
         eps = 0.05
         eta = fgsm(m, x, 1, PerturbBudget(epsilon=eps))
-        assert set(np.unique(eta.data)) <= {-eps, 0.0, eps}
+        assert set(np.unique(eta)) <= {-eps, 0.0, eps}
 
     def test_sign_definition(self):
         # components follow sign(grad) exactly: {0.3, -0.2, 0} -> {e, -e, 0}
@@ -420,8 +465,8 @@ class TestRandomNoise:
 
     def test_seed_determinism(self):
         b = PerturbBudget(epsilon=0.05)
-        assert random_noise((1, 4, 4), b, "low", 9) == \
-            random_noise((1, 4, 4), b, "low", 9)
+        assert np.array_equal(random_noise((1, 4, 4), b, "low", 9),
+                              random_noise((1, 4, 4), b, "low", 9))
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
@@ -452,7 +497,7 @@ class TestCraftUAP:
     def test_zero_budget_gives_zero(self, trained):
         m, corpus, _ = trained
         v = craft_uap(m, corpus[0][:20], PerturbBudget(epsilon=0.0))
-        assert np.all(v.data == 0)
+        assert np.all(v == 0)
 
     def test_budget_projection_invariant(self, trained):
         m, corpus, _ = trained
@@ -484,7 +529,7 @@ class TestCraftUAP:
 class TestFoolingReport:
     def test_zero_perturbation(self, trained):
         m, _, held = trained
-        zero = Tensor3(np.zeros(m.input_shape))
+        zero = np.zeros(m.input_shape)
         rep = fooling_report(m, *held, zero)
         assert rep.fooling_rate == 0.0
         assert rep.top1_perturbed == rep.top1_clean
@@ -492,7 +537,7 @@ class TestFoolingReport:
 
     def test_top5_omitted_below_5_classes(self, trained):
         m, _, held = trained
-        rep = fooling_report(m, *held, Tensor3(np.zeros(m.input_shape)))
+        rep = fooling_report(m, *held, np.zeros(m.input_shape))
         assert rep.top5_clean is None and rep.top5_perturbed is None
         assert "top5_clean" not in rep.to_dict()
 
@@ -506,7 +551,7 @@ class TestFoolingReport:
         m, _, _ = trained
         with pytest.raises(EmptyDataset):
             fooling_report(m, np.empty((0, *m.input_shape)), np.empty(0, int),
-                           Tensor3(np.zeros(m.input_shape)))
+                           np.zeros(m.input_shape))
 
     @pytest.mark.parametrize("path", ["direct", "interleaved"])
     def test_universal_pattern_matches_per_sample_reference(self, trained,
@@ -517,7 +562,7 @@ class TestFoolingReport:
         flips = top1c = top1p = 0
         for x, y in zip(xs, ys):
             pc = int(np.argmax(forward(m, x[None])[0][0]))
-            pp = int(np.argmax(forward(m, (x + v.data)[None])[0][0]))
+            pp = int(np.argmax(forward(m, (x + v)[None])[0][0]))
             flips += pc != pp
             top1c += pc == y
             top1p += pp == y
@@ -533,7 +578,7 @@ class TestFoolingReport:
         top5c = top5p = 0
         for x, y in zip(xs, ys):
             top5c += y in np.argsort(forward(m, x[None])[0][0])[-5:]
-            top5p += y in np.argsort(forward(m, (x + v.data)[None])[0][0])[-5:]
+            top5p += y in np.argsort(forward(m, (x + v)[None])[0][0])[-5:]
         rep = fooling_report(m, xs, ys, v)
         assert (rep.top5_clean, rep.top5_perturbed) == (top5c / 100,
                                                         top5p / 100)
@@ -548,7 +593,7 @@ class TestFoolingReport:
 
     def test_noise_shape_mismatch_same_error_on_both_paths(self, trained):
         m, _, held = trained
-        row = Tensor3(np.full((1, 1, 8), 0.01))  # would broadcast if added
+        row = np.full((1, 1, 8), 0.01)  # would broadcast if added
         messages = []
         for path in ("direct", "interleaved"):
             with pytest.raises(ShapeMismatch) as e:
@@ -569,8 +614,8 @@ class TestFoolingReport:
         m, _, held = trained
         v = random_noise(m.input_shape, PerturbBudget(epsilon=0.05), "low", 3)
         for x in held[0][:20]:
-            direct, _ = forward(m, (x + v.data)[None])
-            attacked, _ = forward(m, x[None], v.data)
+            direct, _ = forward(m, (x + v)[None])
+            attacked, _ = forward(m, x[None], v)
             assert np.allclose(direct, attacked, rtol=1e-12, atol=1e-12)
 
 
@@ -642,7 +687,7 @@ class TestCheckpoint:
         with open(path, "wb") as f:
             f.write(head)
             for block in (meta, conv_w, conv_b, fc_w, fc_b):
-                write_t3b_stream(Tensor3(block), f)
+                write_t3b_stream(block, f)
             f.write(tail)
 
     @pytest.mark.parametrize("case", [

@@ -8,8 +8,7 @@ from advweave.adversary import (PerturbBudget, TrainConfig, fooling_report,
                                 init_model, load_model, make_corpus,
                                 random_noise, save_model)
 from advweave.cli import build_parser, main
-from advweave.tensor import (Tensor3, read_t3b_stream, write_t3b,
-                             write_t3b_stream)
+from advweave.tensor import read_t3b_stream, write_t3b, write_t3b_stream
 
 
 def _reject_constant(name):
@@ -37,9 +36,9 @@ def jsonl(text):
 @pytest.fixture
 def sim_files(tmp_path):
     rng = np.random.default_rng(0)
-    image = Tensor3(rng.integers(1, 9, (1, 8, 8)))   # dense: no zeros
-    noise = Tensor3(rng.integers(1, 5, (1, 8, 8)))
-    filt = Tensor3(rng.integers(1, 4, (2, 3, 3)))    # 2 filters, 1 in-channel
+    image = rng.integers(1, 9, (1, 8, 8))   # dense: no zeros
+    noise = rng.integers(1, 5, (1, 8, 8))
+    filt = rng.integers(1, 4, (2, 3, 3))    # 2 filters, 1 in-channel
     paths = {}
     for name, t in [("image", image), ("noise", noise), ("filters", filt)]:
         p = tmp_path / f"{name}.t3b"
@@ -95,7 +94,7 @@ class TestSimulate:
     def test_zero_noise_zero_skip_on(self, capsys, sim_files, tmp_path):
         paths, _ = sim_files
         zp = tmp_path / "zero.t3b"
-        write_t3b(Tensor3(np.zeros((1, 8, 8), dtype=np.int64)), zp)
+        write_t3b(np.zeros((1, 8, 8), dtype=np.int64), zp)
         code, out, _ = run(capsys, "simulate", "--image", paths["image"],
                            "--noise", str(zp), "--filters", paths["filters"],
                            "--zero-skip", "on")
@@ -110,8 +109,7 @@ class TestSimulate:
         corpus.mkdir()
         rng = np.random.default_rng(5)
         for i in range(4):
-            img = Tensor3(rng.integers(0, 9, (1, 8, 8)) *
-                          (rng.random((1, 8, 8)) < 0.7))
+            img = rng.integers(0, 9, (1, 8, 8)) * (rng.random((1, 8, 8)) < 0.7)
             write_t3b(img, corpus / f"img{i}.t3b")
         code, out, _ = run(capsys, "simulate", "--corpus", str(corpus),
                            "--noise", paths["noise"], "--filters",
@@ -220,7 +218,7 @@ class TestTrainCraftEval:
     def test_eval_zero_noise_zero_fooling(self, capsys, trained_ckpt,
                                           tmp_path):
         zp = str(tmp_path / "zero.t3b")
-        write_t3b(Tensor3(np.zeros((1, 8, 8))), zp)
+        write_t3b(np.zeros((1, 8, 8)), zp)
         code, out, _ = run(capsys, "eval", "--model", trained_ckpt,
                            "--noise", zp, "--samples", "60")
         assert code == 0
@@ -265,7 +263,7 @@ class TestTrainCraftEval:
                                                 tmp_path):
         # a (1, 1, 8) pattern would broadcast over an 8x8 image if added
         row = str(tmp_path / "row.t3b")
-        write_t3b(Tensor3(np.full((1, 1, 8), 0.01)), row)
+        write_t3b(np.full((1, 1, 8), 0.01), row)
         errors = []
         for path in ("direct", "interleaved"):
             code, out, err = run(capsys, "eval", "--model", trained_ckpt,
@@ -334,7 +332,7 @@ class TestTrainCraftEval:
             rest = f.read()
         with open(ckpt, "wb") as f:
             f.write(head)
-            write_t3b_stream(Tensor3(np.array(meta).reshape(1, 1, -1)), f)
+            write_t3b_stream(np.array(meta).reshape(1, 1, -1), f)
             f.write(rest)
         code, out, err = run(capsys, "eval", "--model", str(ckpt),
                              "--random", "low")

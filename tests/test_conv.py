@@ -6,12 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advweave import conv
+from advweave.adversary import init_model
 from advweave.conv import (BLAS_MIN_MACS, COLUMN_BYTES, ConvGeometry,
-                           FilterBank, conv2d, conv2d_nchw, dense,
-                           maxpool2_argmax, relu)
+                           FilterBank, conv2d_nchw, dense, relu)
 from advweave.errors import BadGeometry, ShapeMismatch
-from advweave.tensor import Tensor3
 from advweave.weave import attacked_conv_nchw
+
+
+def conv2d(x, f, geom=ConvGeometry()):
+    """conv2d_nchw on one (C, H, W) image."""
+    return conv2d_nchw(x[None], f, geom)[0]
+
+
+def pool2(a):
+    """2x2 max pooling of the last two axes of `a` by conv._pool_windows:
+    `a` copied window-major, the pooled array and the first-maximum mask
+    returned in `a`'s layout."""
+    *lead, h, w = a.shape
+    # (..., y, dy, x, dx) -> (..., y, x, dy, dx): each window's four values
+    # side by side
+    z = a.reshape(*lead, h // 2, 2, w // 2, 2).swapaxes(-3, -2)
+    pooled, mask = conv._pool_windows(z.reshape(*lead, h // 2, w // 2, 4))
+    return pooled, mask.reshape(z.shape).swapaxes(-3, -2).reshape(a.shape)
 
 
 def naive_conv2d(x, w, b, sv=1, sh=1, pad_h=0, pad_w=0):
@@ -84,33 +100,33 @@ def integer_layers(draw):
 
 class TestConv2d:
     def test_identity_filter(self):
-        x = Tensor3(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
+        x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
         f = FilterBank(np.ones((1, 1, 1, 1)), np.zeros(1))
-        assert conv2d(x, f) == x
+        assert np.array_equal(conv2d(x, f), x)
 
     def test_ones_3x3_with_2x2_kernel(self):
-        x = Tensor3(np.ones((1, 3, 3)))
+        x = np.ones((1, 3, 3))
         f = FilterBank(np.ones((1, 1, 2, 2)), np.zeros(1))
         out = conv2d(x, f)
         assert out.shape == (1, 2, 2)
-        assert np.all(out.data == 4)
+        assert np.all(out == 4)
 
     def test_zero_filter_gives_bias(self):
         rng = np.random.default_rng(0)
-        x = Tensor3(rng.uniform(-1, 1, (2, 5, 5)))
+        x = rng.uniform(-1, 1, (2, 5, 5))
         f = FilterBank(np.zeros((3, 2, 2, 2)), np.array([1.5, -2.0, 0.25]))
         out = conv2d(x, f)
         for o, b in enumerate(f.bias):
-            assert np.all(out.data[o] == b)
+            assert np.all(out[o] == b)
 
     def test_channel_mismatch(self):
-        x = Tensor3(np.zeros((2, 4, 4)))
+        x = np.zeros((2, 4, 4))
         f = FilterBank(np.zeros((1, 3, 2, 2)), np.zeros(1))
         with pytest.raises(ShapeMismatch):
             conv2d(x, f)
 
     def test_bad_geometry(self):
-        x = Tensor3(np.zeros((1, 2, 2)))
+        x = np.zeros((1, 2, 2))
         f = FilterBank(np.zeros((1, 1, 3, 3)), np.zeros(1))
         with pytest.raises(BadGeometry):
             conv2d(x, f)
@@ -120,18 +136,18 @@ class TestConv2d:
         rng = np.random.default_rng(seed)
         x, w, b = rand_instance(rng)
         sv, sh = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        got = conv2d(Tensor3(x), FilterBank(w, b), ConvGeometry(sv, sh))
+        got = conv2d(x, FilterBank(w, b), ConvGeometry(sv, sh))
         want = naive_conv2d(x, w, b, sv, sh)
-        assert np.array_equal(got.data, want)
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_naive_oracle_float_padded(self, seed):
         rng = np.random.default_rng(seed + 100)
         x, w, b = rand_instance(rng, float_mode=True)
         ph, pw = int(rng.integers(0, 2)), int(rng.integers(0, 2))
-        got = conv2d(Tensor3(x), FilterBank(w, b), ConvGeometry(1, 1, ph, pw))
+        got = conv2d(x, FilterBank(w, b), ConvGeometry(1, 1, ph, pw))
         want = naive_conv2d(x, w, b, 1, 1, ph, pw)
-        assert np.allclose(got.data, want, rtol=1e-12, atol=1e-12)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_additive_property_exact_int(self, seed):
@@ -140,9 +156,9 @@ class TestConv2d:
         a, w, b = rand_instance(rng)
         bb = rng.integers(-9, 10, a.shape)
         f = FilterBank(w, np.zeros_like(b))
-        lhs = conv2d(Tensor3(a) + Tensor3(bb), f)
-        rhs = Tensor3(conv2d(Tensor3(a), f).data + conv2d(Tensor3(bb), f).data)
-        assert lhs == rhs
+        lhs = conv2d(a + bb, f)
+        rhs = conv2d(a, f) + conv2d(bb, f)
+        assert np.array_equal(lhs, rhs)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_additive_property_float(self, seed):
@@ -151,8 +167,8 @@ class TestConv2d:
         bb = rng.uniform(-2, 2, a.shape)
         f = FilterBank(w, b)
         f0 = FilterBank(w, np.zeros_like(b))
-        lhs = conv2d(Tensor3(a + bb), f0).data
-        rhs = conv2d(Tensor3(a), f0).data + conv2d(Tensor3(bb), f0).data
+        lhs = conv2d(a + bb, f0)
+        rhs = conv2d(a, f0) + conv2d(bb, f0)
         scale = max(np.abs(lhs).max(), 1.0)
         assert np.abs(lhs - rhs).max() <= 1e-9 * scale
 
@@ -162,10 +178,9 @@ class TestConv2d:
         x, w1, _ = rand_instance(rng)
         w2 = rng.integers(-5, 6, w1.shape)
         zero = np.zeros(w1.shape[0], dtype=np.int64)
-        lhs = conv2d(Tensor3(x), FilterBank(w1 + w2, zero))
-        rhs = Tensor3(conv2d(Tensor3(x), FilterBank(w1, zero)).data
-                      + conv2d(Tensor3(x), FilterBank(w2, zero)).data)
-        assert lhs == rhs
+        lhs = conv2d(x, FilterBank(w1 + w2, zero))
+        rhs = conv2d(x, FilterBank(w1, zero)) + conv2d(x, FilterBank(w2, zero))
+        assert np.array_equal(lhs, rhs)
 
     @given(st.integers(2, 20), st.integers(2, 20), st.integers(1, 4),
            st.integers(1, 4), st.integers(1, 3), st.integers(1, 3),
@@ -175,7 +190,7 @@ class TestConv2d:
         geom = ConvGeometry(sv, sh, ph, pw)
         oh = (h + 2 * ph - kh) // sv + 1
         ow = (w + 2 * pw - kw) // sh + 1
-        x = Tensor3(np.zeros((1, h, w)))
+        x = np.zeros((1, h, w))
         f = FilterBank(np.zeros((2, 1, kh, kw)), np.zeros(2))
         if oh < 1 or ow < 1 or kh > h + 2 * ph or kw > w + 2 * pw:
             with pytest.raises(BadGeometry):
@@ -443,24 +458,26 @@ class TestRelu:
 
 class TestMaxpool2:
     def test_2x2_window(self):
-        out, _ = maxpool2_argmax(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
+        out, _ = pool2(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
         assert out.shape == (1, 1, 1)
         assert out[0, 0, 0] == 4.0
 
     def test_constant(self):
-        out, _ = maxpool2_argmax(np.full((2, 4, 6), 7.0))
+        out, _ = pool2(np.full((2, 4, 6), 7.0))
         assert out.shape == (2, 2, 3)
         assert np.all(out == 7.0)
 
     def test_odd_dims_rejected(self):
-        with pytest.raises(BadGeometry):
-            maxpool2_argmax(np.zeros((1, 3, 4)))
+        # the model's first layer, the one pooled layer, must give even dims
+        for shape in ((1, 5, 6), (1, 6, 5)):
+            with pytest.raises(ShapeMismatch, match="even"):
+                init_model(0, input_shape=shape)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.uniform(-1, 1, (1, 4, 4))
-        out, _ = maxpool2_argmax(x)
+        out, _ = pool2(x)
         for i in range(2):
             for j in range(2):
                 assert out[0, i, j] == x[0, 2 * i:2 * i + 2,
@@ -472,7 +489,7 @@ class TestMaxpool2:
         # small integer range forces ties inside windows
         rng = np.random.default_rng(seed)
         a = rng.integers(0, 3, (2, 3, 4, 6)).astype(np.float64)
-        pooled, mask = maxpool2_argmax(a)
+        pooled, mask = pool2(a)
         assert mask.shape == a.shape
         for idx in np.ndindex(pooled.shape):
             *lead, i, j = idx
@@ -485,9 +502,9 @@ class TestMaxpool2:
             assert np.array_equal(got.ravel(), want)
 
     def test_ties_nans_and_signed_zeros_bit_for_bit(self):
-        # 3,000 arrays pooled by maxpool2_argmax and, laid out window-major
-        # as the model's first layer is, by _pool_windows; both against the
-        # rule max(max(q00, q01), max(q10, q11)) taken window by window
+        # 3,000 arrays, laid out window-major as the model's first layer
+        # is, pooled by _pool_windows against the rule max(max(q00, q01),
+        # max(q10, q11)) taken window by window
         rng = np.random.default_rng(0)
         values = np.array([0.0, -0.0, 1.0, -1.0, 2.0, np.nan])
         for i in range(3000):
@@ -506,19 +523,16 @@ class TestMaxpool2:
                 hits = np.flatnonzero(q == want[idx])
                 if hits.size:
                     first[(*idx, hits[0])] = True
-            pooled, mask = maxpool2_argmax(a)
-            wm_pooled, wm_mask = conv._pool_windows(z)
-            assert pooled.tobytes() == want.tobytes() == wm_pooled.tobytes()
-            assert np.array_equal(wm_mask, first)
-            for k, (dy, dx) in enumerate(np.ndindex(2, 2)):
-                assert np.array_equal(mask[..., dy::2, dx::2], first[..., k])
+            pooled, mask = conv._pool_windows(z)
+            assert pooled.tobytes() == want.tobytes()
+            assert np.array_equal(mask, first)
 
     def test_tied_and_nan_windows_in_one_array(self):
         # the tied window's extra hit and the NaN window's missing one
         # leave as many hits as windows; the mask still marks first maxima
         a = np.array([[[2.0, 5.0, np.nan, 1.0, 0.0, 3.0],
                        [5.0, 1.0, 4.0, 1.0, 0.0, 1.0]]])
-        pooled, mask = maxpool2_argmax(a)
+        pooled, mask = pool2(a)
         assert pooled[0, 0, 0] == 5.0 and np.isnan(pooled[0, 0, 1])
         assert pooled[0, 0, 2] == 3.0
         assert np.array_equal(mask, [[[False, True, False, False, False, True],

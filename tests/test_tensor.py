@@ -1,25 +1,26 @@
+import inspect
 import io
 import struct
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advweave.accel import layout_rows, stream_rows
+from advweave.accel import compare_attack_footprint, preset_config
 from advweave.adversary import (PerturbBudget, craft_uap, fgsm, init_model,
                                 make_corpus, random_noise)
-from advweave.conv import FilterBank, conv2d
+from advweave.cli import random_instance
+from advweave.conv import ConvGeometry, FilterBank, conv2d_nchw
 from advweave.errors import FormatError, OutOfRange, ShapeMismatch
 from advweave.tensor import (BitStats, QuantSpec, Tensor3, bit_stats,
                              linf_norm, quantize, read_t3b, read_t3b_stream,
                              write_t3b, write_t3b_stream)
-from advweave.weave import attacked_conv, interleave_rows
+from advweave.weave import attacked_conv_nchw, equivalence_report, weave_rows
 
 
 def t3(arr):
-    return Tensor3(np.asarray(arr))
+    return np.asarray(arr)
 
 
 class TestTensor3:
@@ -32,14 +33,16 @@ class TestTensor3:
             Tensor3(np.zeros((1, 0, 3)))
 
     def test_channel_major_row_contiguous(self):
-        t = t3(np.arange(24).reshape(2, 3, 4))
+        t = Tensor3(np.arange(24).reshape(2, 3, 4))
         # a single row (c, y, :) must be a contiguous slice of the flat data
         flat = t.data.ravel()
         assert np.array_equal(flat[1 * 12 + 2 * 4:1 * 12 + 3 * 4], t.data[1, 2])
 
     def test_add_checks_shape(self):
+        # the direct sum image + noise that equivalence_report convolves
+        f = FilterBank(np.ones((1, 1, 1, 1)), np.zeros(1))
         with pytest.raises(ShapeMismatch):
-            t3(np.zeros((1, 2, 2))) + t3(np.zeros((1, 2, 3)))
+            equivalence_report(np.zeros((1, 2, 2)), np.zeros((1, 2, 3)), f)
 
     def test_does_not_freeze_caller_array(self):
         a = np.zeros((1, 2, 2))
@@ -59,52 +62,63 @@ class TestTensor3:
         assert np.array_equal(t.data, a)
         assert not np.shares_memory(t.data, a)
 
-    @pytest.mark.parametrize("op", ["add", "conv2d", "attacked_conv",
-                                    "interleave_rows", "stream_rows",
-                                    "quantize", "read_t3b_stream",
-                                    "random_noise", "fgsm", "craft_uap",
-                                    "make_corpus"])
+    # each op is named by the operation it runs: conv2d, attacked_conv and
+    # interleave_rows run as conv2d_nchw, attacked_conv_nchw and weave_rows
+    @pytest.mark.parametrize("op", ["conv2d", "attacked_conv",
+                                    "interleave_rows", "quantize",
+                                    "read_t3b_stream", "random_noise", "fgsm",
+                                    "craft_uap", "make_corpus"])
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
     def test_package_results_are_frozen_and_unshared(self, op, dtype):
-        # these results wrap a fresh array without copying it again
+        # every result is a fresh array; the T3B reader's and the corpus's
+        # are read-only as well
         rng = np.random.default_rng(3)
         image = rng.integers(-9, 10, (2, 6, 5)).astype(dtype)
         noise = rng.integers(-9, 10, (2, 6, 5)).astype(dtype)
         w = rng.integers(-5, 6, (3, 2, 2, 2)).astype(dtype)
         b = rng.integers(-5, 6, 3).astype(dtype)
         f = FilterBank(w, b)
-        a, n = Tensor3(image), Tensor3(noise)
         # the model takes (2, 6, 4) inputs: 3x3 conv output dims must be even
-        x = Tensor3(image[..., :4])
+        x = np.ascontiguousarray(image[..., :4])
         model = init_model(0, input_shape=x.shape)
         budget = PerturbBudget(epsilon=0.05)
         t3b = io.BytesIO()
-        write_t3b_stream(a, t3b)
+        write_t3b_stream(image, t3b)
         t3b.seek(0)
-        out = {"add": lambda: a + n,
-               "conv2d": lambda: conv2d(a, f),
-               "attacked_conv": lambda: attacked_conv(a, n, f),
-               "interleave_rows": lambda: interleave_rows(a, n),
-               "stream_rows": lambda: stream_rows(layout_rows(a, n), a, n),
-               "quantize": lambda: quantize(a, QuantSpec(4, True, 1.0)),
-               "read_t3b_stream": lambda: read_t3b_stream(t3b),
-               "random_noise": lambda: random_noise(a.shape, budget, "low", 0),
+        out = {"conv2d": lambda: conv2d_nchw(image[None], f)[0],
+               "attacked_conv": lambda: attacked_conv_nchw(image[None], noise,
+                                                           f)[0],
+               "interleave_rows": lambda: weave_rows(image, noise),
+               "quantize": lambda: quantize(image, QuantSpec(4, True, 1.0)),
+               "read_t3b_stream": lambda: read_t3b_stream(t3b).data,
+               "random_noise": lambda: random_noise(image.shape, budget,
+                                                    "low", 0),
                "fgsm": lambda: fgsm(model, x, 0, budget),
-               "craft_uap": lambda: craft_uap(model, x.data[None], budget),
+               "craft_uap": lambda: craft_uap(model, x[None], budget),
                # the corpus images are one plain (N, C, H, W) array
-               "make_corpus": lambda: SimpleNamespace(
-                   data=make_corpus(1, 0, a.shape)[0])}[op]()
-        assert out.data.flags.c_contiguous
-        with pytest.raises(ValueError):
-            out.data[0, 0, 0] = 1
-        for caller in (image, noise, w, b, a.data, n.data, f.weights, f.bias,
-                       x.data):
-            assert not np.shares_memory(out.data, caller)
+               "make_corpus": lambda: make_corpus(1, 0, image.shape)[0]}[op]()
+        assert isinstance(out, np.ndarray)
+        if op in ("read_t3b_stream", "make_corpus"):
+            with pytest.raises(ValueError):
+                out[0, 0, 0] = 1
+        for caller in (image, noise, w, b, f.weights, f.bias, x):
+            assert not np.shares_memory(out, caller)
 
     def test_adopt_freezes_without_copying(self):
+        # the reader's Tensor3 adopts its fresh array, and np.asarray gives
+        # that array back: the same frozen object, for any no-copy request
         a = np.zeros((1, 2, 2))
         t = Tensor3._adopt(a)
         assert t.data is a and not a.flags.writeable
+        for got in (np.asarray(t), np.asarray(t, dtype=np.float64),
+                    np.asarray(t, copy=False), np.array(t, copy=False)):
+            assert got is a
+        with pytest.raises(ValueError):
+            np.asarray(t, dtype=np.float32, copy=False)
+        copy = np.array(t)
+        assert np.array_equal(copy, a) and not np.shares_memory(copy, a)
+        assert copy.flags.writeable
+        assert np.asarray(t, dtype=np.int64).dtype == np.int64
 
     @pytest.mark.parametrize("dtype", [bool, complex, object])
     def test_rejects_non_numeric_dtypes(self, dtype):
@@ -116,15 +130,15 @@ class TestTensor3:
     def test_accepts_narrow_dtypes(self, dtype, integer):
         t = Tensor3(np.ones((1, 2, 2), dtype=dtype))
         assert t.data.dtype == dtype
-        assert t.is_integer() is integer
+        assert (t.data.dtype.kind in "iu") is integer
 
 
 class TestQuantize:
     def test_zero_tensor(self):
         q = QuantSpec(magnitude_bits=4, signed=True, scale=0.5)
         out = quantize(t3(np.zeros((2, 3, 3))), q)
-        assert out.is_integer()
-        assert np.all(out.data == 0)
+        assert out.dtype == np.int64
+        assert np.all(out == 0)
 
     def test_range_boundary_12_75(self):
         t = t3(np.full((1, 1, 1), 12.75))
@@ -132,7 +146,7 @@ class TestQuantize:
         with pytest.raises(OutOfRange):
             quantize(t, QuantSpec(magnitude_bits=3, signed=True, scale=1.0))
         out = quantize(t, QuantSpec(magnitude_bits=4, signed=True, scale=1.0))
-        assert out.data[0, 0, 0] == 13
+        assert out[0, 0, 0] == 13
 
     def test_exhaustive_range_scan(self):
         # every integer level in [-15, 15] must round-trip through a signed
@@ -140,18 +154,18 @@ class TestQuantize:
         q = QuantSpec(magnitude_bits=4, signed=True, scale=1.0)
         for level in range(-15, 16):
             out = quantize(t3(np.full((1, 1, 1), float(level))), q)
-            assert out.data[0, 0, 0] == level
+            assert out[0, 0, 0] == level
         with pytest.raises(OutOfRange):
             quantize(t3(np.full((1, 1, 1), 16.0)), q)
 
     def test_nearest_rounding_negative(self):
         q = QuantSpec(magnitude_bits=4, signed=True, scale=1.0)
-        assert quantize(t3([[[-3.4]]]), q).data[0, 0, 0] == -3
+        assert quantize(t3([[[-3.4]]]), q)[0, 0, 0] == -3
 
     def test_ties_away_from_zero(self):
         q = QuantSpec(magnitude_bits=4, signed=True, scale=1.0)
         out = quantize(t3([[[2.5, -2.5]]]), q)
-        assert list(out.data[0, 0]) == [3, -3]
+        assert list(out[0, 0]) == [3, -3]
 
     def test_unsigned_rejects_negative(self):
         q = QuantSpec(magnitude_bits=4, signed=False, scale=1.0)
@@ -163,8 +177,8 @@ class TestQuantize:
     def test_roundtrip_error_bounded(self, values, scale):
         q = QuantSpec(magnitude_bits=10, signed=True, scale=scale)
         t = t3(np.asarray(values).reshape(1, 1, -1))
-        back = quantize(t, q).data * scale
-        assert np.all(np.abs(back - t.data) <= scale / 2 + 1e-12)
+        back = quantize(t, q) * scale
+        assert np.all(np.abs(back - t) <= scale / 2 + 1e-12)
 
 
 class TestLinfNorm:
@@ -173,6 +187,11 @@ class TestLinfNorm:
 
     def test_mixed_signs(self):
         assert linf_norm(t3([[[-7.0, 3.0]]])) == 7.0
+
+    def test_empty_array_is_zero_and_nan_propagates(self):
+        # a plain array may have a zero-length axis, which a Tensor3 cannot
+        assert linf_norm(np.zeros((1, 0, 3))) == 0.0
+        assert np.isnan(linf_norm(t3([[[1.0, np.nan, -2.0]]])))
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
     def test_matches_brute_force_scan(self, values):
@@ -243,15 +262,15 @@ class TestT3B:
         t = t3(np.random.default_rng(0).uniform(-1, 1, (3, 4, 5)))
         p = tmp_path / "x.t3b"
         write_t3b(t, p)
-        assert read_t3b(p) == t
+        assert np.array_equal(read_t3b(p).data, t)
 
     def test_roundtrip_int(self, tmp_path):
         t = t3(np.random.default_rng(1).integers(-1000, 1000, (2, 3, 3)))
         p = tmp_path / "x.t3b"
         write_t3b(t, p)
         back = read_t3b(p)
-        assert back.is_integer()
-        assert back == t
+        assert back.data.dtype == np.int64
+        assert np.array_equal(back.data, t)
 
     def test_header_layout(self, tmp_path):
         p = tmp_path / "x.t3b"
@@ -327,3 +346,67 @@ class TestT3B:
         p.write_bytes(b"T3B1" + struct.pack("<IIIB", *dims, 0) + bytes(8))
         with pytest.raises(FormatError, match="truncated T3B payload"):
             read_t3b(p)
+
+
+class TestBenchContract:
+    """The calls bench/workloads.py makes, in the argument forms it passes:
+    a read_t3b result straight into the array functions."""
+
+    def test_read_tensor_and_its_array_give_equal_results(self, tmp_path):
+        rng = np.random.default_rng(0)
+        image = rng.integers(0, 256, (3, 14, 12))
+        image[:, 2:9, 3:7] = 0
+        noise = rng.integers(-12, 13, image.shape) * (rng.random(image.shape)
+                                                      < 0.3)
+        for name, arr in (("image", image), ("noise", noise)):
+            write_t3b(Tensor3(arr), tmp_path / f"{name}.t3b")
+        read = read_t3b(tmp_path / "image.t3b"), read_t3b(tmp_path / "noise.t3b")
+        arrays = tuple(t.data for t in read)
+        assert all(type(a) is np.ndarray for a in arrays)
+        f = FilterBank(rng.integers(-127, 128, (4, 3, 3, 3)),
+                       np.zeros(4, dtype=np.int64))
+        geom, cfg = ConvGeometry(2, 2), preset_config("tpu")
+        rep = equivalence_report(*read, f, geom)
+        assert rep.exact and rep == equivalence_report(*arrays, f, geom)
+        assert compare_attack_footprint(*read, f, geom, cfg) == \
+            compare_attack_footprint(*arrays, f, geom, cfg)
+        assert bit_stats(read[1]) == bit_stats(arrays[1])
+        assert linf_norm(read[1]) == linf_norm(arrays[1]) == 12
+
+    def test_asarray_of_a_read_tensor_is_its_frozen_data(self, tmp_path):
+        p = tmp_path / "x.t3b"
+        write_t3b(np.arange(24).reshape(2, 3, 4), p)
+        t = read_t3b(p)
+        a = np.asarray(t)
+        assert np.shares_memory(a, t.data) and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0, 0] = 1
+
+    @pytest.mark.parametrize("arr", [
+        np.arange(-12, 12).reshape(2, 3, 4),
+        np.linspace(-1, 1, 10).reshape(1, 2, 5),
+        np.arange(6, dtype=np.uint8).reshape(3, 2, 1),
+        np.arange(24.0, dtype=np.float32).reshape(4, 3, 2).T])
+    def test_array_and_tensor3_write_the_same_bytes(self, tmp_path, arr):
+        write_t3b(arr, tmp_path / "array.t3b")
+        write_t3b(Tensor3(arr), tmp_path / "tensor.t3b")
+        assert (tmp_path / "array.t3b").read_bytes() == \
+            (tmp_path / "tensor.t3b").read_bytes()
+
+    @pytest.mark.parametrize("arr, error", [
+        (np.zeros((2, 2)), ShapeMismatch), (np.zeros((1, 0, 2)), ShapeMismatch),
+        (np.zeros((1, 2, 2), dtype=complex), TypeError)])
+    def test_writers_check_arrays_as_tensor3_does(self, tmp_path, arr, error):
+        with pytest.raises(error):
+            write_t3b(arr, tmp_path / "x.t3b")
+        with pytest.raises(error):
+            write_t3b_stream(arr, io.BytesIO())
+
+    def test_traced_signatures_and_random_instance(self):
+        # the tracer reads the path of read_t3b(path) and write_t3b(t, path)
+        assert list(inspect.signature(read_t3b).parameters) == ["path"]
+        assert list(inspect.signature(write_t3b).parameters) == ["t", "path"]
+        image, noise, filters, _ = random_instance(np.random.default_rng(0),
+                                                   16, False)
+        assert type(image) is np.ndarray and type(noise) is np.ndarray
+        assert filters.weights.shape[1] == image.shape[0]

@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from advweave import conv, weave
-from advweave.conv import ConvGeometry, FilterBank, conv2d, conv2d_nchw
+from advweave.conv import ConvGeometry, FilterBank, conv2d_nchw
 from advweave.errors import ShapeMismatch
-from advweave.tensor import Tensor3
-from advweave.weave import (attacked_conv, attacked_conv_nchw,
-                            attacked_geometry, duplicate_filter_rows,
-                            EquivalenceReport, equivalence_report,
-                            interleave_rows)
-from test_conv import naive_conv2d
+from advweave.weave import (attacked_conv_nchw, attacked_geometry,
+                            duplicate_filter_rows, EquivalenceReport,
+                            equivalence_report, weave_rows)
+from test_conv import conv2d, naive_conv2d
+
+
+def attacked_conv(image, noise, f, geom=ConvGeometry()):
+    """attacked_conv_nchw on one (C, H, W) image."""
+    return attacked_conv_nchw(image[None], noise, f, geom)[0]
 
 
 def rand_attack_instance(rng, max_dim=16, float_mode=False):
@@ -34,39 +37,46 @@ def rand_attack_instance(rng, max_dim=16, float_mode=False):
         noi = rng.integers(-16, 17, (c, h, w))
         wt = rng.integers(-8, 9, (o, c, kh, kw))
         b = rng.integers(-8, 9, o)
-    return (Tensor3(img), Tensor3(noi), FilterBank(wt, b),
-            ConvGeometry(sv, sh, ph, pw))
+    return img, noi, FilterBank(wt, b), ConvGeometry(sv, sh, ph, pw)
 
 
 class TestInterleave:
     def test_rows_alternate(self):
-        img = Tensor3(np.array([[[1, 1], [2, 2]]]))
-        noi = Tensor3(np.array([[[7, 7], [8, 8]]]))
-        woven = interleave_rows(img, noi)
+        img = np.array([[[1, 1], [2, 2]]])
+        noi = np.array([[[7, 7], [8, 8]]])
+        woven = weave_rows(img, noi)
         assert woven.shape == (1, 4, 2)
-        assert [list(r) for r in woven.data[0]] == [[1, 1], [7, 7], [2, 2], [8, 8]]
+        assert [list(r) for r in woven[0]] == [[1, 1], [7, 7], [2, 2], [8, 8]]
 
     def test_zero_noise(self):
-        img = Tensor3(np.arange(4).reshape(1, 2, 2))
-        woven = interleave_rows(img, Tensor3(np.zeros((1, 2, 2), dtype=np.int64)))
-        assert np.all(woven.data[0, 1::2] == 0)
-        assert np.array_equal(woven.data[0, 0::2], img.data[0])
+        img = np.arange(4).reshape(1, 2, 2)
+        woven = weave_rows(img, np.zeros((1, 2, 2), dtype=np.int64))
+        assert np.all(woven[0, 1::2] == 0)
+        assert np.array_equal(woven[0, 0::2], img[0])
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            interleave_rows(Tensor3(np.zeros((1, 2, 2))),
-                            Tensor3(np.zeros((1, 2, 3))))
+        # the woven and the direct path check shapes alike, with one text
+        img, noise = np.zeros((1, 2, 2)), np.zeros((1, 2, 3))
+        f = FilterBank(np.ones((1, 1, 1, 1)), np.zeros(1))
+        errors = []
+        for op in (lambda: weave_rows(img, noise),
+                   lambda: equivalence_report(img, noise, f)):
+            with pytest.raises(ShapeMismatch) as e:
+                op()
+            errors.append(str(e.value))
+        assert errors[0] == errors[1]
 
     def test_integer_promotion_to_float_rejected(self):
         # uint64 with int64 promotes to float64, which cannot hold both
         # exactly; the woven and the direct path reject it alike
-        img = Tensor3(np.full((1, 2, 2), 2**63 + 1, dtype=np.uint64))
-        noise = Tensor3(np.ones((1, 2, 2), dtype=np.int64))
+        img = np.full((1, 2, 2), 2**63 + 1, dtype=np.uint64)
+        noise = np.ones((1, 2, 2), dtype=np.int64)
         f = FilterBank(np.ones((1, 1, 1, 1), dtype=np.int64),
                        np.zeros(1, dtype=np.int64))
         errors = []
-        for op in (lambda: interleave_rows(img, noise),
-                   lambda: img + noise,
+        # the direct sum is equivalence_report's first step
+        for op in (lambda: weave_rows(img, noise),
+                   lambda: attacked_conv(img, noise, f),
                    lambda: equivalence_report(img, noise, f)):
             with pytest.raises(TypeError) as e:
                 op()
@@ -74,17 +84,17 @@ class TestInterleave:
         assert errors[1] == errors[2] == errors[0]
 
     def test_mixed_integer_widths_stay_integer(self):
-        img = Tensor3(np.ones((1, 2, 2), dtype=np.int32))
-        woven = interleave_rows(img, Tensor3(np.ones((1, 2, 2), dtype=np.int64)))
-        assert woven.data.dtype == np.int64
+        img = np.ones((1, 2, 2), dtype=np.int32)
+        woven = weave_rows(img, np.ones((1, 2, 2), dtype=np.int64))
+        assert woven.dtype == np.int64
 
     @pytest.mark.parametrize("seed", range(10))
     def test_roundtrip(self, seed):
         rng = np.random.default_rng(seed)
         img, noi, _, _ = rand_attack_instance(rng)
-        woven = interleave_rows(img, noi).data
-        assert np.array_equal(woven[:, 0::2], img.data)
-        assert np.array_equal(woven[:, 1::2], noi.data)
+        woven = weave_rows(img, noi)
+        assert np.array_equal(woven[:, 0::2], img)
+        assert np.array_equal(woven[:, 1::2], noi)
 
 
 class TestDuplicateFilterRows:
@@ -133,26 +143,26 @@ class TestAttackedGeometry:
 
 class TestAttackedConv:
     def test_identity_filter_hand_check(self):
-        img = Tensor3(np.array([[[1, 2], [3, 4]]]))
-        noi = Tensor3(np.array([[[1, 0], [0, 1]]]))
+        img = np.array([[[1, 2], [3, 4]]])
+        noi = np.array([[[1, 0], [0, 1]]])
         f = FilterBank(np.ones((1, 1, 1, 1), dtype=np.int64), np.zeros(1, dtype=np.int64))
         out = attacked_conv(img, noi, f)
-        assert np.array_equal(out.data[0], [[2, 2], [3, 5]])
+        assert np.array_equal(out[0], [[2, 2], [3, 5]])
 
     def test_zero_noise_equals_clean_conv(self):
         rng = np.random.default_rng(3)
         img, _, f, g = rand_attack_instance(rng)
-        zero = Tensor3(np.zeros(img.shape, dtype=np.int64))
-        assert attacked_conv(img, zero, f, g) == conv2d(img, f, g)
+        zero = np.zeros(img.shape, dtype=np.int64)
+        assert np.array_equal(attacked_conv(img, zero, f, g), conv2d(img, f, g))
 
     @pytest.mark.parametrize("seed", range(40))
     def test_equivalence_theorem_int_vs_naive_oracle(self, seed):
         rng = np.random.default_rng(seed + 1000)
         img, noi, f, g = rand_attack_instance(rng, max_dim=10)
         got = attacked_conv(img, noi, f, g)
-        want = naive_conv2d(img.data + noi.data, f.weights, f.bias,
+        want = naive_conv2d(img + noi, f.weights, f.bias,
                             g.stride_v, g.stride_h, g.pad_h, g.pad_w)
-        assert np.array_equal(got.data, want)
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_output_shape_matches_clean(self, seed):
@@ -183,13 +193,13 @@ class TestAttackedConv:
         # feeding the attacked first-layer output into a regular downstream
         # layer equals running everything on image + noise
         rng = np.random.default_rng(5)
-        img = Tensor3(rng.integers(-8, 9, (1, 8, 8)))
-        noi = Tensor3(rng.integers(-2, 3, (1, 8, 8)))
+        img = rng.integers(-8, 9, (1, 8, 8))
+        noi = rng.integers(-2, 3, (1, 8, 8))
         f1 = FilterBank(rng.integers(-3, 4, (2, 1, 3, 3)), rng.integers(-2, 3, 2))
         f2 = FilterBank(rng.integers(-3, 4, (1, 2, 2, 2)), rng.integers(-2, 3, 1))
         attacked_path = conv2d(attacked_conv(img, noi, f1), f2)
         direct_path = conv2d(conv2d(img + noi, f1), f2)
-        assert attacked_path == direct_path
+        assert np.array_equal(attacked_path, direct_path)
 
 
 class TestEquivalenceReport:
@@ -210,21 +220,20 @@ class TestEquivalenceReport:
     def test_zero_noise_exact(self):
         rng = np.random.default_rng(11)
         img, _, f, g = rand_attack_instance(rng)
-        zero = Tensor3(np.zeros(img.shape, dtype=np.int64))
+        zero = np.zeros(img.shape, dtype=np.int64)
         rep = equivalence_report(img, zero, f, g)
         assert rep.exact and rep.max_abs_diff == 0.0
 
     def test_corrupted_woven_detected(self):
         from advweave.weave import attacked_geometry as ag
         rng = np.random.default_rng(12)
-        img = Tensor3(rng.integers(1, 9, (1, 4, 4)))
-        noi = Tensor3(rng.integers(1, 5, (1, 4, 4)))
+        img = rng.integers(1, 9, (1, 4, 4))
+        noi = rng.integers(1, 5, (1, 4, 4))
         f = FilterBank(np.ones((1, 1, 2, 2), dtype=np.int64), np.zeros(1, dtype=np.int64))
         g = ConvGeometry(1, 1)
-        woven = interleave_rows(img, noi).data.copy()
+        woven = weave_rows(img, noi)
         woven[0, 1, :] += 100  # flip one noise row
-        corrupted = conv2d(Tensor3(woven),
-                           duplicate_filter_rows(f), ag(g))
+        corrupted = conv2d(woven, duplicate_filter_rows(f), ag(g))
         rep = equivalence_report(img, noi, f, g, attacked_output=corrupted)
         assert not rep.exact
 
@@ -236,23 +245,22 @@ class TestEquivalenceReport:
             else attacked_conv(img, noi, f, g)
         if direct.shape != attacked.shape:
             return EquivalenceReport(max_abs_diff=float("inf"), exact=False)
-        integer = direct.is_integer() and attacked.is_integer()
-        diff = np.abs(direct.data.astype(np.float64)
-                      - attacked.data.astype(np.float64))
+        integer = direct.dtype.kind in "iu" and attacked.dtype.kind in "iu"
+        diff = np.abs(direct.astype(np.float64) - attacked.astype(np.float64))
         max_abs_diff = float(diff.max())
         if integer:
-            exact = np.array_equal(direct.data, attacked.data)
+            exact = np.array_equal(direct, attacked)
         else:
-            ref = float(np.max(np.abs(direct.data))) or 1.0
+            ref = float(np.max(np.abs(direct))) or 1.0
             exact = max_abs_diff <= 1e-9 * ref
         return EquivalenceReport(max_abs_diff=max_abs_diff, exact=exact)
 
     @staticmethod
     def _sabotaged(img, noi, f, g):
         """attacked_conv with noise row 0 raised, as --sabotage does."""
-        wrong = noi.data.copy()
+        wrong = noi.copy()
         wrong[:, 0, :] += 1
-        return attacked_conv(img, Tensor3(wrong), f, g)
+        return attacked_conv(img, wrong, f, g)
 
     def _check_instances(self, rng, trials, max_dim=16):
         caught = 0  # sabotaged integer outputs that differ
@@ -295,10 +303,8 @@ class TestEquivalenceReport:
         rng = np.random.default_rng(15)
         for float_mode in (False, True):
             img, noi, f, g = rand_attack_instance(rng, float_mode=float_mode)
-            img = Tensor3(rng.integers(-128, 128, (1, 14, 7))
-                          .astype(img.data.dtype))
-            noi = Tensor3(rng.integers(-16, 17, img.shape)
-                          .astype(noi.data.dtype))
+            img = rng.integers(-128, 128, (1, 14, 7)).astype(img.dtype)
+            noi = rng.integers(-16, 17, img.shape).astype(noi.dtype)
             f = FilterBank(f.weights[:1, :1, :1, :1].repeat(3, axis=2)
                            .repeat(2, axis=3), f.bias[:1])
             g = ConvGeometry(1, 1)
@@ -337,7 +343,7 @@ class TestEquivalenceReport:
         rng = np.random.default_rng(16)
         data = rng.uniform(-1, 1, (1, 12, 5))
         data[0, -1, 2] = np.nan
-        img, noi = Tensor3(data), Tensor3(rng.uniform(-1, 1, data.shape))
+        img, noi = data, rng.uniform(-1, 1, data.shape)
         f = FilterBank(rng.uniform(-1, 1, (2, 1, 2, 2)), rng.uniform(-1, 1, 2))
         g = ConvGeometry()
         for attacked in (None, attacked_conv(img, noi, f, g)):
@@ -357,8 +363,8 @@ class TestEquivalenceReport:
         monkeypatch.setattr(conv, "_exact_float_dtype", lambda x, weights:
                             routes.append(choose(x, weights)) or routes[-1])
         rng = np.random.default_rng(3)
-        img = Tensor3(rng.integers(-2000, 2001, (2, 11, 9)))
-        noi = Tensor3(rng.integers(-16, 17, (2, 11, 9)))
+        img = rng.integers(-2000, 2001, (2, 11, 9))
+        noi = rng.integers(-16, 17, (2, 11, 9))
         w = np.zeros((3, 2, 3, 2), dtype=np.int64)
         w[:, :, 0, 0] = 2500  # sum|W[o]| = 5000 + up to 2 * 5 * 7
         w[:, :, 1:] = rng.integers(-7, 8, (3, 2, 2, 2))
@@ -374,7 +380,7 @@ class TestEquivalenceReport:
     def test_wrong_shape_is_never_exact(self):
         img, noi, f, g = rand_attack_instance(np.random.default_rng(14))
         out = attacked_conv(img, noi, f, g)
-        wide = Tensor3(np.concatenate([out.data, out.data], axis=2))
+        wide = np.concatenate([out, out], axis=2)
         assert equivalence_report(img, noi, f, g, attacked_output=wide) \
             == EquivalenceReport(max_abs_diff=float("inf"), exact=False)
 
@@ -382,8 +388,8 @@ class TestEquivalenceReport:
         # the footprint layer: a full int64 output is 64*109*109*8 bytes;
         # the streamed report holds the operands and one block of each side
         rng = np.random.default_rng(0)
-        img = Tensor3(rng.integers(0, 256, (3, 224, 224)))
-        noi = Tensor3(rng.integers(-12, 13, (3, 224, 224)))
+        img = rng.integers(0, 256, (3, 224, 224))
+        noi = rng.integers(-12, 13, (3, 224, 224))
         f = FilterBank(rng.integers(-127, 128, (64, 3, 7, 7)),
                        rng.integers(-9, 10, 64))
         g = ConvGeometry(2, 2)
