@@ -80,7 +80,7 @@ def layout_rows(image: np.ndarray, noise: np.ndarray | None = None,
     alternating image row r / noise row r (weave_rows' order) with noise."""
     image = _check_image(image)
     c, h, w = image.shape
-    if noise is not None and np.shape(noise) != image.shape:
+    if noise is not None and _check_image(noise).shape != image.shape:
         raise ShapeMismatch(f"image {image.shape} vs noise {np.shape(noise)}")
     if row_stride is None:
         row_stride = w * image.itemsize
@@ -137,10 +137,11 @@ def count_macs(input: np.ndarray, filters: FilterBank, geom: ConvGeometry,
         executed = int((w_nnz * x_nnz.astype(np.int64)).sum())
     else:
         executed = issued
+    skipped = issued - executed
     array = cfg.rows * cfg.cols
     cycles = math.ceil(executed / array)
     util = executed / (cycles * array) if cycles else 0.0
-    return SimReport(mac_issued=issued, mac_skipped=issued - executed,
+    return SimReport(mac_issued=issued, mac_skipped=skipped,
                      mac_executed=executed, cycles=cycles,
                      array_utilization=util)
 
@@ -154,7 +155,6 @@ def compare_attack_footprint(image: np.ndarray, noise: np.ndarray,
     with zero-skip on the attacked executed count decomposes into the
     clean count plus the noise-only count.
     """
-    image, noise = _check_image(image), _check_image(noise)
     return FootprintComparison(
         clean=count_macs(image, filters, geom, cfg),
         attacked=count_macs(weave_rows(image, noise),

@@ -337,9 +337,11 @@ def _parameter_gradients(model: TinyCNN, cols: np.ndarray,
 
 
 def backward(model: TinyCNN, xs: np.ndarray, labels) -> Gradients:
-    """Gradients of the summed cross-entropy loss of an (N, C, H, W) batch:
-    parameter gradients summed over the batch, and in `input` each sample's
-    own (N, C, H, W) input gradient."""
+    """Gradients of the summed cross-entropy loss of an (N, C, H, W) batch.
+
+    Parameter gradients are summed over the batch; `input` holds each
+    sample's own input gradient, shape (N, C, H, W).
+    """
     labels = _checked_labels(model, xs, labels)
     g, dz1 = _parameter_gradients(model, _columns(model, xs), labels)
     g.input = _input_gradient(model, dz1)
@@ -411,11 +413,14 @@ def fgsm(model: TinyCNN, x: np.ndarray, label: int, budget: PerturbBudget) -> np
 def random_noise(shape: tuple[int, int, int], budget: PerturbBudget,
                  mode: str, seed: int) -> np.ndarray:
     """Uniform noise bounded by epsilon (low) or the full image magnitude (high)."""
-    bounds = {"low": budget.epsilon, "high": MAX_MAGNITUDE}
-    if mode not in bounds:
+    rng = np.random.default_rng(seed)
+    if mode == "low":
+        bound = budget.epsilon
+    elif mode == "high":
+        bound = MAX_MAGNITUDE
+    else:
         raise ValueError(f"mode must be 'low' or 'high', got {mode!r}")
-    return np.random.default_rng(seed).uniform(-bounds[mode], bounds[mode],
-                                               shape)
+    return rng.uniform(-bound, bound, shape)
 
 
 def craft_uap(model: TinyCNN, xs: np.ndarray, budget: PerturbBudget,

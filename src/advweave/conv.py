@@ -176,10 +176,15 @@ def _check_batch(x: np.ndarray, filters: FilterBank) -> None:
 
 
 def _check_image(x) -> np.ndarray:
-    """x, an array or Tensor3, as an array checked to be one (C, H, W) image."""
+    """x, an array or Tensor3, as an array checked to be one (C, H, W) image
+    of a float or integer dtype, each dim at least 1: Tensor3's checks."""
     x = np.asarray(x)
     if x.ndim != 3:
         raise ShapeMismatch(f"image needs 3 dims (C, H, W), got {x.ndim}")
+    if min(x.shape) < 1:
+        raise ShapeMismatch(f"all dims must be >= 1, got {x.shape}")
+    if x.dtype.kind not in "fiu":
+        raise TypeError(f"unsupported dtype {x.dtype}")
     return x
 
 

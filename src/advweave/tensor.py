@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .conv import _check_image
 from .errors import FormatError, OutOfRange, ShapeMismatch
 
 T3B_MAGIC = b"T3B1"
@@ -54,13 +55,7 @@ class Tensor3:
 
     def __post_init__(self):
         # copy before freezing so the caller's array is never mutated
-        arr = np.array(self.data, order="C")
-        if arr.ndim != 3:
-            raise ShapeMismatch(f"Tensor3 needs 3 dims, got {arr.ndim}")
-        if min(arr.shape) < 1:
-            raise ShapeMismatch(f"all dims must be >= 1, got {arr.shape}")
-        if arr.dtype.kind not in "fiu":
-            raise TypeError(f"unsupported dtype {arr.dtype}")
+        arr = _check_image(np.array(self.data, order="C"))
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -139,8 +134,12 @@ def bit_stats(x: np.ndarray) -> BitStats:
     nonzero = int(np.count_nonzero(mags))
     max_bits = int(mags.max()).bit_length() if nonzero else 0
     total_bits = int(np.bitwise_count(mags).sum())
-    return BitStats(total_elements=mags.size, nonzero_elements=nonzero,
-                    max_magnitude_bits=max_bits, total_nonzero_bits=total_bits)
+    return BitStats(
+        total_elements=mags.size,
+        nonzero_elements=nonzero,
+        max_magnitude_bits=max_bits,
+        total_nonzero_bits=total_bits,
+    )
 
 
 def write_t3b_stream(t: np.ndarray | Tensor3, f) -> None:
@@ -153,7 +152,8 @@ def write_t3b_stream(t: np.ndarray | Tensor3, f) -> None:
             raise OutOfRange("integer tensor does not fit in i32")
     else:
         tag, arr = 0, x.astype("<f8")
-    f.write(T3B_MAGIC + struct.pack("<IIIB", *x.shape, tag))
+    f.write(T3B_MAGIC)
+    f.write(struct.pack("<IIIB", *x.shape, tag))
     f.write(arr.tobytes())
 
 

@@ -40,8 +40,10 @@ def weave_rows(images: np.ndarray, noise: np.ndarray) -> np.ndarray:
     `images` may carry a leading batch axis, over which `noise` broadcasts:
     one pattern for every image, or one pattern per image.
     """
+    images, noise = np.asarray(images), np.asarray(noise)
     *lead, h, w = images.shape
-    woven = np.empty((*lead, 2 * h, w), dtype=exact_result_type(images, noise))
+    woven = np.empty((*lead, 2 * h, w),
+                     dtype=exact_result_type(images, noise))
     woven[..., 0::2, :] = images
     woven[..., 1::2, :] = noise
     return woven
@@ -79,8 +81,10 @@ def equivalence_report(image: np.ndarray, noise: np.ndarray,
                        filters: FilterBank, geom: ConvGeometry = ConvGeometry(),
                        attacked_output: np.ndarray | None = None) -> EquivalenceReport:
     """Compare the attacked path against convolving the noise-added image,
-    both (C, H, W). `attacked_output` overrides the attacked-path result
-    (used by negative controls that deliberately corrupt the woven tensor).
+    both (C, H, W).
+
+    `attacked_output` overrides the attacked-path result (used by negative
+    controls that deliberately corrupt the woven tensor).
 
     The report is that of comparing the full direct and attacked outputs
     (or `attacked_output`), but neither is built:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advweave.accel import compare_attack_footprint, preset_config
+from advweave.accel import (compare_attack_footprint, count_macs, layout_rows,
+                            preset_config)
 from advweave.adversary import (PerturbBudget, craft_uap, fgsm, init_model,
                                 make_corpus, random_noise)
 from advweave.cli import random_instance
@@ -98,6 +99,7 @@ class TestTensor3:
                # the corpus images are one plain (N, C, H, W) array
                "make_corpus": lambda: make_corpus(1, 0, image.shape)[0]}[op]()
         assert isinstance(out, np.ndarray)
+        assert out.flags.c_contiguous
         if op in ("read_t3b_stream", "make_corpus"):
             with pytest.raises(ValueError):
                 out[0, 0, 0] = 1
@@ -124,6 +126,31 @@ class TestTensor3:
     def test_rejects_non_numeric_dtypes(self, dtype):
         with pytest.raises(TypeError):
             Tensor3(np.zeros((1, 2, 2), dtype=dtype))
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.ones((1, 4, 4), dtype=bool), TypeError),
+        (np.ones((1, 4, 4), dtype=complex), TypeError),
+        (np.ones((1, 4, 4), dtype=object), TypeError),
+        (np.ones((1, 0, 4), dtype=np.int64), ShapeMismatch),
+        (np.ones((4, 4), dtype=np.int64), ShapeMismatch)],
+        ids=["bool", "complex", "object", "empty_dim", "two_dims"])
+    def test_image_functions_make_tensor3_checks(self, bad, error):
+        # each (C, H, W) argument is checked as Tensor3 checks an array: a
+        # bool image plus bool noise would be a logical or, which the woven
+        # path does not compute
+        good = np.ones((1, 4, 4), dtype=np.int64)
+        f = FilterBank(np.ones((1, 1, 2, 2), dtype=np.int64),
+                       np.zeros(1, dtype=np.int64))
+        geom, cfg = ConvGeometry(), preset_config("tpu")
+        for call in (lambda: equivalence_report(bad, good, f, geom),
+                     lambda: equivalence_report(good, bad, f, geom),
+                     lambda: compare_attack_footprint(bad, good, f, geom, cfg),
+                     lambda: compare_attack_footprint(good, bad, f, geom, cfg),
+                     lambda: count_macs(bad, f, geom, cfg),
+                     lambda: layout_rows(bad),
+                     lambda: layout_rows(good, bad)):
+            with pytest.raises(error):
+                call()
 
     @pytest.mark.parametrize("dtype, integer", [(np.uint8, True),
                                                 (np.float32, False)])
@@ -372,6 +399,10 @@ class TestBenchContract:
             compare_attack_footprint(*arrays, f, geom, cfg)
         assert bit_stats(read[1]) == bit_stats(arrays[1])
         assert linf_norm(read[1]) == linf_norm(arrays[1]) == 12
+        # weave_rows takes one too, and so attacked_conv_nchw's noise does
+        assert np.array_equal(weave_rows(*read), weave_rows(*arrays))
+        assert np.array_equal(attacked_conv_nchw(arrays[0][None], read[1], f),
+                              attacked_conv_nchw(arrays[0][None], arrays[1], f))
 
     def test_asarray_of_a_read_tensor_is_its_frozen_data(self, tmp_path):
         p = tmp_path / "x.t3b"
