@@ -14,7 +14,7 @@ import numpy as np
 
 from .conv import (ConvGeometry, FilterBank, _check_batch, _check_image,
                    _exact_float)
-from .errors import ShapeMismatch
+from .tensor import exact_result_type
 from .weave import attacked_geometry, duplicate_filter_rows, weave_rows
 
 
@@ -76,14 +76,14 @@ class FootprintComparison:
 
 def layout_rows(image: np.ndarray, noise: np.ndarray | None = None,
                 base: int = 0, row_stride: int | None = None) -> MemoryImage:
-    """Assign memory addresses to a (C, H, W) image's rows: in order, or
-    alternating image row r / noise row r (weave_rows' order) with noise."""
+    """Assign memory addresses to a (C, H, W) image's rows: in order, or with
+    noise, image row r / noise row r in weave_rows' order, dtype and checks."""
     image = _check_image(image)
     c, h, w = image.shape
-    if noise is not None and _check_image(noise).shape != image.shape:
-        raise ShapeMismatch(f"image {image.shape} vs noise {np.shape(noise)}")
+    dtype = image.dtype if noise is None else \
+        exact_result_type(image, _check_image(noise))
     if row_stride is None:
-        row_stride = w * image.itemsize
+        row_stride = w * dtype.itemsize
     sources = ("image",) if noise is None else ("image", "noise")
     rows = [(source, flat) for flat in range(c * h) for source in sources]
     return MemoryImage(base_address=base, row_stride=row_stride, rows=tuple(

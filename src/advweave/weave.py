@@ -9,12 +9,11 @@ the direct sum. Doubled vertical padding adds a zero row pair for each
 padded row, so every image row keeps its even woven index and the identity
 holds for padded geometries too.
 
-equivalence_report checks that identity without building either full
-output: it walks conv._conv_blocks' direct and woven streams together by
-output row. For integer operands it compares the raw products. Each side
-casts them exactly to int64 and then adds the same int64 bias, and adding
-a fixed value is injective, so the biased outputs are equal iff the raw
-products are.
+equivalence_report checks that identity in one form, without building
+either full output: it walks conv._conv_blocks' direct and woven streams
+together by output row, whatever noise the woven side weaves in. Each
+side casts integer products exactly to int64 and adds the same bias, which
+is injective, so the raw products are compared.
 """
 from __future__ import annotations
 
@@ -25,6 +24,7 @@ import numpy as np
 
 from .conv import (ConvGeometry, FilterBank, _check_batch, _check_image,
                    _conv, _conv_blocks, _result_dtype)
+from .errors import ShapeMismatch
 from .tensor import exact_result_type
 
 
@@ -79,43 +79,32 @@ def attacked_conv_nchw(images: np.ndarray, noise: np.ndarray,
 
 def equivalence_report(image: np.ndarray, noise: np.ndarray,
                        filters: FilterBank, geom: ConvGeometry = ConvGeometry(),
-                       attacked_output: np.ndarray | None = None) -> EquivalenceReport:
-    """Compare the attacked path against convolving the noise-added image,
-    both (C, H, W).
+                       woven_noise: np.ndarray | None = None) -> EquivalenceReport:
+    """Compare conv(image + noise), all (C, H, W), against the attacked path
+    weaving in `woven_noise`: `noise`, or a control of its shape and dtype.
 
-    `attacked_output` overrides the attacked-path result (used by negative
-    controls that deliberately corrupt the woven tensor).
-
-    The report is that of comparing the full direct and attacked outputs
-    (or `attacked_output`), but neither is built:
-    the direct and woven block streams of _conv_blocks are walked together
-    by output row (_zip_rows), so at most one block of each is alive.
-    Integer rows are compared as unbiased products, which are equal iff the
-    outputs are (module docstring); only rows that differ get the cast and
-    bias, for max_abs_diff. Float rows get _conv's cast and bias before
-    their diff and magnitude are taken; a max does not depend on order.
-    With `attacked_output`, the direct rows get the cast and bias and are
-    compared with its row slices.
+    The report is that of comparing the full direct and attacked outputs,
+    but neither is built: the direct and woven block streams of _conv_blocks
+    are walked together by output row (_zip_rows), so at most one block of
+    each is alive. Integer rows are compared as unbiased products, equal iff
+    the outputs are (module docstring); only rows that differ get the cast
+    and bias, for max_abs_diff. Float rows get _conv's cast and bias before
+    their diff and magnitude, whose max does not depend on order.
     """
     image, noise = _check_image(image), _check_image(noise)
     exact_result_type(image, noise)  # the woven path's checks, text and all
+    woven_noise = noise if woven_noise is None else np.asarray(woven_noise)
+    if woven_noise.shape != noise.shape:
+        raise ShapeMismatch(f"woven noise {woven_noise.shape} vs {noise.shape}")
+    if woven_noise.dtype != noise.dtype:
+        raise TypeError(f"woven noise {woven_noise.dtype} vs {noise.dtype}")
     x = (image + noise)[None]
     _check_batch(x, filters)
-    oh, ow = geom.out_shape(*image.shape[1:], filters.kernel_h,
-                            filters.kernel_w)
     dtype = _result_dtype(x, filters.weights)
     direct = _conv_blocks(x, filters.weights, geom)
     del x  # the stream's copy in its compute dtype replaces it
-    raw = attacked_output is None  # both sides are unbiased products
-    if raw:
-        woven = _woven_blocks(image, noise, filters.weights, geom)
-        integer = dtype is np.int64
-    elif np.shape(attacked_output) != (filters.out_channels, oh, ow):
-        return EquivalenceReport(max_abs_diff=float("inf"), exact=False)
-    else:
-        attacked_output = np.asarray(attacked_output)
-        woven = iter([(0, oh, attacked_output[:, None])])
-        integer = dtype is np.int64 and attacked_output.dtype.kind in "iu"
+    woven = _woven_blocks(image, woven_noise, filters.weights, geom)
+    integer = dtype is np.int64
     bias = filters.bias.astype(dtype, copy=False)[:, None, None, None]
     diffs, refs = [], []
 
@@ -124,13 +113,10 @@ def equivalence_report(image: np.ndarray, noise: np.ndarray,
         # float64, which holds a float route's products (integers below
         # 2**53) exactly, and an int64 product that equals one there is
         # that integer
-        if raw and integer and np.array_equal(d, a):
-            return
-        d = d.astype(dtype, copy=False) + bias
-        if raw:
-            a = a.astype(dtype, copy=False) + bias
         if integer and np.array_equal(d, a):
             return
+        d = d.astype(dtype, copy=False) + bias
+        a = a.astype(dtype, copy=False) + bias
         diffs.append(np.abs(d.astype(np.float64) - a.astype(np.float64)).max())
         if not integer:
             refs.append(np.max(np.abs(d)))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -88,8 +89,28 @@ class TestLayoutRows:
         assert all(b - a == mem.row_stride for a, b in zip(addrs, addrs[1:]))
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            layout_rows(np.zeros((1, 2, 2)), np.zeros((1, 3, 2)))
+        img, noi = np.zeros((1, 2, 2)), np.zeros((1, 3, 2))
+        with pytest.raises(ShapeMismatch) as woven:
+            weave_rows(img, noi)
+        with pytest.raises(ShapeMismatch, match=re.escape(str(woven.value))):
+            layout_rows(img, noi)
+
+    def test_dtype_error_is_weave_rows(self):
+        # the layout models weave_rows' buffer, so it rejects the pairs
+        # that weave_rows rejects, with the same text
+        img = np.zeros((1, 2, 3), np.uint64)
+        noi = np.zeros((1, 2, 3), np.int64)
+        with pytest.raises(TypeError) as woven:
+            weave_rows(img, noi)
+        with pytest.raises(TypeError, match=re.escape(str(woven.value))):
+            layout_rows(img, noi)
+
+    def test_default_stride_is_a_woven_row(self):
+        img = np.zeros((1, 2, 3), np.int32)
+        noi = np.zeros((1, 2, 3), np.int64)
+        assert layout_rows(img, noi).row_stride \
+            == weave_rows(img, noi).strides[1] == 24
+        assert layout_rows(img).row_stride == 12
 
     @pytest.mark.parametrize("seed", range(10))
     def test_streaming_reconstructs_woven(self, seed):

@@ -7,8 +7,10 @@ import pytest
 from advweave.adversary import (PerturbBudget, TrainConfig, fooling_report,
                                 init_model, load_model, make_corpus,
                                 random_noise, save_model)
-from advweave.cli import build_parser, main
+from advweave.cli import build_parser, main, random_instance
+from advweave.conv import conv2d_nchw
 from advweave.tensor import read_t3b_stream, write_t3b, write_t3b_stream
+from advweave.weave import attacked_conv_nchw
 
 
 def _reject_constant(name):
@@ -63,6 +65,41 @@ class TestVerifyEquivalence:
                            "--seed", "1", "--sabotage")
         assert code == 1
         assert jsonl(out)[-1]["payload"]["failures"] > 0
+
+    @pytest.mark.parametrize("float_mode", [False, True],
+                             ids=["integer", "float"])
+    def test_sabotage_trial_by_trial(self, capsys, float_mode):
+        # every line is the comparison of the full outputs: conv(image +
+        # noise) against the attacked conv of noise with row 0 raised by 1
+        flags = ["--float"] if float_mode else []
+        code, out, _ = run(capsys, "verify-equivalence", "--trials", "200",
+                           "--seed", "0", "--sabotage", *flags)
+        lines = jsonl(out)
+        assert len(lines) == 201
+        rng = np.random.default_rng(0)
+        failures = 0
+        for line in lines[:-1]:
+            image, noise, filters, geom = random_instance(rng, 16, float_mode)
+            wrong = noise.copy()
+            wrong[:, 0, :] += 1
+            direct = conv2d_nchw((image + noise)[None], filters, geom)
+            attacked = attacked_conv_nchw(image[None], wrong, filters, geom)
+            diff = float(np.abs(direct.astype(np.float64)
+                                - attacked.astype(np.float64)).max())
+            if float_mode:
+                exact = diff <= 1e-9 * (float(np.abs(direct).max()) or 1.0)
+            else:
+                exact = np.array_equal(direct, attacked)
+                # the bench control's rule: only filter row 0 of output row
+                # 0 reads noise row 0, so each output there moves by the
+                # sum of its filter's row 0
+                assert exact == (not np.any(
+                    filters.weights[:, :, 0, :].sum(axis=(1, 2))))
+            assert (line["max_abs_diff"], line["exact"]) == (diff, exact)
+            failures += not exact
+        assert 0 < failures
+        assert lines[-1]["payload"] == {"trials": 200, "failures": failures}
+        assert code == 1
 
     def test_zero_trials_usage_error(self, capsys):
         code, _, err = run(capsys, "verify-equivalence", "--trials", "0")

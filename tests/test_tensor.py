@@ -144,6 +144,7 @@ class TestTensor3:
         geom, cfg = ConvGeometry(), preset_config("tpu")
         for call in (lambda: equivalence_report(bad, good, f, geom),
                      lambda: equivalence_report(good, bad, f, geom),
+                     lambda: equivalence_report(good, good, f, geom, bad),
                      lambda: compare_attack_footprint(bad, good, f, geom, cfg),
                      lambda: compare_attack_footprint(good, bad, f, geom, cfg),
                      lambda: count_macs(bad, f, geom, cfg),

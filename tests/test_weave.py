@@ -225,26 +225,23 @@ class TestEquivalenceReport:
         assert rep.exact and rep.max_abs_diff == 0.0
 
     def test_corrupted_woven_detected(self):
-        from advweave.weave import attacked_geometry as ag
         rng = np.random.default_rng(12)
         img = rng.integers(1, 9, (1, 4, 4))
         noi = rng.integers(1, 5, (1, 4, 4))
         f = FilterBank(np.ones((1, 1, 2, 2), dtype=np.int64), np.zeros(1, dtype=np.int64))
         g = ConvGeometry(1, 1)
-        woven = weave_rows(img, noi)
-        woven[0, 1, :] += 100  # flip one noise row
-        corrupted = conv2d(woven, duplicate_filter_rows(f), ag(g))
-        rep = equivalence_report(img, noi, f, g, attacked_output=corrupted)
-        assert not rep.exact
+        wrong = noi.copy()
+        wrong[0, 0, :] += 100  # flip one noise row: woven row 1
+        rep = equivalence_report(img, noi, f, g, woven_noise=wrong)
+        # filter row 0 reads it in output row 0, over two kernel columns
+        assert rep == EquivalenceReport(max_abs_diff=200.0, exact=False)
 
     @staticmethod
-    def _full_report(img, noi, f, g, attacked_output=None):
+    def _full_report(img, noi, f, g, woven_noise=None):
         """The report from both full outputs, compared whole."""
         direct = conv2d(img + noi, f, g)
-        attacked = attacked_output if attacked_output is not None \
-            else attacked_conv(img, noi, f, g)
-        if direct.shape != attacked.shape:
-            return EquivalenceReport(max_abs_diff=float("inf"), exact=False)
+        attacked = attacked_conv(img, noi if woven_noise is None
+                                 else woven_noise, f, g)
         integer = direct.dtype.kind in "iu" and attacked.dtype.kind in "iu"
         diff = np.abs(direct.astype(np.float64) - attacked.astype(np.float64))
         max_abs_diff = float(diff.max())
@@ -256,11 +253,11 @@ class TestEquivalenceReport:
         return EquivalenceReport(max_abs_diff=max_abs_diff, exact=exact)
 
     @staticmethod
-    def _sabotaged(img, noi, f, g):
-        """attacked_conv with noise row 0 raised, as --sabotage does."""
+    def _sabotaged(noi):
+        """The woven noise of --sabotage: noise row 0 raised by 1."""
         wrong = noi.copy()
         wrong[:, 0, :] += 1
-        return attacked_conv(img, wrong, f, g)
+        return wrong
 
     def _check_instances(self, rng, trials, max_dim=16):
         caught = 0  # sabotaged integer outputs that differ
@@ -270,8 +267,8 @@ class TestEquivalenceReport:
             f = FilterBank(f.weights, np.where(f.bias == 0, 1, f.bias))
             assert equivalence_report(img, noi, f, g) \
                 == self._full_report(img, noi, f, g)
-            wrong = self._sabotaged(img, noi, f, g)
-            rep = equivalence_report(img, noi, f, g, attacked_output=wrong)
+            wrong = self._sabotaged(noi)
+            rep = equivalence_report(img, noi, f, g, woven_noise=wrong)
             assert rep == self._full_report(img, noi, f, g, wrong)
             caught += not float_mode and rep.max_abs_diff > 0
         assert caught > trials // 4
@@ -312,9 +309,11 @@ class TestEquivalenceReport:
             assert equivalence_report(img, noi, f, g) \
                 == self._full_report(img, noi, f, g)
             assert edges == [[0, 5, 10], [0, 2, 4, 6, 8, 10]]  # direct first
-            wrong = self._sabotaged(img, noi, f, g)
-            assert equivalence_report(img, noi, f, g, attacked_output=wrong) \
+            del edges[:]
+            wrong = self._sabotaged(noi)
+            assert equivalence_report(img, noi, f, g, woven_noise=wrong) \
                 == self._full_report(img, noi, f, g, wrong)
+            assert edges == [[0, 5, 10], [0, 2, 4, 6, 8, 10]]
 
     def test_each_block_released_before_the_next(self):
         def stream(heights):
@@ -346,10 +345,10 @@ class TestEquivalenceReport:
         img, noi = data, rng.uniform(-1, 1, data.shape)
         f = FilterBank(rng.uniform(-1, 1, (2, 1, 2, 2)), rng.uniform(-1, 1, 2))
         g = ConvGeometry()
-        for attacked in (None, attacked_conv(img, noi, f, g)):
-            rep = equivalence_report(img, noi, f, g, attacked)
+        for woven_noise in (None, noi.copy()):
+            rep = equivalence_report(img, noi, f, g, woven_noise)
             assert np.isnan(rep.max_abs_diff) and not rep.exact
-            assert np.isnan(self._full_report(img, noi, f, g, attacked)
+            assert np.isnan(self._full_report(img, noi, f, g, woven_noise)
                             .max_abs_diff)
 
     def test_products_on_different_exact_routes(self, monkeypatch):
@@ -373,16 +372,20 @@ class TestEquivalenceReport:
         rep = equivalence_report(img, noi, f, g)
         assert routes == [np.float32, np.float64]  # direct, then woven
         assert rep == EquivalenceReport(max_abs_diff=0.0, exact=True)
-        wrong = self._sabotaged(img, noi, f, g)
-        assert equivalence_report(img, noi, f, g, attacked_output=wrong) \
-            == self._full_report(img, noi, f, g, wrong)
+        del routes[:]
+        wrong = self._sabotaged(noi)
+        rep = equivalence_report(img, noi, f, g, woven_noise=wrong)
+        assert routes == [np.float32, np.float64]  # the woven stream ran
+        assert rep == self._full_report(img, noi, f, g, wrong)
 
-    def test_wrong_shape_is_never_exact(self):
+    def test_woven_noise_of_another_shape_or_dtype_raises(self):
         img, noi, f, g = rand_attack_instance(np.random.default_rng(14))
-        out = attacked_conv(img, noi, f, g)
-        wide = np.concatenate([out, out], axis=2)
-        assert equivalence_report(img, noi, f, g, attacked_output=wide) \
-            == EquivalenceReport(max_abs_diff=float("inf"), exact=False)
+        for shape in (np.concatenate([noi, noi], axis=2), noi[None]):
+            with pytest.raises(ShapeMismatch, match="woven noise"):
+                equivalence_report(img, noi, f, g, shape)
+        for dtype in (np.int32, np.float64):
+            with pytest.raises(TypeError, match="woven noise"):
+                equivalence_report(img, noi, f, g, noi.astype(dtype))
 
     def test_no_full_size_output(self):
         # the footprint layer: a full int64 output is 64*109*109*8 bytes;
