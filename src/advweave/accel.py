@@ -82,8 +82,13 @@ def layout_rows(image: np.ndarray, noise: np.ndarray | None = None,
     c, h, w = image.shape
     dtype = image.dtype if noise is None else \
         exact_result_type(image, _check_image(noise))
+    row_bytes = w * dtype.itemsize
     if row_stride is None:
-        row_stride = w * dtype.itemsize
+        row_stride = row_bytes
+    # rows that overlap, or start below address 0, model no buffer
+    if row_stride < row_bytes or base < 0:
+        raise ValueError(f"need row_stride >= {row_bytes} (one row) and "
+                         f"base >= 0, got {row_stride} and {base}")
     sources = ("image",) if noise is None else ("image", "noise")
     rows = [(source, flat) for flat in range(c * h) for source in sources]
     return MemoryImage(base_address=base, row_stride=row_stride, rows=tuple(

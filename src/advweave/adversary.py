@@ -20,11 +20,11 @@ adjacent columns: cols[j, c, k, n, py, px, dy, dx] = x[n, c, 2py+dy+j,
 would give the forward GEMM, with the columns permuted, so the GEMM's output
 (O, N, ph, pw, 4) is window-major and conv._pool_windows pools it along the
 last axis. Backprop routes each window's gradient to its first maximum with
-one broadcast product, and the dW GEMM sums in _conv's order, so every
-result is bit-identical to running the layer through _conv. train builds its
-corpus's columns once (about 1 MB at the CLI defaults) and gathers each
-batch's with one fancy index (np.take along the sample axis); forward and
-backward build a batch's per call.
+one broadcast product, so the conv output's gradient dz1 keeps the columns'
+order: dW is one GEMM of dz1 by the columns, db a sum, and only dx reorders
+dz1 for _conv. train builds its corpus's columns once (about 1 MB at the CLI
+defaults) and gathers each batch's with one fancy index (np.take along the
+sample axis); forward and backward build a batch's per call.
 
 The fooling-rate evaluation can route the first layer either through
 ordinary convolution of the explicitly noise-added input ("direct") or
@@ -40,8 +40,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .conv import (ConvGeometry, FilterBank, _block_rows, _conv,
-                   _pool_windows, dense, relu)
+from .conv import ConvGeometry, FilterBank, _conv, _pool_windows, dense, relu
 from .errors import EmptyDataset, FormatError, ShapeMismatch
 from .tensor import _naming, read_t3b_stream, write_t3b_stream
 from .weave import attacked_conv_nchw
@@ -205,16 +204,6 @@ def _columns(model: TinyCNN, xs: np.ndarray) -> np.ndarray:
         .copy().view(np.float64).reshape(kh, c, kw, n, ph, pw, 2, 2)
 
 
-def _nchw(z: np.ndarray) -> np.ndarray:
-    """A window-major (O, N, ph, pw, 4) float64 first-layer array as a
-    contiguous (N, O, 2ph, 2pw) one."""
-    o, n, ph, pw, _ = z.shape
-    # window rows move as complex128 pairs, as in _columns
-    return np.ascontiguousarray(z.view(np.complex128).reshape(o, n, ph, pw, 2)
-                                .transpose(1, 0, 2, 4, 3)) \
-        .reshape(n, o, 2 * ph, pw).view(np.float64)
-
-
 def _forward(model: TinyCNN,
              cols: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """forward from a batch's _columns.
@@ -300,10 +289,15 @@ def _backprop_to_conv(model: TinyCNN, logits: np.ndarray, cache: ForwardCache,
 
 
 def _input_gradient(model: TinyCNN, dz1: np.ndarray) -> np.ndarray:
-    """dx: the full (fully padded) convolution of an (N, O, oh, ow) dz1 by
-    the flipped filters."""
+    """dx: the full (fully padded) convolution of a window-major dz1, as
+    (N, O, oh, ow), by the flipped filters."""
     w = model.conv1.weights
     _, _, kh, kw = w.shape
+    o, n, ph, pw, _ = dz1.shape
+    # (O, N, ph, pw, dy) -> (N, O, ph, dy, pw), in complex128 pairs as in _columns
+    dz1 = np.ascontiguousarray(dz1.view(np.complex128).reshape(o, n, ph, pw, 2)
+                               .transpose(1, 0, 2, 4, 3)) \
+        .reshape(n, o, 2 * ph, pw).view(np.float64)
     return _conv(dz1, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), None,
                  ConvGeometry(pad_h=kh - 1, pad_w=kw - 1))
 
@@ -311,28 +305,19 @@ def _input_gradient(model: TinyCNN, dz1: np.ndarray) -> np.ndarray:
 def _parameter_gradients(model: TinyCNN, cols: np.ndarray,
                          labels: np.ndarray) -> tuple[Gradients, np.ndarray]:
     """Batch-summed parameter gradients (with `input` unset) and the loss
-    gradient at the first layer's output as (N, O, oh, ow), from a batch's
+    gradient dz1 at the first layer's output, window-major, from a batch's
     _columns and labels already checked."""
     logits, cache = _forward(model, cols)
     dlogits, dz1 = _backprop_to_conv(model, logits, cache, labels)
-    dz1 = _nchw(dz1)
-    n, o, _, _ = dz1.shape
+    o = dz1.shape[0]
     kh, c, kw = cols.shape[:3]
-    # dW[o, c, j, k] = sum over y, n, x of dz1[n, o, y, x] * x[n, c, y+j, x+k]:
-    # _conv's dW GEMMs, summing in its (oh, N, ow) order over its blocks of
-    # kernel rows j (one block unless the columns pass COLUMN_BYTES)
-    a = dz1.transpose(1, 2, 0, 3).reshape(o, -1)
-    rows = _block_rows(a.shape[1] * c * kw * a.itemsize)
-    blocks = []
-    for j in range(0, kh, rows):
-        block = cols[j:j + rows]
-        r = len(block)
-        blocks.append((a @ block.transpose(4, 6, 3, 5, 7, 1, 0, 2)
-                       .reshape(-1, c * r * kw)).reshape(o, c, r, kw))
-    dconv_w = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=2)
-    # the bias gradient sums a contiguous (N, O, oh, ow) array: the order of
-    # a reduction over a window-major one would change its bytes
-    return Gradients(conv_w=dconv_w, conv_b=dz1.sum(axis=(0, 2, 3)),
+    # dz1 and the columns share one column order, (n, py, px, dy, dx): dW is
+    # one GEMM of the flattened dz1 by the columns, whose rows run in
+    # (kh, C, kw) order, and db sums the flattened dz1's rows
+    a = dz1.reshape(o, -1)
+    dconv_w = (a @ cols.reshape(kh * c * kw, -1).T).reshape(o, kh, c, kw) \
+        .transpose(0, 2, 1, 3)
+    return Gradients(conv_w=dconv_w, conv_b=a.sum(axis=1),
                      fc_w=dlogits.T @ cache.flat,
                      fc_b=dlogits.sum(axis=0)), dz1
 
@@ -400,7 +385,7 @@ def _fgsm_step(model: TinyCNN, logits: np.ndarray, cache: ForwardCache,
     """epsilon * sign(input gradient of the loss of `label`), from the logits
     and cache of a one-sample forward; computes no parameter gradient."""
     _, dz1 = _backprop_to_conv(model, logits, cache, np.array([label]))
-    return epsilon * np.sign(_input_gradient(model, _nchw(dz1))[0])
+    return epsilon * np.sign(_input_gradient(model, dz1)[0])
 
 
 def fgsm(model: TinyCNN, x: np.ndarray, label: int, budget: PerturbBudget) -> np.ndarray:

@@ -11,7 +11,7 @@ compute dtype, with no cast and no bias. _conv assigns each block into the
 result, then adds the bias once; conv2d_nchw, the attacked convolution and
 the model's input gradient call it. weave.equivalence_report consumes two
 streams of blocks itself, so no full output exists. The model's forward
-and dW GEMMs take _conv's operands from its window-major columns instead.
+and dW GEMMs run on its own window-major columns instead.
 
 Pooling has one rule, _pool_windows, on a window-major array: its last
 axis holds the four values of one 2x2 window in row-major order (q00, q01,
@@ -113,13 +113,6 @@ BLAS_MIN_MACS = 1 << 17
 # stride (4, 2), blocks of 4 rows to the whole output all ran in 11-18 ms
 # on 2 cores.
 COLUMN_BYTES = 1 << 21
-
-
-def _block_rows(row_bytes: int) -> int:
-    """Output rows per im2col block, given the column bytes of one row: as
-    many as fit in COLUMN_BYTES, and at least one (all of them when a row
-    has no bytes, as in an empty batch)."""
-    return max(1, COLUMN_BYTES // max(1, row_bytes))
 
 
 def _max_abs(a: np.ndarray) -> int:
@@ -257,7 +250,9 @@ def _conv_blocks(x: np.ndarray, weights: np.ndarray, geom: ConvGeometry):
     # the weights in the view's (kh, C, kw) axis order
     weights = weights.astype(compute, copy=False) \
         .transpose(0, 2, 1, 3).reshape(o, k)
-    rows = _block_rows(k * n * ow * win.itemsize)
+    # as many output rows per block as fit in COLUMN_BYTES, and at least one
+    # (all of them when a row has no bytes, as in an empty batch)
+    rows = max(1, COLUMN_BYTES // max(1, k * n * ow * win.itemsize))
     for y in range(0, oh, rows):
         r = min(rows, oh - y)
         # no local holds the columns or the product across the yield

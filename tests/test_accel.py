@@ -112,6 +112,25 @@ class TestLayoutRows:
             == weave_rows(img, noi).strides[1] == 24
         assert layout_rows(img).row_stride == 12
 
+    @pytest.mark.parametrize("stride, base", [(0, 0), (-8, -100), (23, 0),
+                                              (24, -1)],
+                             ids=["zero", "negative", "one byte short",
+                                  "negative base"])
+    def test_overlapping_rows_or_negative_base_rejected(self, stride, base):
+        img = np.zeros((1, 2, 3))
+        with pytest.raises(ValueError, match=re.escape(
+                f"need row_stride >= 24 (one row) and base >= 0, "
+                f"got {stride} and {base}")):
+            layout_rows(img, img, base=base, row_stride=stride)
+
+    def test_stride_of_exactly_one_row_accepted(self):
+        img = np.zeros((1, 2, 3))
+        mem = layout_rows(img, img, row_stride=24)
+        assert [d.address for d in mem.rows] == [0, 24, 48, 72]
+        assert layout_rows(img.astype(np.int32), row_stride=12).row_stride == 12
+        with pytest.raises(ValueError):
+            layout_rows(img.astype(np.int32), row_stride=11)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_streaming_reconstructs_woven(self, seed):
         rng = np.random.default_rng(seed)

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advweave.adversary import (FoolingReport, PerturbBudget, TinyCNN,
-                                TrainConfig, backward, craft_uap,
-                                cross_entropy, fgsm,
+                                TrainConfig, _backprop_to_conv, backward,
+                                craft_uap, cross_entropy, fgsm,
                                 fooling_report, forward, init_model,
                                 load_model, make_corpus, predict,
                                 random_noise, save_model, softmax, train)
@@ -243,6 +243,42 @@ class TestBackward:
                            atol=1e-14)
         assert np.allclose(g.conv_w, want_w, rtol=1e-12, atol=1e-14)
         assert np.abs(g.conv_b).min() > 1e-6  # the routing shows in each bias
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 810, 900])
+    @pytest.mark.parametrize("c, kh, kw", [(1, 1, 4), (2, 4, 1), (3, 2, 3),
+                                           (2, 3, 4)])
+    def test_parameter_gradients_match_einsum_oracle(self, c, kh, kw, n):
+        # dW[o, c, j, k] = sum over n, y, x of dz1[n, o, y, x] *
+        # x[n, c, y+j, x+k] and db[o] = sum of dz1[:, o], on the NCHW dz1;
+        # with C > 1 and kh > 1 a (C, kh, kw) filter order differs from the
+        # model's (kh, C, kw) one. At (3, 2, 3), 810 and 900 samples have
+        # more columns than one conv block's COLUMN_BYTES (2 MiB), where a
+        # dW blocked like the conv would split.
+        rng = np.random.default_rng(c * 100 + kh * 10 + kw + n)
+        shape = (c, kh + 5, kw + 5)  # a 6x6 conv output, 3x3 pooled
+        m = TinyCNN(FilterBank(rng.normal(0, 0.5, (6, c, kh, kw)),
+                               rng.normal(0, 0.1, 6)),
+                    rng.normal(0, 0.3, (4, 54)), rng.normal(0, 0.1, 4), shape)
+        xs = rng.uniform(0, 1, (n, *shape))
+        ys = rng.integers(0, 4, n)
+        g = backward(m, xs, ys)
+        logits, cache = forward(m, xs)
+        # window-major (O, N, py, px, dy, dx) -> (N, O, 2py+dy, 2px+dx)
+        dz1 = _backprop_to_conv(m, logits, cache, ys)[1] \
+            .reshape(6, n, 3, 3, 2, 2).transpose(1, 0, 2, 4, 3, 5) \
+            .reshape(n, 6, 6, 6)
+        want_w, scale_w = np.empty((2, 6, c, kh, kw))
+        for j in range(kh):
+            for k in range(kw):
+                win = xs[:, :, j:j + 6, k:k + 6]
+                want_w[:, :, j, k] = np.einsum("noyx,ncyx->oc", dz1, win)
+                scale_w[:, :, j, k] = np.einsum("noyx,ncyx->oc", np.abs(dz1),
+                                                win)
+        # a float sum's error scales with the sum of its terms' magnitudes
+        assert (np.abs(g.conv_w - want_w) <= 1e-12 * scale_w).all()
+        assert (np.abs(g.conv_b - dz1.sum(axis=(0, 2, 3)))
+                <= 1e-12 * np.abs(dz1).sum(axis=(0, 2, 3))).all()
+        assert g.conv_w.shape == (6, c, kh, kw) and g.conv_b.shape == (6,)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_batch_sums_per_sample_gradients(self, seed):

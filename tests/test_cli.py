@@ -1,5 +1,9 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -477,3 +481,21 @@ class TestManifestDeterminism:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
         assert json.loads(out1)["payload"] == json.loads(out2)["payload"]
+
+    @pytest.mark.parametrize("env", [{}, {"OPENBLAS_NUM_THREADS": "1"}],
+                             ids=["default", "one BLAS thread"])
+    def test_train_checkpoint_identical_across_processes(self, tmp_path, env):
+        # two fresh interpreters (fresh allocations, so other operand
+        # alignments) write the same bytes; batches of 900 make every
+        # first-layer GEMM long
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, **env, "PYTHONPATH": src}
+        blobs = []
+        for i in range(2):
+            path = tmp_path / f"m{i}.tcnn"
+            subprocess.run([sys.executable, "-m", "advweave.cli", "train",
+                            "--model", str(path), "--seed", "0",
+                            "--batch-size", "900", "--samples", "1000"],
+                           env=env, check=True, capture_output=True)
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]

@@ -1,8 +1,11 @@
-"""Every module under src/advweave uses each name it imports.
+"""Every module under src/advweave uses each name it imports, and every
+module-level private name (`_name`) that the package defines is read
+somewhere in the package.
 
-No linter ships with the project, so this is its unused-import check:
-a deletion that leaves an import behind fails here. The package
-__init__ is exempt, since its imports are the public re-exports.
+No linter ships with the project, so these are its unused-import and
+dead-helper checks: a deletion that leaves an import or a helper behind
+fails here. The package __init__ is exempt from the import check, since
+its imports are the public re-exports.
 """
 import ast
 from pathlib import Path
@@ -39,3 +42,41 @@ def test_finds_a_name_left_behind():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_private_names(sources: list[str]) -> list[str]:
+    """The module-level private names (`_name`, not dunders) that the
+    sources define, as a def, class or assignment, and none of them reads."""
+    defined, read = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                defined |= {n.id for t in targets for n in ast.walk(t)
+                            if isinstance(n, ast.Name)}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    return sorted(name for name in defined - read
+                  if name.startswith("_") and not name.startswith("__"))
+
+
+def test_finds_a_helper_left_behind():
+    sources = ["_LIMIT = 4\n"
+               "def _block_rows(n):\n    return n // _LIMIT\n"
+               "def _conv(x):\n    return x\n"
+               "__version__ = '1'\n",
+               "from .conv import _conv\n"
+               "def run(m):\n    return _conv(m) + m._width\n"
+               "class _Unused:\n    _width = 1\n"]
+    assert dead_private_names(sources) == ["_Unused", "_block_rows"]
+
+
+def test_no_dead_private_helpers():
+    assert dead_private_names([p.read_text() for p in SRC.glob("*.py")]) == []
