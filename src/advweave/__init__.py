@@ -6,7 +6,7 @@ of a T3B file, as read_t3b returns it; np.asarray gives its array.
 
 Pieces:
   tensor    - quantization, bit statistics, T3B files
-  conv      - one batched convolution kernel; activation / pooling / dense
+  conv      - one batched convolution kernel; activation / dense
   weave     - the interleaving attack transform and its equivalence oracle
   accel     - systolic-array MAC/cycle simulator and memory row layout
   adversary - tiny CNN, FGSM, universal perturbations, fooling metrics

@@ -13,13 +13,14 @@ arrays. One image or perturbation is a (C, H, W) array: fgsm (the only
 one-image model call) takes and returns one, as random_noise and craft_uap
 return and fooling_report applies one.
 
-The first layer works window-major. _columns copies a batch's im2col
-columns so that the four conv outputs of each 2x2 pooling window come from
-adjacent columns: cols[j, c, k, n, py, px, dy, dx] = x[n, c, 2py+dy+j,
-2px+dx+k]. Reshaped to (kh*C*kw, N*oh*ow), that is the operand conv._conv
-would give the forward GEMM, with the columns permuted, so the GEMM's output
-(O, N, ph, pw, 4) is window-major and conv._pool_windows pools it along the
-last axis. Backprop routes each window's gradient to its first maximum with
+The first layer works window-major on both routes. _columns copies a
+batch's im2col columns so that the four conv outputs of each 2x2 pooling
+window come from adjacent columns: cols[j, c, k, n, py, px, dy, dx] =
+x[n, c, 2py+dy+j, 2px+dx+k]. Reshaped to (kh*C*kw, N*oh*ow), that is the
+operand conv._conv would give the forward GEMM, with the columns permuted,
+so the GEMM's output (O, N, ph, pw, 4) is window-major and _pool_windows
+pools it along the last axis, (q00, q01, q10, q11), marking each window's
+first maximum. Backprop routes each window's gradient to that maximum with
 one broadcast product, so the conv output's gradient dz1 keeps the columns'
 order: dW is one GEMM of dz1 by the columns, db a sum, and only dx reorders
 dz1 for _conv. train builds its corpus's columns once (about 1 MB at the CLI
@@ -28,9 +29,9 @@ sample axis); forward and backward build a batch's per call.
 
 The fooling-rate evaluation can route the first layer either through
 ordinary convolution of the explicitly noise-added input ("direct") or
-through the noise-interleaved attacked convolution ("interleaved"), whose
-(N, O, oh, ow) output is reordered window-major once, before pooling; the
-two paths must agree.
+through the noise-interleaved attacked convolution ("interleaved"): the
+woven batch's columns at vertical stride 2, with j over the 2*kh duplicated
+filter rows, into the same GEMM and tail. The two paths must agree.
 """
 from __future__ import annotations
 
@@ -40,10 +41,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .conv import ConvGeometry, FilterBank, _conv, _pool_windows, dense, relu
-from .errors import EmptyDataset, FormatError, ShapeMismatch
+from .conv import ConvGeometry, FilterBank, _conv, dense, relu
+from .errors import Diverged, EmptyDataset, FormatError, ShapeMismatch
 from .tensor import _naming, read_t3b_stream, write_t3b_stream
-from .weave import attacked_conv_nchw
+from .weave import weave_rows
 
 TCNN_MAGIC = b"TCNN"
 TCNN_VERSION = 1
@@ -124,6 +125,8 @@ class PerturbBudget:
             raise ValueError(
                 f"epsilon {self.epsilon} is outside [0, "
                 f"{RELATIVE_CAP} * {MAX_MAGNITUDE}]")
+        # -0.0 as 0.0: a bound of -0.0 would make [-bound, bound] reversed
+        object.__setattr__(self, "epsilon", self.epsilon + 0.0)
 
 
 @dataclass(frozen=True)
@@ -175,7 +178,6 @@ def cross_entropy(logits: np.ndarray, label: int) -> float:
 @dataclass
 class ForwardCache:
     pool_mask: np.ndarray  # (O, N, ph, pw, 4): each window's first maximum
-    pooled: np.ndarray     # (O, N, ph, pw) pooled conv output, before ReLU
     flat: np.ndarray       # (N, features) ReLU output
 
 
@@ -184,52 +186,80 @@ def _check_input(model: TinyCNN, xs: np.ndarray) -> None:
         raise ShapeMismatch(f"input {xs.shape[1:]} != model {model.input_shape}")
 
 
-def _columns(model: TinyCNN, xs: np.ndarray) -> np.ndarray:
+def _columns(model: TinyCNN, xs: np.ndarray,
+             noise: np.ndarray | None = None) -> np.ndarray:
     """The first layer's im2col columns of an (N, C, H, W) batch, window-major:
     cols[j, c, k, n, py, px, dy, dx] = xs[n, c, 2py+dy+j, 2px+dx+k], so the
     four conv outputs of pooling window (py, px) come from adjacent columns
     and cols.reshape(kh*C*kw, -1) is the forward GEMM's operand as it is.
+
+    With `noise` (as weave_rows takes it), the woven batch's columns at
+    vertical stride 2: j runs over 2*kh duplicated filter rows, and woven
+    row 2(2py+dy)+j takes the place of row 2py+dy+j.
     """
     _check_input(model, xs)
-    x = np.ascontiguousarray(xs, dtype=np.float64)
-    n, c, h, w = x.shape
+    sv = 1 if noise is None else 2  # vertical stride
+    x = np.ascontiguousarray(xs if noise is None else weave_rows(xs, noise),
+                             dtype=np.float64)
+    n, c, h, w = xs.shape
     _, _, kh, kw = model.conv1.weights.shape
     ph, pw = (h - kh + 1) // 2, (w - kw + 1) // 2
     sn, sc, sy, sx = x.strides
     # a window row's two values (dx = 0, 1) are adjacent in x, so they move
     # as one complex128: numpy copies one 16-byte item faster than two
     # 8-byte ones, and copying moves the bits untouched
-    return np.ndarray((kh, c, kw, n, ph, pw, 2), dtype=np.complex128, buffer=x,
-                      strides=(sy, sc, sx, sn, 2 * sy, 2 * sx, sy)) \
-        .copy().view(np.float64).reshape(kh, c, kw, n, ph, pw, 2, 2)
+    return np.ndarray((sv * kh, c, kw, n, ph, pw, 2), dtype=np.complex128,
+                      buffer=x, strides=(sy, sc, sx, sn, 2 * sv * sy, 2 * sx,
+                                         sv * sy)) \
+        .copy().view(np.float64).reshape(sv * kh, c, kw, n, ph, pw, 2, 2)
+
+
+def _pool_windows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """2x2 max pooling of a window-major array: z[..., i] is value i of a
+    window, in row-major order (q00, q01, q10, q11).
+
+    Returns the pooled array z.shape[:-1] and a boolean mask of z's shape
+    that marks each window's first maximum. The pooling rule of the
+    model's first layer.
+    """
+    q = z.reshape(-1, 4)  # two axes iterate faster than many
+    # max(max(q00, q01), max(q10, q11)): which zero np.maximum returns when
+    # 0.0 meets -0.0 depends on operand order, so this order fixes its sign
+    pooled = np.maximum(q[:, 0], q[:, 1])
+    np.maximum(pooled, np.maximum(q[:, 2], q[:, 3]), out=pooled)
+    mask = q == pooled[:, None]
+    # one hit per window is already the first hit; a NaN window has none,
+    # so it could balance a tied window's extra hit
+    if np.count_nonzero(mask) != pooled.size or (pooled != pooled).any():
+        taken = np.zeros(pooled.shape, dtype=bool)
+        for i in range(4):  # row-major window order
+            mask[:, i] &= ~taken
+            taken |= mask[:, i]
+    return pooled.reshape(z.shape[:-1]), mask.reshape(z.shape)
 
 
 def _forward(model: TinyCNN,
              cols: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """forward from a batch's _columns.
+    """forward from a batch's _columns, plain or woven.
 
     The GEMM gets the operands _conv would give it, (O, kh*C*kw) weights by
     (kh*C*kw, N*oh*ow) columns, with the columns of each pooling window
-    adjacent, so its output is window-major: (O, N, ph, pw, 4).
+    adjacent, so its output is window-major: (O, N, ph, pw, 4). Woven
+    columns, with 2*kh kernel rows, take the duplicated filter rows. ReLU
+    runs after pooling, with which it commutes.
     """
     w = model.conv1.weights
-    o, c, kh, kw = w.shape
+    if len(cols) != w.shape[2]:
+        w = np.repeat(w, 2, axis=2)
+    o = len(w)
     n, ph, pw = cols.shape[3:6]
-    z = w.astype(np.float64, copy=False).transpose(0, 2, 1, 3).reshape(o, -1) \
-        @ cols.reshape(kh * c * kw, -1)
-    z = z.reshape(o, n, ph, pw, 4)
+    w = w.astype(np.float64, copy=False).transpose(0, 2, 1, 3).reshape(o, -1)
+    z = (w @ cols.reshape(w.shape[1], -1)).reshape(o, n, ph, pw, 4)
     z += model.conv1.bias[:, None, None, None, None]
-    return _tail(model, z)
-
-
-def _tail(model: TinyCNN, z: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Pooling, ReLU and dense on a window-major first-layer output z. ReLU
-    runs after pooling, with which it commutes."""
     pooled, mask = _pool_windows(z)
-    o, n, ph, pw = pooled.shape
     flat = relu(pooled).transpose(1, 0, 2, 3).reshape(n, o * ph * pw)
     logits = dense(flat, model.fc_w, model.fc_b)
-    return logits, ForwardCache(pool_mask=mask, pooled=pooled, flat=flat)
+    return logits, ForwardCache(pool_mask=mask, flat=flat)
 
 
 def forward(model: TinyCNN, xs: np.ndarray,
@@ -238,19 +268,9 @@ def forward(model: TinyCNN, xs: np.ndarray,
 
     With `noise` (a (C, H, W) pattern, or a batch of them that broadcasts
     over xs) the first layer runs the noise-interleaved attacked
-    convolution, whose (N, O, oh, ow) output is reordered window-major
-    before pooling.
+    convolution: the woven batch's columns by the duplicated filter rows.
     """
-    if noise is None:
-        return _forward(model, _columns(model, xs))
-    _check_input(model, xs)
-    z = np.asarray(attacked_conv_nchw(xs, noise, model.conv1), dtype=np.float64)
-    n, o, oh, ow = z.shape
-    # (O, N, ph, dy, pw) -> (O, N, ph, pw, dy), in complex128 pairs as in _columns
-    z = np.ascontiguousarray(z.transpose(1, 0, 2, 3)).view(np.complex128) \
-        .reshape(o, n, oh // 2, 2, ow // 2).transpose(0, 1, 2, 4, 3)
-    z = np.ascontiguousarray(z).view(np.float64).reshape(o, n, oh // 2, ow // 2, 4)
-    return _tail(model, z)
+    return _forward(model, _columns(model, xs, noise))
 
 
 @dataclass
@@ -282,9 +302,10 @@ def _backprop_to_conv(model: TinyCNN, logits: np.ndarray, cache: ForwardCache,
     output: each window's pooled gradient goes to its first maximum."""
     dlogits = softmax(logits)
     dlogits[np.arange(len(labels)), labels] -= 1.0
-    o, n, ph, pw = cache.pooled.shape
-    dpooled = (dlogits @ model.fc_w).reshape(n, o, ph, pw) \
-        .transpose(1, 0, 2, 3) * (cache.pooled > 0)
+    o, n, ph, pw = cache.pool_mask.shape[:4]
+    # flat (the ReLU output) is > 0 exactly where the pooled value is
+    dflat = (dlogits @ model.fc_w) * (cache.flat > 0)
+    dpooled = dflat.reshape(n, o, ph, pw).transpose(1, 0, 2, 3)
     return dlogits, cache.pool_mask * dpooled[..., None]
 
 
@@ -377,6 +398,10 @@ def train(model: TinyCNN, xs: np.ndarray, ys: np.ndarray,
             lr = cfg.learning_rate / len(batch)
             for p, dp in zip(params, (g.conv_w, g.conv_b, g.fc_w, g.fc_b)):
                 p -= lr * dp
+    # one check suffices: a step never turns a NaN or infinity finite again
+    if not all(np.isfinite(p).all() for p in params):
+        raise Diverged(f"training diverged at learning rate "
+                       f"{cfg.learning_rate}: a parameter is not finite")
     return work
 
 
@@ -523,9 +548,10 @@ def make_corpus(n: int, seed: int, shape: tuple[int, int, int] = (1, 8, 8),
 # Checkpoint format: magic "TCNN", u32le version, then parameter tensors in
 # T3B framing. Block 0 is an integer meta tensor (in_c, in_h, in_w,
 # num_classes); conv weights are framed as (out_channels, in_channels *
-# kernel_h, kernel_w). load_model parses, then builds: it checks only the
-# framing; FilterBank checks the conv bias and _flat_features the kernel's
-# fit, all inside _naming, so every error is one FormatError naming the file.
+# kernel_h, kernel_w). load_model parses, then builds: it checks the framing
+# and that every parameter is finite; FilterBank checks the conv bias and
+# _flat_features the kernel's fit, all inside _naming, so every error is one
+# FormatError naming the file.
 
 def save_model(model: TinyCNN, path) -> None:
     c, h, w = model.input_shape
@@ -558,6 +584,9 @@ def load_model(path) -> TinyCNN:
                                       for _ in range(4))
         if f.read(1):
             raise FormatError("trailing bytes after checkpoint")
+        for i, block in enumerate((conv_w, conv_b, fc_w, fc_b), 1):
+            if not np.isfinite(block).all():
+                raise FormatError(f"block {i} holds a NaN or infinity")
         o, ikh, kw = conv_w.shape
         if ikh % c:
             raise FormatError(f"conv rows {ikh} do not divide by in_c {c}")

@@ -306,7 +306,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as e:
+    # MemoryError: an allocation the arguments ask for fails at once
+    except (ValueError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAIL if isinstance(e, EmptyDataset) else EXIT_USAGE
 

@@ -1,7 +1,6 @@
-"""Reference convolution, activation, pooling, and dense layers, on plain
-arrays: conv2d_nchw, relu, _pool_windows (2x2 max pooling that also returns
-the mask backprop needs) and dense. _check_batch checks an (N, C, H, W)
-batch against a FilterBank, _check_image one (C, H, W) image.
+"""Reference convolution, activation and dense layers, on plain arrays:
+conv2d_nchw, relu and dense. _check_batch checks an (N, C, H, W) batch
+against a FilterBank, _check_image one (C, H, W) image.
 
 conv2d_nchw is a cross-correlation (no kernel flip), the deep-learning
 convention; every equivalence oracle in this repo uses it on both sides.
@@ -12,12 +11,6 @@ result, then adds the bias once; conv2d_nchw, the attacked convolution and
 the model's input gradient call it. weave.equivalence_report consumes two
 streams of blocks itself, so no full output exists. The model's forward
 and dW GEMMs run on its own window-major columns instead.
-
-Pooling has one rule, _pool_windows, on a window-major array: its last
-axis holds the four values of one 2x2 window in row-major order (q00, q01,
-q10, q11). It pools max(max(q00, q01), max(q10, q11)) and marks each
-window's first maximum. The model's first layer computes its output in
-that layout.
 
 Integer inputs give a bit-exact int64 result on one of three routes. A
 layer of at least BLAS_MIN_MACS MACs runs on BLAS in float32 when
@@ -263,30 +256,6 @@ def _conv_blocks(x: np.ndarray, weights: np.ndarray, geom: ConvGeometry):
 def relu(x: np.ndarray) -> np.ndarray:
     """max(x, 0) elementwise, for an array of any shape."""
     return np.maximum(x, 0)
-
-
-def _pool_windows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """2x2 max pooling of a window-major array: z[..., i] is value i of a
-    window, in row-major order (q00, q01, q10, q11).
-
-    Returns the pooled array z.shape[:-1] and a boolean mask of z's shape
-    that marks each window's first maximum. The pooling rule of the
-    model's first layer.
-    """
-    q = z.reshape(-1, 4)  # two axes iterate faster than many
-    # max(max(q00, q01), max(q10, q11)): which zero np.maximum returns when
-    # 0.0 meets -0.0 depends on operand order, so this order fixes its sign
-    pooled = np.maximum(q[:, 0], q[:, 1])
-    np.maximum(pooled, np.maximum(q[:, 2], q[:, 3]), out=pooled)
-    mask = q == pooled[:, None]
-    # one hit per window is already the first hit; a NaN window has none,
-    # so it could balance a tied window's extra hit
-    if np.count_nonzero(mask) != pooled.size or (pooled != pooled).any():
-        taken = np.zeros(pooled.shape, dtype=bool)
-        for i in range(4):  # row-major window order
-            mask[:, i] &= ~taken
-            taken |= mask[:, i]
-    return pooled.reshape(z.shape[:-1]), mask.reshape(z.shape)
 
 
 def dense(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -19,3 +19,7 @@ class EmptyDataset(ValueError):
 
 class FormatError(ValueError):
     """A T3B or TCNN file (or stream) is malformed."""
+
+
+class Diverged(ValueError):
+    """Training left a parameter NaN or infinite."""

@@ -160,6 +160,7 @@ class TestCountMacs:
         assert rep.mac_executed == 0
         assert rep.mac_skipped == rep.mac_issued
         assert rep.cycles == 0
+        assert rep.array_utilization == 0.0
 
     def test_zero_skip_off_executes_all(self):
         x = np.zeros((1, 4, 4), dtype=np.int64)

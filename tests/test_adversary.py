@@ -13,8 +13,9 @@ from advweave.adversary import (FoolingReport, PerturbBudget, TinyCNN,
                                 load_model, make_corpus, predict,
                                 random_noise, save_model, softmax, train)
 from advweave.conv import FilterBank
-from advweave.errors import EmptyDataset, FormatError, ShapeMismatch
+from advweave.errors import Diverged, EmptyDataset, FormatError, ShapeMismatch
 from advweave.tensor import linf_norm, read_t3b_stream, write_t3b_stream
+from advweave.weave import attacked_conv_nchw
 
 
 def loss_of(model, x, y):
@@ -99,6 +100,39 @@ class TestForward:
         scale = max(np.abs(direct).max(), 1e-300)
         assert np.abs(direct - woven).max() <= 1e-12 * scale
         assert np.array_equal(predict(m, xs), single.argmax(axis=1))
+
+    @pytest.mark.parametrize("c, kh, kw, n", [
+        (1, 1, 4, 0), (2, 4, 1, 1), (3, 2, 3, 7), (1, 3, 2, 70),
+        (2, 1, 2, 7), (3, 4, 3, 70)])
+    @pytest.mark.parametrize("per_image", [False, True])
+    def test_interleaved_route_matches_library_attacked_conv(self, c, kh, kw,
+                                                             n, per_image):
+        rng = np.random.default_rng(c * 1000 + kh * 100 + kw * 10 + n)
+        h, w, o, classes = kh - 1 + 6, kw - 1 + 4, 3, 5
+        m = TinyCNN(FilterBank(rng.normal(size=(o, c, kh, kw)),
+                               rng.normal(size=o)),
+                    rng.normal(size=(classes, o * 6)),
+                    rng.normal(size=classes), (c, h, w))
+        xs = rng.uniform(0, 1, (n, c, h, w))
+        v = rng.uniform(-0.05, 0.05, (n, c, h, w) if per_image else (c, h, w))
+        woven, _ = forward(m, xs, v)
+        # the library's attacked conv, then a plain 2x2 max-pool, ReLU, dense
+        z = attacked_conv_nchw(xs, v, m.conv1)
+        pooled = z.reshape(n, o, 3, 2, 2, 2).max(axis=(3, 5))
+        want = np.maximum(pooled, 0).reshape(n, o * 6) @ m.fc_w.T + m.fc_b
+        scale = max(np.abs(want).max(initial=0), 1e-300)
+        for got in (woven, forward(m, xs + v)[0]):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max(initial=0) <= 1e-12 * scale
+        # noise of the wrong image shape, or too many patterns for the batch
+        for bad in (np.zeros((c, h, w + 1)), np.zeros((n + 2, c, h, w))):
+            errors = []
+            for route in (lambda: forward(m, xs, bad),
+                          lambda: attacked_conv_nchw(xs, bad, m.conv1)):
+                with pytest.raises(ValueError) as e:
+                    route()
+                errors.append((type(e.value), str(e.value)))
+            assert errors[0] == errors[1]
 
     def test_cross_entropy_nonnegative(self):
         rng = np.random.default_rng(0)
@@ -333,6 +367,12 @@ class TestTrain:
             else:
                 xs[i, 0, :, 4:] += 0.8
         return xs, ys
+
+    def test_non_finite_parameters_raise(self):
+        xs, ys = self.make_separable_2class(n=16)
+        with pytest.warns(RuntimeWarning):  # overflow, then NaN
+            with pytest.raises(Diverged, match="learning rate 1e\\+308"):
+                train(init_model(0), xs, ys, TrainConfig(1e308, 1, 8, 0))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_separable_toy_set_reaches_95pct(self, seed):
@@ -676,6 +716,20 @@ class TestCheckpoint:
         blob = p.read_bytes()
         assert blob[:4] == b"TCNN"
         assert int.from_bytes(blob[4:8], "little") == 1
+
+    @pytest.mark.parametrize("block, value", [(1, np.nan), (2, np.inf),
+                                              (3, -np.inf), (4, np.nan)])
+    def test_non_finite_block_rejected(self, tmp_path, block, value):
+        m = init_model(0)
+        params = [m.conv1.weights.copy(), m.conv1.bias.copy(), m.fc_w.copy(),
+                  m.fc_b.copy()]
+        params[block - 1].flat[-1] = value
+        p = tmp_path / "model.tcnn"
+        save_model(TinyCNN(FilterBank(*params[:2]), *params[2:],
+                           m.input_shape), p)
+        with pytest.raises(FormatError) as e:
+            load_model(p)
+        assert str(e.value) == f"{p}: block {block} holds a NaN or infinity"
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.tcnn"

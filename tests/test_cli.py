@@ -160,7 +160,14 @@ class TestSimulate:
         assert len(lines) == 5  # 4 per-image lines + summary
         summary = lines[-1]["payload"]
         assert summary["n_images"] == 4
-        assert {"min", "max", "mean", "std"} <= set(summary["clean_executed"])
+        for part in ("clean", "attacked"):
+            executed = [line["payload"][part]["mac_executed"]
+                        for line in lines[:-1]]
+            stats = summary[f"{part}_executed"]
+            assert stats == {"min": min(executed), "max": max(executed),
+                             "mean": np.mean(executed),
+                             "std": np.std(executed)}
+            assert stats["std"] > 1  # so a variance would differ from it
 
     def test_malformed_file_usage_error(self, capsys, sim_files, tmp_path):
         paths, _ = sim_files
@@ -433,6 +440,45 @@ class TestTrainCraftEval:
         assert got == code and out == ""
         assert err.startswith(f"error: {message}")
         assert len(err.splitlines()) == 1
+
+    def test_negative_zero_epsilon_is_zero(self, capsys, trained_ckpt):
+        payloads = []
+        for eps in ("-0.0", "0"):
+            code, out, _ = run(capsys, "eval", "--model", trained_ckpt,
+                               "--random", "low", "--epsilon", eps)
+            assert code == 0
+            payloads.append(json.loads(out)["payload"])
+        assert payloads[0] == payloads[1]
+
+    def test_unallocatable_corpus_usage_error(self, capsys, tmp_path):
+        # 10**12 samples of 1x8x8 float64 ask for 466 TiB: the allocation
+        # fails at once, beyond any address space
+        code, out, err = run(capsys, "train", "--model",
+                             str(tmp_path / "m.tcnn"), "--samples",
+                             "1000000000000")
+        assert code == 2 and out == ""
+        assert err.startswith("error: Unable to allocate")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "m.tcnn").exists()
+
+    def test_diverging_training_usage_error(self, capsys, tmp_path):
+        with pytest.warns(RuntimeWarning):  # overflow, then NaN
+            code, out, err = run(capsys, "train", "--model",
+                                 str(tmp_path / "m.tcnn"), "--epochs", "1",
+                                 "--lr", "1e308")
+        assert code == 2 and out == ""
+        assert err.startswith("error: training diverged")
+        assert not (tmp_path / "m.tcnn").exists()
+
+    def test_non_finite_checkpoint_usage_error(self, capsys, tmp_path):
+        m = init_model(0)
+        ckpt = str(tmp_path / "nan.tcnn")
+        save_model(type(m)(m.conv1, m.fc_w, np.full_like(m.fc_b, np.nan),
+                           m.input_shape), ckpt)
+        code, out, err = run(capsys, "eval", "--model", ckpt, "--random",
+                             "low")
+        assert code == 2 and out == ""
+        assert err == f"error: {ckpt}: block 4 holds a NaN or infinity\n"
 
     def test_zero_epochs_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "train", "--model",

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advweave import conv
-from advweave.adversary import init_model
+from advweave.adversary import _pool_windows, init_model
 from advweave.conv import (BLAS_MIN_MACS, COLUMN_BYTES, ConvGeometry,
                            FilterBank, conv2d_nchw, dense, relu)
 from advweave.errors import BadGeometry, ShapeMismatch
@@ -19,14 +19,14 @@ def conv2d(x, f, geom=ConvGeometry()):
 
 
 def pool2(a):
-    """2x2 max pooling of the last two axes of `a` by conv._pool_windows:
+    """2x2 max pooling of the last two axes of `a` by adversary._pool_windows:
     `a` copied window-major, the pooled array and the first-maximum mask
     returned in `a`'s layout."""
     *lead, h, w = a.shape
     # (..., y, dy, x, dx) -> (..., y, x, dy, dx): each window's four values
     # side by side
     z = a.reshape(*lead, h // 2, 2, w // 2, 2).swapaxes(-3, -2)
-    pooled, mask = conv._pool_windows(z.reshape(*lead, h // 2, w // 2, 4))
+    pooled, mask = _pool_windows(z.reshape(*lead, h // 2, w // 2, 4))
     return pooled, mask.reshape(z.shape).swapaxes(-3, -2).reshape(a.shape)
 
 
@@ -523,7 +523,7 @@ class TestMaxpool2:
                 hits = np.flatnonzero(q == want[idx])
                 if hits.size:
                     first[(*idx, hits[0])] = True
-            pooled, mask = conv._pool_windows(z)
+            pooled, mask = _pool_windows(z)
             assert pooled.tobytes() == want.tobytes()
             assert np.array_equal(mask, first)
 
