@@ -23,9 +23,16 @@ pools it along the last axis, (q00, q01, q10, q11), marking each window's
 first maximum. Backprop routes each window's gradient to that maximum with
 one broadcast product, so the conv output's gradient dz1 keeps the columns'
 order: dW is one GEMM of dz1 by the columns, db a sum, and only dx reorders
-dz1 for _conv. train builds its corpus's columns once (about 1 MB at the CLI
-defaults) and gathers each batch's with one fancy index (np.take along the
-sample axis); forward and backward build a batch's per call.
+dz1 for _conv.
+
+The layers take the parameters as one _Params (the conv weights as the
+forward GEMM's matrix, dx's flipped filters, the bias and dense arrays),
+laid out once per call of forward, backward and fgsm and once for all of
+craft_uap's steps. train keeps them as views of one flat float64 buffer:
+each step takes its batch from the corpus's columns (built once, about 1
+MB at the CLI defaults), writes its gradients into a second flat buffer
+and updates with one subtraction. make_corpus's loop makes only the
+random draws (label, field, bar position), in that order.
 
 The fooling-rate evaluation can route the first layer either through
 ordinary convolution of the explicitly noise-added input ("direct") or
@@ -38,6 +45,8 @@ from __future__ import annotations
 import struct
 import sys
 from dataclasses import asdict, dataclass
+from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -164,8 +173,9 @@ def init_model(seed: int, input_shape: tuple[int, int, int] = (1, 8, 8),
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis: one vector of logits, or one per row."""
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    e /= e.sum(axis=-1, keepdims=True)
+    # the ufuncs' own reductions, which ndarray.max and .sum call
+    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 
@@ -181,9 +191,41 @@ class ForwardCache:
     flat: np.ndarray       # (N, features) ReLU output
 
 
-def _check_input(model: TinyCNN, xs: np.ndarray) -> None:
-    if xs.shape[1:] != model.input_shape:
-        raise ShapeMismatch(f"input {xs.shape[1:]} != model {model.input_shape}")
+class _Params(NamedTuple):
+    """A model's parameters in the form the layers compute with."""
+
+    # the conv weights as the forward GEMM's (O, kh*C*kw) matrix, unflattened:
+    # (O, kh, C, kw), C-contiguous, so its columns run in _columns' order
+    w: np.ndarray
+    b: np.ndarray     # (O,)
+    fc_w: np.ndarray  # (num_classes, features)
+    fc_b: np.ndarray  # (num_classes,)
+    # _input_gradient's flipped filters (C, O, kh, kw), laid out so that
+    # _conv's GEMM reads them as they are; None in train's form
+    w_dx: np.ndarray | None
+
+
+def _params(model: TinyCNN) -> _Params:
+    """model's _Params, laid out once per entry point."""
+    w = np.ascontiguousarray(model.conv1.weights.transpose(0, 2, 1, 3),
+                             dtype=np.float64)
+    # (C, kh, O, kw), flipped, is what _conv's GEMM multiplies by
+    flipped = np.ascontiguousarray(w[:, ::-1, :, ::-1].transpose(2, 1, 0, 3))
+    return _Params(w, model.conv1.bias, model.fc_w, model.fc_b,
+                   flipped.transpose(0, 2, 1, 3))
+
+
+def _windows(x: np.ndarray, kh: int, kw: int, sv: int = 1) -> np.ndarray:
+    """The view of a C-contiguous float64 batch x that _columns copies."""
+    n, c, h, w = x.shape
+    # sv, the vertical stride, is 2 on a woven batch of 2H rows
+    ph, pw = (h // sv - kh + 1) // 2, (w - kw + 1) // 2
+    sn, sc, sy, sx = x.strides
+    # a window row's two values (dx = 0, 1) are adjacent in x, so they move
+    # as one complex128: numpy copies one 16-byte item faster than two
+    # 8-byte ones, and copying moves the bits untouched
+    return np.ndarray((sv * kh, c, kw, n, ph, pw, 2), np.complex128, x,
+                      strides=(sy, sc, sx, sn, 2 * sv * sy, 2 * sx, sv * sy))
 
 
 def _columns(model: TinyCNN, xs: np.ndarray,
@@ -197,21 +239,13 @@ def _columns(model: TinyCNN, xs: np.ndarray,
     vertical stride 2: j runs over 2*kh duplicated filter rows, and woven
     row 2(2py+dy)+j takes the place of row 2py+dy+j.
     """
-    _check_input(model, xs)
-    sv = 1 if noise is None else 2  # vertical stride
+    if xs.shape[1:] != model.input_shape:
+        raise ShapeMismatch(f"input {xs.shape[1:]} != model {model.input_shape}")
     x = np.ascontiguousarray(xs if noise is None else weave_rows(xs, noise),
                              dtype=np.float64)
-    n, c, h, w = xs.shape
     _, _, kh, kw = model.conv1.weights.shape
-    ph, pw = (h - kh + 1) // 2, (w - kw + 1) // 2
-    sn, sc, sy, sx = x.strides
-    # a window row's two values (dx = 0, 1) are adjacent in x, so they move
-    # as one complex128: numpy copies one 16-byte item faster than two
-    # 8-byte ones, and copying moves the bits untouched
-    return np.ndarray((sv * kh, c, kw, n, ph, pw, 2), dtype=np.complex128,
-                      buffer=x, strides=(sy, sc, sx, sn, 2 * sv * sy, 2 * sx,
-                                         sv * sy)) \
-        .copy().view(np.float64).reshape(sv * kh, c, kw, n, ph, pw, 2, 2)
+    pairs = _windows(x, kh, kw, 1 if noise is None else 2).copy()
+    return pairs.view(np.float64).reshape(*pairs.shape[:-1], 2, 2)
 
 
 def _pool_windows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -225,12 +259,11 @@ def _pool_windows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q = z.reshape(-1, 4)  # two axes iterate faster than many
     # max(max(q00, q01), max(q10, q11)): which zero np.maximum returns when
     # 0.0 meets -0.0 depends on operand order, so this order fixes its sign
-    pooled = np.maximum(q[:, 0], q[:, 1])
-    np.maximum(pooled, np.maximum(q[:, 2], q[:, 3]), out=pooled)
+    pooled = np.maximum(*np.maximum(q[:, ::2], q[:, 1::2]).T)
     mask = q == pooled[:, None]
     # one hit per window is already the first hit; a NaN window has none,
     # so it could balance a tied window's extra hit
-    if np.count_nonzero(mask) != pooled.size or (pooled != pooled).any():
+    if pooled.size != np.count_nonzero(mask) or np.count_nonzero(pooled != pooled):
         taken = np.zeros(pooled.shape, dtype=bool)
         for i in range(4):  # row-major window order
             mask[:, i] &= ~taken
@@ -238,27 +271,18 @@ def _pool_windows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pooled.reshape(z.shape[:-1]), mask.reshape(z.shape)
 
 
-def _forward(model: TinyCNN,
+def _forward(p: _Params,
              cols: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """forward from a batch's _columns, plain or woven.
-
-    The GEMM gets the operands _conv would give it, (O, kh*C*kw) weights by
-    (kh*C*kw, N*oh*ow) columns, with the columns of each pooling window
-    adjacent, so its output is window-major: (O, N, ph, pw, 4). Woven
-    columns, with 2*kh kernel rows, take the duplicated filter rows. ReLU
-    runs after pooling, with which it commutes.
-    """
-    w = model.conv1.weights
-    if len(cols) != w.shape[2]:
-        w = np.repeat(w, 2, axis=2)
-    o = len(w)
-    n, ph, pw = cols.shape[3:6]
-    w = w.astype(np.float64, copy=False).transpose(0, 2, 1, 3).reshape(o, -1)
-    z = (w @ cols.reshape(w.shape[1], -1)).reshape(o, n, ph, pw, 4)
-    z += model.conv1.bias[:, None, None, None, None]
-    pooled, mask = _pool_windows(z)
+    """forward from a batch's _columns, plain or woven (whose 2*kh kernel
+    rows take the duplicated filter rows). ReLU runs after pooling, with
+    which it commutes."""
+    w = p.w if len(cols) == p.w.shape[1] else np.repeat(p.w, 2, axis=1)
+    o, n, ph, pw = len(w), *cols.shape[3:6]
+    z = w.reshape(o, -1) @ cols.reshape(w[0].size, -1)
+    z += p.b[:, None]
+    pooled, mask = _pool_windows(z.reshape(o, n, ph, pw, 4))
     flat = relu(pooled).transpose(1, 0, 2, 3).reshape(n, o * ph * pw)
-    logits = dense(flat, model.fc_w, model.fc_b)
+    logits = dense(flat, p.fc_w, p.fc_b)
     return logits, ForwardCache(pool_mask=mask, flat=flat)
 
 
@@ -270,7 +294,7 @@ def forward(model: TinyCNN, xs: np.ndarray,
     over xs) the first layer runs the noise-interleaved attacked
     convolution: the woven batch's columns by the duplicated filter rows.
     """
-    return _forward(model, _columns(model, xs, noise))
+    return _forward(_params(model), _columns(model, xs, noise))
 
 
 @dataclass
@@ -296,51 +320,54 @@ def _checked_labels(model: TinyCNN, xs: np.ndarray, labels) -> np.ndarray:
     return labels
 
 
-def _backprop_to_conv(model: TinyCNN, logits: np.ndarray, cache: ForwardCache,
-                      labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _backprop_to_conv(p: _Params, logits: np.ndarray, cache: ForwardCache,
+                      targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Loss gradients at the logits and, window-major, at the first layer's
-    output: each window's pooled gradient goes to its first maximum."""
+    output, for one-hot `targets` (N, num_classes): each window's pooled
+    gradient goes to its first maximum."""
     dlogits = softmax(logits)
-    dlogits[np.arange(len(labels)), labels] -= 1.0
+    dlogits -= targets  # x - 0.0 is x, so only the labels' entries move
     o, n, ph, pw = cache.pool_mask.shape[:4]
     # flat (the ReLU output) is > 0 exactly where the pooled value is
-    dflat = (dlogits @ model.fc_w) * (cache.flat > 0)
+    dflat = (dlogits @ p.fc_w) * (cache.flat > 0)
     dpooled = dflat.reshape(n, o, ph, pw).transpose(1, 0, 2, 3)
     return dlogits, cache.pool_mask * dpooled[..., None]
 
 
-def _input_gradient(model: TinyCNN, dz1: np.ndarray) -> np.ndarray:
+# the geometry of a full convolution by a kh x kw kernel, memoised
+@cache
+def _full_padding(kh: int, kw: int) -> ConvGeometry:
+    return ConvGeometry(pad_h=kh - 1, pad_w=kw - 1)
+
+
+def _input_gradient(p: _Params, dz1: np.ndarray) -> np.ndarray:
     """dx: the full (fully padded) convolution of a window-major dz1, as
     (N, O, oh, ow), by the flipped filters."""
-    w = model.conv1.weights
-    _, _, kh, kw = w.shape
     o, n, ph, pw, _ = dz1.shape
-    # (O, N, ph, pw, dy) -> (N, O, ph, dy, pw), in complex128 pairs as in _columns
+    # (O, N, ph, pw, dy) -> (N, O, ph, dy, pw), in complex128 pairs as in _windows
     dz1 = np.ascontiguousarray(dz1.view(np.complex128).reshape(o, n, ph, pw, 2)
                                .transpose(1, 0, 2, 4, 3)) \
         .reshape(n, o, 2 * ph, pw).view(np.float64)
-    return _conv(dz1, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), None,
-                 ConvGeometry(pad_h=kh - 1, pad_w=kw - 1))
+    return _conv(dz1, p.w_dx, None, _full_padding(*p.w_dx.shape[2:]))
 
 
-def _parameter_gradients(model: TinyCNN, cols: np.ndarray,
-                         labels: np.ndarray) -> tuple[Gradients, np.ndarray]:
-    """Batch-summed parameter gradients (with `input` unset) and the loss
-    gradient dz1 at the first layer's output, window-major, from a batch's
-    _columns and labels already checked."""
-    logits, cache = _forward(model, cols)
-    dlogits, dz1 = _backprop_to_conv(model, logits, cache, labels)
-    o = dz1.shape[0]
-    kh, c, kw = cols.shape[:3]
+def _parameter_gradients(p: _Params, cols: np.ndarray, targets: np.ndarray,
+                         out: _Params) -> np.ndarray:
+    """Batch-summed parameter gradients, written into out's first four
+    arrays, from a batch's _columns and one-hot targets. Returns the loss
+    gradient dz1 at the first layer's output, window-major."""
+    logits, cache = _forward(p, cols)
+    dlogits, dz1 = _backprop_to_conv(p, logits, cache, targets)
     # dz1 and the columns share one column order, (n, py, px, dy, dx): dW is
-    # one GEMM of the flattened dz1 by the columns, whose rows run in
-    # (kh, C, kw) order, and db sums the flattened dz1's rows
-    a = dz1.reshape(o, -1)
-    dconv_w = (a @ cols.reshape(kh * c * kw, -1).T).reshape(o, kh, c, kw) \
-        .transpose(0, 2, 1, 3)
-    return Gradients(conv_w=dconv_w, conv_b=a.sum(axis=1),
-                     fc_w=dlogits.T @ cache.flat,
-                     fc_b=dlogits.sum(axis=0)), dz1
+    # one GEMM of the flattened dz1 by the columns, whose rows run in the
+    # GEMM matrix's (kh, C, kw) order, and db sums the flattened dz1's rows
+    a = dz1.reshape(len(dz1), -1)
+    np.matmul(a, cols.reshape(out.w[0].size, -1).T,
+              out=out.w.reshape(len(a), -1))
+    np.add.reduce(a, axis=1, out=out.b)
+    np.matmul(dlogits.T, cache.flat, out=out.fc_w)
+    np.add.reduce(dlogits, axis=0, out=out.fc_b)
+    return dz1
 
 
 def backward(model: TinyCNN, xs: np.ndarray, labels) -> Gradients:
@@ -349,10 +376,12 @@ def backward(model: TinyCNN, xs: np.ndarray, labels) -> Gradients:
     Parameter gradients are summed over the batch; `input` holds each
     sample's own input gradient, shape (N, C, H, W).
     """
-    labels = _checked_labels(model, xs, labels)
-    g, dz1 = _parameter_gradients(model, _columns(model, xs), labels)
-    g.input = _input_gradient(model, dz1)
-    return g
+    targets = np.eye(model.num_classes)[_checked_labels(model, xs, labels)]
+    p = _params(model)
+    g = _Params(*(np.empty(a.shape) for a in p[:4]), None)
+    dz1 = _parameter_gradients(p, _columns(model, xs), targets, g)
+    return Gradients(g.w.transpose(0, 2, 1, 3), g.b, g.fc_w, g.fc_b,
+                     _input_gradient(p, dz1))
 
 
 def _block_logits(model: TinyCNN, xs: np.ndarray, noise: np.ndarray | None = None,
@@ -380,45 +409,50 @@ def train(model: TinyCNN, xs: np.ndarray, ys: np.ndarray,
     """
     if len(xs) == 0:
         raise EmptyDataset("training set is empty")
-    ys = _checked_labels(model, xs, ys)
+    targets = np.eye(model.num_classes)[_checked_labels(model, xs, ys)]
+    cols = _columns(model, xs)
     rng = np.random.default_rng(cfg.seed)
-    # one working copy whose arrays every step updates in place
-    work = TinyCNN(FilterBank(model.conv1.weights.astype(np.float64),
-                              model.conv1.bias.astype(np.float64)),
-                   model.fc_w.copy(), model.fc_b.copy(), model.input_shape)
-    params = (work.conv1.weights, work.conv1.bias, work.fc_w, work.fc_b)
-    cols = _columns(work, xs)
-    n = len(xs)
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            g, _ = _parameter_gradients(work, np.take(cols, batch, axis=3),
-                                        ys[batch])
-            lr = cfg.learning_rate / len(batch)
-            for p, dp in zip(params, (g.conv_w, g.conv_b, g.fc_w, g.fc_b)):
-                p -= lr * dp
+    start = _params(model)[:4]
+    theta = np.concatenate([a.ravel() for a in start], dtype=np.float64)
+    grad = np.empty_like(theta)
+    ends = np.cumsum([a.size for a in start])[:-1]
+    p, g = (_Params(*(part.reshape(a.shape) for part, a in
+                      zip(np.split(flat, ends), start)), None)
+            for flat in (theta, grad))
+    # a diverging step overflows to infinity and NaN quietly; the check
+    # after the loop reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            order = rng.permutation(len(xs))
+            for i in range(0, len(xs), cfg.batch_size):
+                batch = order[i:i + cfg.batch_size]
+                _parameter_gradients(p, cols.take(batch, axis=3),
+                                     targets.take(batch, axis=0), g)
+                theta -= cfg.learning_rate / len(batch) * grad
     # one check suffices: a step never turns a NaN or infinity finite again
-    if not all(np.isfinite(p).all() for p in params):
+    if not np.isfinite(theta).all():
         raise Diverged(f"training diverged at learning rate "
                        f"{cfg.learning_rate}: a parameter is not finite")
-    return work
+    return TinyCNN(FilterBank(p.w.transpose(0, 2, 1, 3), p.b), p.fc_w, p.fc_b,
+                   model.input_shape)
 
 
-def _fgsm_step(model: TinyCNN, logits: np.ndarray, cache: ForwardCache,
-               label: int, epsilon: float) -> np.ndarray:
-    """epsilon * sign(input gradient of the loss of `label`), from the logits
-    and cache of a one-sample forward; computes no parameter gradient."""
-    _, dz1 = _backprop_to_conv(model, logits, cache, np.array([label]))
-    return epsilon * np.sign(_input_gradient(model, dz1)[0])
+def _fgsm_step(p: _Params, logits: np.ndarray, cache: ForwardCache,
+               target: np.ndarray, epsilon: float) -> np.ndarray:
+    """epsilon * sign(input gradient of the loss of the (1, num_classes)
+    one-hot `target`), from the logits and cache of a one-sample forward;
+    computes no parameter gradient."""
+    _, dz1 = _backprop_to_conv(p, logits, cache, target)
+    return epsilon * np.sign(_input_gradient(p, dz1)[0])
 
 
 def fgsm(model: TinyCNN, x: np.ndarray, label: int, budget: PerturbBudget) -> np.ndarray:
     """Perturbation = epsilon * sign(input gradient of the loss) of a (C, H, W) x."""
     xs = np.asarray(x)[None]
-    _checked_labels(model, xs, [label])
-    logits, cache = forward(model, xs)
-    return _fgsm_step(model, logits, cache, label, budget.epsilon)
+    target = np.eye(model.num_classes)[_checked_labels(model, xs, [label])]
+    p = _params(model)
+    logits, cache = _forward(p, _columns(model, xs))
+    return _fgsm_step(p, logits, cache, target, budget.epsilon)
 
 
 def random_noise(shape: tuple[int, int, int], budget: PerturbBudget,
@@ -439,9 +473,9 @@ def craft_uap(model: TinyCNN, xs: np.ndarray, budget: PerturbBudget,
     """Iteratively build one input-shaped perturbation that flips predictions
     across the (N, C, H, W) sample set xs.
 
-    Each pass takes an FGSM step on every still-unfooled sample (pushing the
-    perturbed input away from its clean prediction) and projects the
-    accumulated perturbation back onto the L-inf ball of radius epsilon.
+    Each pass forwards every sample plus the perturbation and takes an FGSM
+    step on each one still unfooled (pushing it away from its clean
+    prediction), projected back onto the L-inf ball of radius epsilon.
     Passes stop after max_iters, or once every sample is fooled.
     """
     if max_iters < 0:
@@ -453,17 +487,25 @@ def craft_uap(model: TinyCNN, xs: np.ndarray, budget: PerturbBudget,
     if eps == 0:
         return v
     clean_preds = predict(model, xs)
+    targets = np.eye(model.num_classes)[clean_preds, None]
+    p = _params(model)
+    x = np.empty((1, *v.shape))  # one perturbed sample
+    windows = _windows(x, *model.conv1.weights.shape[2:])
+    pairs = np.empty(windows.shape, dtype=np.complex128)
+    cols = pairs.view(np.float64).reshape(*pairs.shape[:-1], 2, 2)
     for _ in range(max_iters):
         fooled = 0
-        for x, pred in zip(xs, clean_preds):
+        for sample, pred, target in zip(xs, clean_preds, targets):
+            np.add(sample, v, out=x[0])
+            np.copyto(pairs, windows)
             # one forward gives the prediction and, if unfooled, the gradient
-            logits, cache = forward(model, (x + v)[None])
-            if np.argmax(logits[0]) != pred:
+            logits, cache = _forward(p, cols)
+            if logits[0].argmax() != pred:
                 fooled += 1
                 continue
-            eta = _fgsm_step(model, logits, cache, pred, eps / 4)
             # ascend the loss of the clean prediction to push the label away
-            v = np.clip(v + eta, -eps, eps)
+            np.clip(v + _fgsm_step(p, logits, cache, target, eps / 4),
+                    -eps, eps, out=v)
         if fooled == len(xs):
             break
     return v
@@ -526,20 +568,23 @@ def make_corpus(n: int, seed: int, shape: tuple[int, int, int] = (1, 8, 8),
                             "be >= 3")
     rng = np.random.default_rng(seed)
     xs, ys = np.empty((n, *shape)), np.empty(n, dtype=np.int64)
+    bar = np.zeros(n, dtype=np.int64)  # the bar's row (label 0) or column (1)
     for i in range(n):
         ys[i] = label = int(rng.integers(num_classes))
-        img = rng.uniform(0.0, BACKGROUND, shape)
-        if label == 0:
-            r = int(rng.integers(1, h - 1))
-            img[:, r, :] += CONTRAST
-        elif label == 1:
-            col = int(rng.integers(1, w - 1))
-            img[:, :, col] += CONTRAST
-        elif label == 2:
-            img[:, np.arange(min(h, w)), np.arange(min(h, w))] += CONTRAST
-        else:
-            img[:, np.arange(min(h, w)), w - 1 - np.arange(min(h, w))] += CONTRAST
-        xs[i] = np.clip(img, 0.0, 1.0)
+        rng.random(out=xs[i])  # the field, scaled to [0, BACKGROUND) below
+        if label < 2:
+            bar[i] = rng.integers(1, (h, w)[label] - 1)
+    # each sample's pattern: a row bar, a column bar, the diagonal or (for
+    # labels 3 and up) the anti-diagonal
+    y, b = ys[:, None, None], bar[:, None, None]
+    row, col = np.arange(h)[:, None], np.arange(w)
+    bars = ((y == 0) & (row == b)) | ((y == 1) & (col == b)) | \
+        ((y == 2) & (row == col)) | ((y >= 3) & (row + col == w - 1))
+    # uniform(0, BACKGROUND) gives 0.0 + BACKGROUND * u for the same doubles
+    # u >= 0, which is BACKGROUND * u exactly
+    xs *= BACKGROUND
+    np.add(xs, CONTRAST, out=xs, where=bars[:, None])
+    np.clip(xs, 0.0, 1.0, out=xs)
     xs.flags.writeable = ys.flags.writeable = False
     return xs, ys
 

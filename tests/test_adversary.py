@@ -1,13 +1,15 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advweave.adversary import (FoolingReport, PerturbBudget, TinyCNN,
-                                TrainConfig, _backprop_to_conv, backward,
+from advweave.adversary import (BACKGROUND, CONTRAST, FoolingReport,
+                                PerturbBudget, TinyCNN, TrainConfig,
+                                _backprop_to_conv, _params, backward,
                                 craft_uap, cross_entropy, fgsm,
                                 fooling_report, forward, init_model,
                                 load_model, make_corpus, predict,
@@ -298,7 +300,7 @@ class TestBackward:
         g = backward(m, xs, ys)
         logits, cache = forward(m, xs)
         # window-major (O, N, py, px, dy, dx) -> (N, O, 2py+dy, 2px+dx)
-        dz1 = _backprop_to_conv(m, logits, cache, ys)[1] \
+        dz1 = _backprop_to_conv(_params(m), logits, cache, np.eye(4)[ys])[1] \
             .reshape(6, n, 3, 3, 2, 2).transpose(1, 0, 2, 4, 3, 5) \
             .reshape(n, 6, 6, 6)
         want_w, scale_w = np.empty((2, 6, c, kh, kw))
@@ -369,10 +371,14 @@ class TestTrain:
         return xs, ys
 
     def test_non_finite_parameters_raise(self):
+        # quietly: the overflow to infinity and NaN is reported once, by
+        # the error
         xs, ys = self.make_separable_2class(n=16)
-        with pytest.warns(RuntimeWarning):  # overflow, then NaN
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             with pytest.raises(Diverged, match="learning rate 1e\\+308"):
                 train(init_model(0), xs, ys, TrainConfig(1e308, 1, 8, 0))
+        assert caught == []
 
     @pytest.mark.parametrize("seed", range(5))
     def test_separable_toy_set_reaches_95pct(self, seed):
@@ -460,13 +466,15 @@ class TestTrain:
         for new, old, grad in pairs:
             assert np.allclose(new, old - lr / n * grad, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("shape, n, batch", [((1, 8, 8), 20, 8),
-                                                 ((2, 10, 8), 13, 5)],
-                             ids=["one channel", "two channels"])
+    @pytest.mark.parametrize("shape, n, batch", [
+        ((1, 8, 8), 20, 8), ((2, 10, 8), 13, 5), ((1, 8, 8), 40, 1),
+        ((1, 8, 8), 40, 8), ((1, 8, 8), 40, 40)],
+        ids=["one channel", "two channels", "40 by 1", "40 by 8", "40 by 40"])
     def test_epochs_are_sgd_steps_through_backward(self, shape, n, batch):
-        # train gathers each batch from columns built once for the corpus;
-        # backward builds them per call: the weights agree bit for bit,
-        # including after the final batch, which is shorter than the rest
+        # train gathers each batch from columns built once for the corpus
+        # and updates one flat buffer; backward builds the columns per call,
+        # and each parameter array here takes its own update: the weights
+        # agree bit for bit, also after a final batch shorter than the rest
         xs, ys = make_corpus(n, seed=2, shape=shape)
         m = init_model(2, input_shape=shape)
         cfg = TrainConfig(0.1, 2, batch, 9)
@@ -560,6 +568,39 @@ class TestMakeCorpus:
         xs, ys = make_corpus(20, seed=0, shape=(1, 3, 3))
         assert xs.shape == (20, 1, 3, 3) and set(ys) == {0, 1, 2, 3}
 
+    @staticmethod
+    def per_sample_corpus(n, seed, shape=(1, 8, 8), num_classes=4):
+        """make_corpus as one loop that draws and shapes each sample."""
+        c, h, w = shape
+        rng = np.random.default_rng(seed)
+        xs, ys = np.empty((n, *shape)), np.empty(n, dtype=np.int64)
+        for i in range(n):
+            ys[i] = label = int(rng.integers(num_classes))
+            img = rng.uniform(0.0, BACKGROUND, shape)
+            if label == 0:
+                img[:, int(rng.integers(1, h - 1)), :] += CONTRAST
+            elif label == 1:
+                img[:, :, int(rng.integers(1, w - 1))] += CONTRAST
+            elif label == 2:
+                img[:, np.arange(min(h, w)), np.arange(min(h, w))] += CONTRAST
+            else:
+                d = np.arange(min(h, w))
+                img[:, d, w - 1 - d] += CONTRAST
+            xs[i] = np.clip(img, 0.0, 1.0)
+        return xs, ys
+
+    @pytest.mark.parametrize("args", [
+        (400, 0), (2000, 1001), (7, 3, (3, 5, 9), 7), (11, 4, (1, 3, 17), 1),
+        (0, 1), (50, 2, (2, 4, 4), 3), (33, 9, (1, 3, 3), 2)])
+    def test_matches_per_sample_loop(self, args):
+        # the same draws in the same order, shaped in bulk after the loop
+        xs, ys = make_corpus(*args)
+        want_xs, want_ys = self.per_sample_corpus(*args)
+        assert xs.shape == want_xs.shape
+        assert xs.tobytes() == want_xs.tobytes()
+        assert ys.tobytes() == want_ys.tobytes()
+        assert not xs.flags.writeable and not ys.flags.writeable
+
 
 @pytest.fixture(scope="module")
 def trained():
@@ -600,6 +641,31 @@ class TestCraftUAP:
         m, _, _ = trained
         craft_uap(m, make_corpus(200, 0)[0], PerturbBudget(epsilon=0.05))
         assert filter_banks == []
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_public_forward_and_fgsm_steps(self, trained, seed):
+        # craft_uap's loop on parameters laid out once and one reused input
+        # buffer, against the same loop through the public calls
+        m, _, _ = trained
+        xs = make_corpus(30, seed)[0]
+        eps, steps, skips = 0.05, 0, 0
+        v = np.zeros(m.input_shape)
+        clean = predict(m, xs)
+        for _ in range(10):
+            fooled = 0
+            for x, pred in zip(xs, clean):
+                if forward(m, (x + v)[None])[0][0].argmax() != pred:
+                    fooled += 1
+                    continue
+                eta = fgsm(m, x + v, int(pred), PerturbBudget(eps / 4))
+                v = np.clip(v + eta, -eps, eps)
+                steps += 1
+            skips += fooled
+            if fooled == len(xs):
+                break
+        assert steps > 0 and skips > 0  # both branches run
+        got = craft_uap(m, xs, PerturbBudget(eps))
+        assert got.tobytes() == v.tobytes()
 
 
 class TestFoolingReport:

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -462,12 +464,16 @@ class TestTrainCraftEval:
         assert not (tmp_path / "m.tcnn").exists()
 
     def test_diverging_training_usage_error(self, capsys, tmp_path):
-        with pytest.warns(RuntimeWarning):  # overflow, then NaN
+        # the overflow to infinity and NaN is reported once, as the error
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code, out, err = run(capsys, "train", "--model",
                                  str(tmp_path / "m.tcnn"), "--epochs", "1",
                                  "--lr", "1e308")
+        assert caught == []
         assert code == 2 and out == ""
         assert err.startswith("error: training diverged")
+        assert len(err.splitlines()) == 1
         assert not (tmp_path / "m.tcnn").exists()
 
     def test_non_finite_checkpoint_usage_error(self, capsys, tmp_path):
@@ -545,3 +551,37 @@ class TestManifestDeterminism:
                            env=env, check=True, capture_output=True)
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestGoldenOutputs:
+    def test_seed_zero_outputs(self, capsys, tmp_path):
+        # the outputs of the source revision these values were taken from;
+        # a change to the oracle, the model or the attack loops moves them
+        digests = {(): "75bd6b82520363fc790049c8f9427a79"
+                       "aa6963a1b7530ffcfabef2dd719abe0d",
+                   ("--sabotage",): "e0658447be016bcfa86e9e1d232e92e9"
+                                    "9f1fc4324781892a4d9c80e647b51623"}
+        for flags, digest in digests.items():
+            _, out, _ = run(capsys, "verify-equivalence", "--trials", "1000",
+                            "--seed", "0", *flags)
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+        model, uap = str(tmp_path / "m.tcnn"), str(tmp_path / "u.t3b")
+
+        def payload(*argv):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            return jsonl(out)[-1]["payload"]
+
+        assert payload("train", "--model", model, "--seed", "0") == {
+            "train_accuracy": 0.93, "n_samples": 400}
+        craft = payload("craft", "--model", model, "--out", uap, "--seed", "0")
+        assert craft.pop("linf_norm") == pytest.approx(0.05, rel=0, abs=1e-12)
+        assert craft == {"fooling_rate_craft_set": 0.16,
+                         "quantized_nonzero_bits": 143,
+                         "quantized_max_magnitude_bits": 4}
+        assert payload("eval", "--model", model, "--noise", uap, "--path",
+                       "interleaved", "--seed", "1", "--samples", "200") == {
+            "fooling_rate": 0.17, "top1_clean": 0.875,
+            "top1_perturbed": 0.75, "n_samples": 200}
+        assert payload("eval", "--model", model, "--random", "low",
+                       "--seed", "0")["fooling_rate"] == 0.03
