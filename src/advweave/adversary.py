@@ -2,9 +2,9 @@
 perturbation crafting, random-noise baselines, fooling metrics, TCNN files.
 
 Architecture: conv (stride 1, valid, CONV_CHANNELS filters) -> ReLU ->
-2x2 maxpool -> flatten -> dense -> softmax, with cross-entropy loss, all
-on conv's reference layers. Pixels live in [0, 1] and a perturbation
-budget is at most 5% of the maximum pixel magnitude.
+2x2 maxpool -> flatten -> dense -> softmax, with cross-entropy loss. Pixels
+live in [0, 1] and a perturbation budget is at most 5% of the maximum
+pixel magnitude.
 
 A corpus is one read-only (N, C, H, W) float64 array and an int64 label
 vector, as make_corpus returns them. The model runs on batches only:
@@ -13,26 +13,25 @@ arrays. One image or perturbation is a (C, H, W) array: fgsm (the only
 one-image model call) takes and returns one, as random_noise and craft_uap
 return and fooling_report applies one.
 
-The first layer works window-major on both routes. _columns copies a
-batch's im2col columns so that the four conv outputs of each 2x2 pooling
-window come from adjacent columns: cols[j, c, k, n, py, px, dy, dx] =
-x[n, c, 2py+dy+j, 2px+dx+k]. Reshaped to (kh*C*kw, N*oh*ow), that is the
-operand conv._conv would give the forward GEMM, with the columns permuted,
-so the GEMM's output (O, N, ph, pw, 4) is window-major and _pool_windows
-pools it along the last axis, (q00, q01, q10, q11), marking each window's
-first maximum. Backprop routes each window's gradient to that maximum with
-one broadcast product, so the conv output's gradient dz1 keeps the columns'
-order: dW is one GEMM of dz1 by the columns, db a sum, and only dx reorders
-dz1 for _conv.
+The first layer works pool-major on both routes: _columns copies a batch's
+im2col columns, cols[j, c, k, dy, dx, n, py, px] = x[n, c, 2py+dy+j,
+2px+dx+k], so the forward GEMM's output (O, 4, N*ph*pw) holds value
+(dy, dx) of every 2x2 pooling window in one contiguous slab, which _pool
+pools. The forward keeps the conv output and the pooled values; backprop
+alone builds the first-maximum mask (_first_max) and routes each window's
+gradient to that maximum with one product, so the conv output's gradient
+dz1 keeps the columns' order: dW is one GEMM of dz1 by the columns, db a
+sum, and dx the exact adjoint of _columns: the columns' gradient
+W.T @ dz1, summed into the input by one np.bincount over _column_index.
 
 The layers take the parameters as one _Params (the conv weights as the
-forward GEMM's matrix, dx's flipped filters, the bias and dense arrays),
-laid out once per call of forward, backward and fgsm and once for all of
-craft_uap's steps. train keeps them as views of one flat float64 buffer:
-each step takes its batch from the corpus's columns (built once, about 1
-MB at the CLI defaults), writes its gradients into a second flat buffer
-and updates with one subtraction. make_corpus's loop makes only the
-random draws (label, field, bar position), in that order.
+forward GEMM's matrix, the bias and dense arrays), laid out once per call
+of forward, backward and fgsm and once for all of craft_uap's steps.
+train keeps them as views of one flat float64 buffer: each step takes its
+batch from the corpus's columns (built once, about 1 MB at the CLI
+defaults), writes its gradients into a second flat buffer and updates
+with one subtraction. make_corpus's loop makes only the random draws
+(label, field, bar position), in that order.
 
 The fooling-rate evaluation can route the first layer either through
 ordinary convolution of the explicitly noise-added input ("direct") or
@@ -45,12 +44,11 @@ from __future__ import annotations
 import struct
 import sys
 from dataclasses import asdict, dataclass
-from functools import cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .conv import ConvGeometry, FilterBank, _conv, dense, relu
+from .conv import FilterBank
 from .errors import Diverged, EmptyDataset, FormatError, ShapeMismatch
 from .tensor import _naming, read_t3b_stream, write_t3b_stream
 from .weave import weave_rows
@@ -174,7 +172,8 @@ def init_model(seed: int, input_shape: tuple[int, int, int] = (1, 8, 8),
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis: one vector of logits, or one per row."""
     # the ufuncs' own reductions, which ndarray.max and .sum call
-    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    e = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    np.exp(e, out=e)
     e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
@@ -187,8 +186,9 @@ def cross_entropy(logits: np.ndarray, label: int) -> float:
 
 @dataclass
 class ForwardCache:
-    pool_mask: np.ndarray  # (O, N, ph, pw, 4): each window's first maximum
-    flat: np.ndarray       # (N, features) ReLU output
+    z: np.ndarray       # (O, 4, N*ph*pw) conv output, pool-major
+    pooled: np.ndarray  # (O, N*ph*pw) its 2x2 maxima, before ReLU
+    flat: np.ndarray    # (N, features) ReLU output
 
 
 class _Params(NamedTuple):
@@ -200,40 +200,31 @@ class _Params(NamedTuple):
     b: np.ndarray     # (O,)
     fc_w: np.ndarray  # (num_classes, features)
     fc_b: np.ndarray  # (num_classes,)
-    # _input_gradient's flipped filters (C, O, kh, kw), laid out so that
-    # _conv's GEMM reads them as they are; None in train's form
-    w_dx: np.ndarray | None
 
 
 def _params(model: TinyCNN) -> _Params:
     """model's _Params, laid out once per entry point."""
     w = np.ascontiguousarray(model.conv1.weights.transpose(0, 2, 1, 3),
                              dtype=np.float64)
-    # (C, kh, O, kw), flipped, is what _conv's GEMM multiplies by
-    flipped = np.ascontiguousarray(w[:, ::-1, :, ::-1].transpose(2, 1, 0, 3))
-    return _Params(w, model.conv1.bias, model.fc_w, model.fc_b,
-                   flipped.transpose(0, 2, 1, 3))
+    return _Params(w, model.conv1.bias, model.fc_w, model.fc_b)
 
 
 def _windows(x: np.ndarray, kh: int, kw: int, sv: int = 1) -> np.ndarray:
-    """The view of a C-contiguous float64 batch x that _columns copies."""
+    """The view of a C-contiguous batch x that _columns copies."""
     n, c, h, w = x.shape
     # sv, the vertical stride, is 2 on a woven batch of 2H rows
     ph, pw = (h // sv - kh + 1) // 2, (w - kw + 1) // 2
     sn, sc, sy, sx = x.strides
-    # a window row's two values (dx = 0, 1) are adjacent in x, so they move
-    # as one complex128: numpy copies one 16-byte item faster than two
-    # 8-byte ones, and copying moves the bits untouched
-    return np.ndarray((sv * kh, c, kw, n, ph, pw, 2), np.complex128, x,
-                      strides=(sy, sc, sx, sn, 2 * sv * sy, 2 * sx, sv * sy))
+    return np.ndarray((sv * kh, c, kw, 2, 2, n, ph, pw), x.dtype, x,
+                      strides=(sy, sc, sx, sv * sy, sx, sn, 2 * sv * sy, 2 * sx))
 
 
 def _columns(model: TinyCNN, xs: np.ndarray,
              noise: np.ndarray | None = None) -> np.ndarray:
-    """The first layer's im2col columns of an (N, C, H, W) batch, window-major:
-    cols[j, c, k, n, py, px, dy, dx] = xs[n, c, 2py+dy+j, 2px+dx+k], so the
-    four conv outputs of pooling window (py, px) come from adjacent columns
-    and cols.reshape(kh*C*kw, -1) is the forward GEMM's operand as it is.
+    """The first layer's im2col columns of an (N, C, H, W) batch, pool-major:
+    cols[j, c, k, dy, dx, n, py, px] = xs[n, c, 2py+dy+j, 2px+dx+k], so
+    cols.reshape(kh*C*kw, -1) is the forward GEMM's operand as it is and the
+    GEMM's output holds value (dy, dx) of every pooling window in one slab.
 
     With `noise` (as weave_rows takes it), the woven batch's columns at
     vertical stride 2: j runs over 2*kh duplicated filter rows, and woven
@@ -244,23 +235,28 @@ def _columns(model: TinyCNN, xs: np.ndarray,
     x = np.ascontiguousarray(xs if noise is None else weave_rows(xs, noise),
                              dtype=np.float64)
     _, _, kh, kw = model.conv1.weights.shape
-    pairs = _windows(x, kh, kw, 1 if noise is None else 2).copy()
-    return pairs.view(np.float64).reshape(*pairs.shape[:-1], 2, 2)
+    return _windows(x, kh, kw, 1 if noise is None else 2).copy()
 
 
-def _pool_windows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """2x2 max pooling of a window-major array: z[..., i] is value i of a
-    window, in row-major order (q00, q01, q10, q11).
+def _column_index(shape: tuple[int, ...], kh: int, kw: int) -> np.ndarray:
+    """Where each entry of the flattened _columns of a batch of `shape` comes
+    from: the columns of a batch that holds each element's flat index."""
+    return _windows(np.arange(np.prod(shape)).reshape(shape), kh, kw).ravel()
 
-    Returns the pooled array z.shape[:-1] and a boolean mask of z's shape
-    that marks each window's first maximum. The pooling rule of the
-    model's first layer.
-    """
-    q = z.reshape(-1, 4)  # two axes iterate faster than many
+
+def _pool(z: np.ndarray) -> np.ndarray:
+    """The model's 2x2 max pooling of a pool-major z, whose z[:, i] holds
+    value i of every window, in row-major order (q00, q01, q10, q11)."""
     # max(max(q00, q01), max(q10, q11)): which zero np.maximum returns when
     # 0.0 meets -0.0 depends on operand order, so this order fixes its sign
-    pooled = np.maximum(*np.maximum(q[:, ::2], q[:, 1::2]).T)
-    mask = q == pooled[:, None]
+    top = np.maximum(z[:, 0], z[:, 1])
+    return np.maximum(top, np.maximum(z[:, 2], z[:, 3]), out=top)
+
+
+def _first_max(z: np.ndarray, pooled: np.ndarray) -> np.ndarray:
+    """A boolean mask of the pool-major z's shape that marks each window's
+    first maximum, given the windows' _pool."""
+    mask = z == pooled[:, None]
     # one hit per window is already the first hit; a NaN window has none,
     # so it could balance a tied window's extra hit
     if pooled.size != np.count_nonzero(mask) or np.count_nonzero(pooled != pooled):
@@ -268,7 +264,7 @@ def _pool_windows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for i in range(4):  # row-major window order
             mask[:, i] &= ~taken
             taken |= mask[:, i]
-    return pooled.reshape(z.shape[:-1]), mask.reshape(z.shape)
+    return mask
 
 
 def _forward(p: _Params,
@@ -277,13 +273,17 @@ def _forward(p: _Params,
     rows take the duplicated filter rows). ReLU runs after pooling, with
     which it commutes."""
     w = p.w if len(cols) == p.w.shape[1] else np.repeat(p.w, 2, axis=1)
-    o, n, ph, pw = len(w), *cols.shape[3:6]
+    o, n, s = len(w), cols.shape[5], cols.shape[6] * cols.shape[7]
     z = w.reshape(o, -1) @ cols.reshape(w[0].size, -1)
     z += p.b[:, None]
-    pooled, mask = _pool_windows(z.reshape(o, n, ph, pw, 4))
-    flat = relu(pooled).transpose(1, 0, 2, 3).reshape(n, o * ph * pw)
-    logits = dense(flat, p.fc_w, p.fc_b)
-    return logits, ForwardCache(pool_mask=mask, flat=flat)
+    z = z.reshape(o, 4, -1)
+    pooled = _pool(z)
+    # ReLU, written straight into the dense layer's (n, o, py, px) order
+    flat = np.maximum(pooled.reshape(o, n, s).transpose(1, 0, 2), 0,
+                      out=np.empty((n, o, s))).reshape(n, o * s)
+    # conv.dense's product, without its per-call shape checks
+    logits = flat @ p.fc_w.T + p.fc_b
+    return logits, ForwardCache(z, pooled, flat)
 
 
 def forward(model: TinyCNN, xs: np.ndarray,
@@ -322,49 +322,41 @@ def _checked_labels(model: TinyCNN, xs: np.ndarray, labels) -> np.ndarray:
 
 def _backprop_to_conv(p: _Params, logits: np.ndarray, cache: ForwardCache,
                       targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Loss gradients at the logits and, window-major, at the first layer's
-    output, for one-hot `targets` (N, num_classes): each window's pooled
-    gradient goes to its first maximum."""
+    """Loss gradients at the logits and, as the forward GEMM's (O, 4*N*ph*pw)
+    output is laid out, at the first layer's: each window's pooled gradient
+    goes to its first maximum, found here, for one-hot `targets`."""
     dlogits = softmax(logits)
     dlogits -= targets  # x - 0.0 is x, so only the labels' entries move
-    o, n, ph, pw = cache.pool_mask.shape[:4]
-    # flat (the ReLU output) is > 0 exactly where the pooled value is
-    dflat = (dlogits @ p.fc_w) * (cache.flat > 0)
-    dpooled = dflat.reshape(n, o, ph, pw).transpose(1, 0, 2, 3)
-    return dlogits, cache.pool_mask * dpooled[..., None]
+    (n, f), (o, m) = cache.flat.shape, cache.pooled.shape
+    # the ReLU gate (pooled > 0 exactly where flat > 0) moves the dense
+    # layer's gradient from flat's (n, o, py, px) order to pooled's
+    # (o, n, py, px) in one product
+    dpooled = (dlogits @ p.fc_w).reshape(n, o, f // o).transpose(1, 0, 2) \
+        * (cache.pooled > 0).reshape(o, n, f // o)
+    mask = _first_max(cache.z, cache.pooled)
+    return dlogits, (mask * dpooled.reshape(o, 1, m)).reshape(o, -1)
 
 
-# the geometry of a full convolution by a kh x kw kernel, memoised
-@cache
-def _full_padding(kh: int, kw: int) -> ConvGeometry:
-    return ConvGeometry(pad_h=kh - 1, pad_w=kw - 1)
-
-
-def _input_gradient(p: _Params, dz1: np.ndarray) -> np.ndarray:
-    """dx: the full (fully padded) convolution of a window-major dz1, as
-    (N, O, oh, ow), by the flipped filters."""
-    o, n, ph, pw, _ = dz1.shape
-    # (O, N, ph, pw, dy) -> (N, O, ph, dy, pw), in complex128 pairs as in _windows
-    dz1 = np.ascontiguousarray(dz1.view(np.complex128).reshape(o, n, ph, pw, 2)
-                               .transpose(1, 0, 2, 4, 3)) \
-        .reshape(n, o, 2 * ph, pw).view(np.float64)
-    return _conv(dz1, p.w_dx, None, _full_padding(*p.w_dx.shape[2:]))
+def _input_gradient(p: _Params, dz1: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """dx, flattened, from a plain batch's pool-major dz1 and _column_index:
+    the adjoint of _columns applied to the columns' gradient W.T @ dz1, which
+    sums each column entry into the input element it was copied from."""
+    return np.bincount(index, (p.w.reshape(len(p.w), -1).T @ dz1).ravel())
 
 
 def _parameter_gradients(p: _Params, cols: np.ndarray, targets: np.ndarray,
                          out: _Params) -> np.ndarray:
-    """Batch-summed parameter gradients, written into out's first four
-    arrays, from a batch's _columns and one-hot targets. Returns the loss
-    gradient dz1 at the first layer's output, window-major."""
+    """Batch-summed parameter gradients, written into out, from a batch's
+    _columns and one-hot targets. Returns the loss gradient dz1 at the first
+    layer's output, pool-major."""
     logits, cache = _forward(p, cols)
     dlogits, dz1 = _backprop_to_conv(p, logits, cache, targets)
-    # dz1 and the columns share one column order, (n, py, px, dy, dx): dW is
-    # one GEMM of the flattened dz1 by the columns, whose rows run in the
-    # GEMM matrix's (kh, C, kw) order, and db sums the flattened dz1's rows
-    a = dz1.reshape(len(dz1), -1)
-    np.matmul(a, cols.reshape(out.w[0].size, -1).T,
-              out=out.w.reshape(len(a), -1))
-    np.add.reduce(a, axis=1, out=out.b)
+    # dz1 and the columns share one column order, (dy, dx, n, py, px): dW is
+    # one GEMM of dz1 by the columns, whose rows run in the GEMM matrix's
+    # (kh, C, kw) order, and db sums dz1's rows
+    np.matmul(dz1, cols.reshape(out.w[0].size, -1).T,
+              out=out.w.reshape(len(dz1), -1))
+    np.add.reduce(dz1, axis=1, out=out.b)
     np.matmul(dlogits.T, cache.flat, out=out.fc_w)
     np.add.reduce(dlogits, axis=0, out=out.fc_b)
     return dz1
@@ -378,10 +370,11 @@ def backward(model: TinyCNN, xs: np.ndarray, labels) -> Gradients:
     """
     targets = np.eye(model.num_classes)[_checked_labels(model, xs, labels)]
     p = _params(model)
-    g = _Params(*(np.empty(a.shape) for a in p[:4]), None)
+    g = _Params(*(np.empty(a.shape) for a in p))
     dz1 = _parameter_gradients(p, _columns(model, xs), targets, g)
+    index = _column_index(xs.shape, *model.conv1.weights.shape[2:])
     return Gradients(g.w.transpose(0, 2, 1, 3), g.b, g.fc_w, g.fc_b,
-                     _input_gradient(p, dz1))
+                     _input_gradient(p, dz1, index).reshape(xs.shape))
 
 
 def _block_logits(model: TinyCNN, xs: np.ndarray, noise: np.ndarray | None = None,
@@ -412,12 +405,12 @@ def train(model: TinyCNN, xs: np.ndarray, ys: np.ndarray,
     targets = np.eye(model.num_classes)[_checked_labels(model, xs, ys)]
     cols = _columns(model, xs)
     rng = np.random.default_rng(cfg.seed)
-    start = _params(model)[:4]
+    start = _params(model)
     theta = np.concatenate([a.ravel() for a in start], dtype=np.float64)
     grad = np.empty_like(theta)
     ends = np.cumsum([a.size for a in start])[:-1]
     p, g = (_Params(*(part.reshape(a.shape) for part, a in
-                      zip(np.split(flat, ends), start)), None)
+                      zip(np.split(flat, ends), start)))
             for flat in (theta, grad))
     # a diverging step overflows to infinity and NaN quietly; the check
     # after the loop reports it
@@ -426,7 +419,7 @@ def train(model: TinyCNN, xs: np.ndarray, ys: np.ndarray,
             order = rng.permutation(len(xs))
             for i in range(0, len(xs), cfg.batch_size):
                 batch = order[i:i + cfg.batch_size]
-                _parameter_gradients(p, cols.take(batch, axis=3),
+                _parameter_gradients(p, cols.take(batch, axis=5),
                                      targets.take(batch, axis=0), g)
                 theta -= cfg.learning_rate / len(batch) * grad
     # one check suffices: a step never turns a NaN or infinity finite again
@@ -438,12 +431,13 @@ def train(model: TinyCNN, xs: np.ndarray, ys: np.ndarray,
 
 
 def _fgsm_step(p: _Params, logits: np.ndarray, cache: ForwardCache,
-               target: np.ndarray, epsilon: float) -> np.ndarray:
+               target: np.ndarray, epsilon: float,
+               index: np.ndarray) -> np.ndarray:
     """epsilon * sign(input gradient of the loss of the (1, num_classes)
-    one-hot `target`), from the logits and cache of a one-sample forward;
-    computes no parameter gradient."""
+    one-hot `target`), flattened, from the logits and cache of a one-sample
+    forward and its _column_index; computes no parameter gradient."""
     _, dz1 = _backprop_to_conv(p, logits, cache, target)
-    return epsilon * np.sign(_input_gradient(p, dz1)[0])
+    return epsilon * np.sign(_input_gradient(p, dz1, index))
 
 
 def fgsm(model: TinyCNN, x: np.ndarray, label: int, budget: PerturbBudget) -> np.ndarray:
@@ -452,7 +446,9 @@ def fgsm(model: TinyCNN, x: np.ndarray, label: int, budget: PerturbBudget) -> np
     target = np.eye(model.num_classes)[_checked_labels(model, xs, [label])]
     p = _params(model)
     logits, cache = _forward(p, _columns(model, xs))
-    return _fgsm_step(p, logits, cache, target, budget.epsilon)
+    index = _column_index(xs.shape, *model.conv1.weights.shape[2:])
+    step = _fgsm_step(p, logits, cache, target, budget.epsilon, index)
+    return step.reshape(xs.shape[1:])
 
 
 def random_noise(shape: tuple[int, int, int], budget: PerturbBudget,
@@ -490,22 +486,24 @@ def craft_uap(model: TinyCNN, xs: np.ndarray, budget: PerturbBudget,
     targets = np.eye(model.num_classes)[clean_preds, None]
     p = _params(model)
     x = np.empty((1, *v.shape))  # one perturbed sample
-    windows = _windows(x, *model.conv1.weights.shape[2:])
-    pairs = np.empty(windows.shape, dtype=np.complex128)
-    cols = pairs.view(np.float64).reshape(*pairs.shape[:-1], 2, 2)
+    kernel = model.conv1.weights.shape[2:]
+    windows, index = _windows(x, *kernel), _column_index(x.shape, *kernel)
+    cols, x0, flat_v = np.empty(windows.shape), x[0], v.reshape(-1)
     for _ in range(max_iters):
         fooled = 0
         for sample, pred, target in zip(xs, clean_preds, targets):
-            np.add(sample, v, out=x[0])
-            np.copyto(pairs, windows)
+            np.add(sample, v, out=x0)
+            np.copyto(cols, windows)
             # one forward gives the prediction and, if unfooled, the gradient
             logits, cache = _forward(p, cols)
-            if logits[0].argmax() != pred:
+            if logits.argmax() != pred:
                 fooled += 1
                 continue
-            # ascend the loss of the clean prediction to push the label away
-            np.clip(v + _fgsm_step(p, logits, cache, target, eps / 4),
-                    -eps, eps, out=v)
+            # ascend the loss of the clean prediction to push the label away,
+            # then clip to [-eps, eps] by the ufuncs np.clip wraps
+            flat_v += _fgsm_step(p, logits, cache, target, eps / 4, index)
+            np.maximum(flat_v, -eps, out=flat_v)
+            np.minimum(flat_v, eps, out=flat_v)
         if fooled == len(xs):
             break
     return v

@@ -7,10 +7,10 @@ convention; every equivalence oracle in this repo uses it on both sides.
 One private kernel, _conv_blocks, computes every convolution, one block of
 output rows at a time: it yields each block's raw GEMM product in the
 compute dtype, with no cast and no bias. _conv assigns each block into the
-result, then adds the bias once; conv2d_nchw, the attacked convolution and
-the model's input gradient call it. weave.equivalence_report consumes two
-streams of blocks itself, so no full output exists. The model's forward
-and dW GEMMs run on its own window-major columns instead.
+result, then adds the bias once; conv2d_nchw and the attacked convolution
+call it. weave.equivalence_report consumes two streams of blocks itself,
+so no full output exists. The model's forward, dW and dx GEMMs run on its
+own pool-major columns instead.
 
 Integer inputs give a bit-exact int64 result on one of three routes. A
 layer of at least BLAS_MIN_MACS MACs runs on BLAS in float32 when

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from advweave import adversary
 from advweave.adversary import (BACKGROUND, CONTRAST, FoolingReport,
                                 PerturbBudget, TinyCNN, TrainConfig,
-                                _backprop_to_conv, _params, backward,
+                                _backprop_to_conv, _column_index,
+                                _columns, _params, backward,
                                 craft_uap, cross_entropy, fgsm,
                                 fooling_report, forward, init_model,
                                 load_model, make_corpus, predict,
                                 random_noise, save_model, softmax, train)
-from advweave.conv import FilterBank
+from advweave.conv import ConvGeometry, FilterBank, conv2d_nchw
 from advweave.errors import Diverged, EmptyDataset, FormatError, ShapeMismatch
 from advweave.tensor import linf_norm, read_t3b_stream, write_t3b_stream
 from advweave.weave import attacked_conv_nchw
@@ -22,6 +24,25 @@ from advweave.weave import attacked_conv_nchw
 
 def loss_of(model, x, y):
     return cross_entropy(forward(model, x[None])[0][0], y)
+
+
+def gradient_oracle_case(c, kh, kw, n):
+    """A random model on (c, kh + 5, kw + 5) inputs (a 6x6 conv output, 3x3
+    pooled), n samples with labels, and the loss gradient dz1 at the conv
+    output from _backprop_to_conv, reordered to NCHW."""
+    rng = np.random.default_rng(c * 100 + kh * 10 + kw + n)
+    shape = (c, kh + 5, kw + 5)
+    m = TinyCNN(FilterBank(rng.normal(0, 0.5, (6, c, kh, kw)),
+                           rng.normal(0, 0.1, 6)),
+                rng.normal(0, 0.3, (4, 54)), rng.normal(0, 0.1, 4), shape)
+    xs = rng.uniform(0, 1, (n, *shape))
+    ys = rng.integers(0, 4, n)
+    logits, cache = forward(m, xs)
+    # pool-major (O, dy, dx, N, py, px) -> (N, O, 2py+dy, 2px+dx)
+    dz1 = _backprop_to_conv(_params(m), logits, cache, np.eye(4)[ys])[1] \
+        .reshape(6, 2, 2, n, 3, 3).transpose(3, 0, 4, 1, 5, 2) \
+        .reshape(n, 6, 6, 6)
+    return m, xs, ys, dz1
 
 
 def naive_forward(model, x):
@@ -290,19 +311,8 @@ class TestBackward:
         # model's (kh, C, kw) one. At (3, 2, 3), 810 and 900 samples have
         # more columns than one conv block's COLUMN_BYTES (2 MiB), where a
         # dW blocked like the conv would split.
-        rng = np.random.default_rng(c * 100 + kh * 10 + kw + n)
-        shape = (c, kh + 5, kw + 5)  # a 6x6 conv output, 3x3 pooled
-        m = TinyCNN(FilterBank(rng.normal(0, 0.5, (6, c, kh, kw)),
-                               rng.normal(0, 0.1, 6)),
-                    rng.normal(0, 0.3, (4, 54)), rng.normal(0, 0.1, 4), shape)
-        xs = rng.uniform(0, 1, (n, *shape))
-        ys = rng.integers(0, 4, n)
+        m, xs, ys, dz1 = gradient_oracle_case(c, kh, kw, n)
         g = backward(m, xs, ys)
-        logits, cache = forward(m, xs)
-        # window-major (O, N, py, px, dy, dx) -> (N, O, 2py+dy, 2px+dx)
-        dz1 = _backprop_to_conv(_params(m), logits, cache, np.eye(4)[ys])[1] \
-            .reshape(6, n, 3, 3, 2, 2).transpose(1, 0, 2, 4, 3, 5) \
-            .reshape(n, 6, 6, 6)
         want_w, scale_w = np.empty((2, 6, c, kh, kw))
         for j in range(kh):
             for k in range(kw):
@@ -315,6 +325,26 @@ class TestBackward:
         assert (np.abs(g.conv_b - dz1.sum(axis=(0, 2, 3)))
                 <= 1e-12 * np.abs(dz1).sum(axis=(0, 2, 3))).all()
         assert g.conv_w.shape == (6, c, kh, kw) and g.conv_b.shape == (6,)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 900])
+    @pytest.mark.parametrize("c, kh, kw", [(1, 1, 4), (2, 4, 1), (3, 2, 3),
+                                           (2, 3, 4)])
+    def test_input_gradient_matches_full_convolution_oracle(self, c, kh, kw,
+                                                            n):
+        # dx is the full (fully padded) convolution of the NCHW dz1 by the
+        # flipped, transposed filters: the route through the library conv
+        # that the adjoint of the columns replaced
+        m, xs, ys, dz1 = gradient_oracle_case(c, kh, kw, n)
+        flipped = m.conv1.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        full = ConvGeometry(pad_h=kh - 1, pad_w=kw - 1)
+        want = conv2d_nchw(dz1, FilterBank(flipped, np.zeros(c)), full)
+        scale = conv2d_nchw(np.abs(dz1), FilterBank(np.abs(flipped),
+                                                    np.zeros(c)), full)
+        dx = backward(m, xs, ys).input
+        assert dx.shape == xs.shape
+        # a float sum's error scales with the sum of its terms' magnitudes
+        assert (np.abs(dx - want) <= 1e-12 * scale).all()
+        assert n == 0 or np.abs(dx).max() > 1e-3
 
     @pytest.mark.parametrize("seed", range(3))
     def test_batch_sums_per_sample_gradients(self, seed):
@@ -330,6 +360,28 @@ class TestBackward:
                                atol=1e-14), name
         assert np.allclose(g.input, np.concatenate([s.input for s in singles]),
                            rtol=1e-12, atol=1e-14)
+
+
+class TestColumns:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 3), st.integers(1, 3), st.integers(1, 4),
+           st.integers(1, 4), st.integers(1, 3), st.integers(1, 3),
+           st.integers(0, 2 ** 32 - 1))
+    def test_column_index_gives_the_adjoint_of_columns(self, n, c, kh, kw,
+                                                       ph, pw, seed):
+        # <_columns(x), g> = <x, col2im(g)> for every x and g, where col2im
+        # sums each column entry into the input element _column_index
+        # names: the rule dx relies on. Small integers make both sides exact.
+        shape = (c, kh + 2 * ph - 1, kw + 2 * pw - 1)
+        m = TinyCNN(FilterBank(np.zeros((2, c, kh, kw)), np.zeros(2)),
+                    np.zeros((3, 2 * ph * pw)), np.zeros(3), shape)
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-8, 9, (n, *shape)).astype(np.float64)
+        cols = _columns(m, x)
+        g = rng.integers(-8, 9, cols.shape).astype(np.float64)
+        col2im = np.bincount(_column_index(x.shape, kh, kw), g.ravel(),
+                             minlength=x.size).reshape(x.shape)
+        assert np.sum(cols * g) == np.sum(x * col2im)
 
 
 @pytest.fixture
@@ -669,6 +721,24 @@ class TestCraftUAP:
 
 
 class TestFoolingReport:
+    def test_evaluation_builds_no_pooling_mask(self, trained, monkeypatch):
+        # predict and fooling_report read only logits: the first-maximum
+        # mask is built in backprop alone
+        m, _, (xs, ys) = trained
+        v = random_noise(m.input_shape, PerturbBudget(0.05), "low", 0)
+        want = [predict(m, xs)] + [fooling_report(m, xs, ys, v, path)
+                                   for path in ("direct", "interleaved")]
+
+        def no_mask(*args):
+            raise AssertionError("evaluation built a pooling mask")
+
+        monkeypatch.setattr(adversary, "_first_max", no_mask)
+        assert np.array_equal(predict(m, xs), want[0])
+        assert [fooling_report(m, xs, ys, v, path) for path in
+                ("direct", "interleaved")] == want[1:]
+        with pytest.raises(AssertionError, match="pooling mask"):
+            backward(m, xs[:1], ys[:1])  # the patch is in force
+
     def test_zero_perturbation(self, trained):
         m, _, held = trained
         zero = np.zeros(m.input_shape)

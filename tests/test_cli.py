@@ -585,3 +585,35 @@ class TestGoldenOutputs:
             "top1_perturbed": 0.75, "n_samples": 200}
         assert payload("eval", "--model", model, "--random", "low",
                        "--seed", "0")["fooling_rate"] == 0.03
+
+    def test_simulate_tpu_payload_digests(self, capsys, tmp_path):
+        # integer MAC counts, so the digests hold on any host: sha256 of the
+        # sorted-key JSON of every stdout line's payload (the manifest holds
+        # temporary paths); one image, and a corpus of 4 images
+        rng = np.random.default_rng(23)
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for i in range(4):
+            image = rng.integers(0, 9, (3, 32, 32)) \
+                * (rng.random((3, 32, 32)) < 0.6)  # zeros for zero-skip
+            write_t3b(image, corpus / f"img{i}.t3b")
+        noise, filters = tmp_path / "noise.t3b", tmp_path / "filters.t3b"
+        write_t3b(rng.integers(-2, 3, (3, 32, 32)), noise)
+        write_t3b(rng.integers(-3, 4, (48, 3, 3)), filters)
+        digests = {("--image", "on"): "f08002ad59740da72627b70d6ee93218"
+                                      "b8aa39f6a6056f0ac3f08a3689a92404",
+                   ("--image", "off"): "c0b589bd7132bfa6b0054af90734db7d"
+                                       "46cb9442754a19c03f75cd3a61296c16",
+                   ("--corpus", "on"): "b994ef480897c2ae8638d872584554dd"
+                                       "cf060823dc416dc663b077d4d30f3bfe",
+                   ("--corpus", "off"): "d4cb13d18e07f659215b37f9f20bdbf5"
+                                        "9999153641376e5761e8fc574e36d551"}
+        for (source, zero_skip), digest in digests.items():
+            path = corpus / "img0.t3b" if source == "--image" else corpus
+            code, out, _ = run(capsys, "simulate", source, str(path),
+                               "--noise", str(noise), "--filters", str(filters),
+                               "--config", "tpu", "--zero-skip", zero_skip)
+            assert code == 0
+            payloads = json.dumps([line["payload"] for line in jsonl(out)],
+                                  sort_keys=True)
+            assert hashlib.sha256(payloads.encode()).hexdigest() == digest

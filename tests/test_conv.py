@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advweave import conv
-from advweave.adversary import _pool_windows, init_model
+from advweave.adversary import _first_max, _pool, init_model
 from advweave.conv import (BLAS_MIN_MACS, COLUMN_BYTES, ConvGeometry,
                            FilterBank, conv2d_nchw, dense, relu)
 from advweave.errors import BadGeometry, ShapeMismatch
@@ -18,15 +18,24 @@ def conv2d(x, f, geom=ConvGeometry()):
     return conv2d_nchw(x[None], f, geom)[0]
 
 
+def pool_windows(z):
+    """adversary._pool and _first_max of a window-major (..., 4) array, laid
+    out pool-major as (1, 4, M): the pooled array z.shape[:-1] and the
+    first-maximum mask of z's shape."""
+    q = np.moveaxis(z, -1, 0).reshape(1, 4, -1)  # value i in slab i
+    pooled = _pool(q)
+    mask = _first_max(q, pooled).reshape(4, *z.shape[:-1])
+    return pooled.reshape(z.shape[:-1]), np.moveaxis(mask, 0, -1)
+
+
 def pool2(a):
-    """2x2 max pooling of the last two axes of `a` by adversary._pool_windows:
-    `a` copied window-major, the pooled array and the first-maximum mask
-    returned in `a`'s layout."""
+    """2x2 max pooling of the last two axes of `a` by pool_windows: the
+    pooled array and the first-maximum mask, in `a`'s layout."""
     *lead, h, w = a.shape
     # (..., y, dy, x, dx) -> (..., y, x, dy, dx): each window's four values
     # side by side
     z = a.reshape(*lead, h // 2, 2, w // 2, 2).swapaxes(-3, -2)
-    pooled, mask = _pool_windows(z.reshape(*lead, h // 2, w // 2, 4))
+    pooled, mask = pool_windows(z.reshape(*lead, h // 2, w // 2, 4))
     return pooled, mask.reshape(z.shape).swapaxes(-3, -2).reshape(a.shape)
 
 
@@ -502,8 +511,8 @@ class TestMaxpool2:
             assert np.array_equal(got.ravel(), want)
 
     def test_ties_nans_and_signed_zeros_bit_for_bit(self):
-        # 3,000 arrays, laid out window-major as the model's first layer
-        # is, pooled by _pool_windows against the rule max(max(q00, q01),
+        # 3,000 arrays, laid out pool-major as the model's first layer is,
+        # pooled by _pool and _first_max against the rule max(max(q00, q01),
         # max(q10, q11)) taken window by window
         rng = np.random.default_rng(0)
         values = np.array([0.0, -0.0, 1.0, -1.0, 2.0, np.nan])
@@ -523,7 +532,7 @@ class TestMaxpool2:
                 hits = np.flatnonzero(q == want[idx])
                 if hits.size:
                     first[(*idx, hits[0])] = True
-            pooled, mask = _pool_windows(z)
+            pooled, mask = pool_windows(z)
             assert pooled.tobytes() == want.tobytes()
             assert np.array_equal(mask, first)
 
