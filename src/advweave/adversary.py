@@ -516,6 +516,7 @@ def fooling_report(model: TinyCNN, xs: np.ndarray, ys: np.ndarray,
 
     `path` selects explicit noise addition ("direct") or the interleaved
     first-layer attack ("interleaved"). Samples are forwarded in blocks.
+    A perturbation holding a NaN or infinity is a ValueError on both paths.
     """
     if len(xs) == 0:
         raise EmptyDataset("evaluation set is empty")
@@ -526,6 +527,9 @@ def fooling_report(model: TinyCNN, xs: np.ndarray, ys: np.ndarray,
     noise = np.asarray(perturbation)
     if noise.shape != model.input_shape:
         raise ShapeMismatch(f"{model.input_shape} vs {noise.shape}")
+    # a NaN logit's argmax is 0, which would read as a label
+    if not np.isfinite(noise).all():
+        raise ValueError("perturbation holds a NaN or infinity")
     clean = _block_logits(model, xs)
     perturbed = _block_logits(model, xs, noise, path)
     pc, pp = clean.argmax(axis=1), perturbed.argmax(axis=1)

@@ -47,8 +47,12 @@ def _manifest(command: str, seed: int | None, inputs: list[str],
     }
 
 
+# one encoder for every line: json.dumps with an option builds a new one
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _emit(obj: dict, stream=None) -> None:
-    print(json.dumps(obj, sort_keys=True), file=stream or sys.stdout)
+    print(_ENCODER.encode(obj), file=stream or sys.stdout)
 
 
 def _output(path: str | None):
@@ -62,6 +66,11 @@ def random_instance(rng: np.random.Generator, max_dim: int = 16,
 
     Channels 1-3, spatial dims 2..max_dim, kernels 1-4 (capped by the input),
     strides 1-2.
+
+    Operands of one value range come from one call, sliced: a sized call
+    costs the same few microseconds at any size, and one call for n + m
+    values yields the values of two calls for n and m (integers below 2**32
+    take the bit generator's 32-bit stream, uniform one 64-bit word each).
     """
     c = int(rng.integers(1, 4))
     h = int(rng.integers(2, max_dim + 1))
@@ -71,17 +80,17 @@ def random_instance(rng: np.random.Generator, max_dim: int = 16,
     out_ch = int(rng.integers(1, 4))
     sv = int(rng.integers(1, 3))
     sh = int(rng.integers(1, 3))
+    n, k = c * h * w, out_ch * c * kh * kw
     if float_mode:
-        image = rng.uniform(-1, 1, (c, h, w))
-        noise = rng.uniform(-1, 1, (c, h, w))
-        weights = rng.uniform(-1, 1, (out_ch, c, kh, kw))
-        bias = rng.uniform(-1, 1, out_ch)
+        values = rng.uniform(-1, 1, 2 * n + k + out_ch)
+        image, noise, params = values[:n], values[n:2 * n], values[2 * n:]
     else:
-        image = rng.integers(-128, 128, (c, h, w))
-        noise = rng.integers(-16, 17, (c, h, w))
-        weights = rng.integers(-8, 9, (out_ch, c, kh, kw))
-        bias = rng.integers(-8, 9, out_ch)
-    return image, noise, FilterBank(weights, bias), ConvGeometry(sv, sh)
+        image = rng.integers(-128, 128, n)
+        noise = rng.integers(-16, 17, n)
+        params = rng.integers(-8, 9, k + out_ch)
+    return (image.reshape(c, h, w), noise.reshape(c, h, w),
+            FilterBank(params[:k].reshape(out_ch, c, kh, kw), params[k:]),
+            ConvGeometry(sv, sh))
 
 
 def cmd_verify_equivalence(args) -> int:

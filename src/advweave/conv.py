@@ -96,10 +96,11 @@ class ConvGeometry:
 # Integer convolutions of at least this many MACs take the narrowest exact
 # BLAS route: float32 while max|x| * max_o sum|W[o]| < 2**24, float64 while
 # it is below 2**53 (the mantissa widths, so not tunable). Below this size
-# the bound check costs about as much as BLAS saves: the float64 and int64
-# routes tie near 2.5e4 MACs, and every 16x16 trial of verify-equivalence
-# (at most 6.5e4 MACs) keeps the int64 matmul.
-BLAS_MIN_MACS = 1 << 17
+# the bound check costs about as much as BLAS saves: the int64 and BLAS
+# routes of conv2d_nchw tie near 2.4e4 MACs (minimum of 5 runs at numpy
+# 2.4.6 on 2 vCPUs: 15,876 MACs 29 us int64 / 32 us BLAS, 32,400 MACs
+# 39 / 35 us, 121,104 MACs 106 / 68 us), so the gate sits just above.
+BLAS_MIN_MACS = 1 << 15
 
 # Bytes of one block's column matrix in conv2d_nchw. It bounds peak memory
 # and is not tuned for speed: on a 3x448x224 input by 64x3x14x7 filters at

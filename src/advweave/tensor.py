@@ -112,9 +112,11 @@ def quantize(x: np.ndarray, q: QuantSpec) -> np.ndarray:
     r = np.asarray(x, dtype=np.float64) / q.scale
     levels = np.sign(r) * np.floor(np.abs(r) + 0.5)
     lo, hi = levels.min(initial=0), levels.max(initial=0)
-    if hi > q.max_level or lo < q.min_level:
+    # written so that a NaN (which min and max propagate) fails it
+    if not (q.min_level <= lo and hi <= q.max_level):
+        span = [int(v) if np.isfinite(v) else float(v) for v in (lo, hi)]
         raise OutOfRange(
-            f"quantized levels span [{int(lo)}, {int(hi)}], representable "
+            f"quantized levels span {span}, representable "
             f"range is [{q.min_level}, {q.max_level}]")
     return levels.astype(np.int64)
 

@@ -13,7 +13,10 @@ equivalence_report checks that identity in one form, without building
 either full output: it walks conv._conv_blocks' direct and woven streams
 together by output row, whatever noise the woven side weaves in. Each
 side casts integer products exactly to int64 and adds the same bias, which
-is injective, so the raw products are compared.
+is injective, so the raw products are compared, and only rows that differ
+build the bias. It runs weave_rows' dtype rule once: weave_rows is that
+check plus the private _interleave, which the woven stream calls with the
+dtype already fixed.
 """
 from __future__ import annotations
 
@@ -41,9 +44,14 @@ def weave_rows(images: np.ndarray, noise: np.ndarray) -> np.ndarray:
     one pattern for every image, or one pattern per image.
     """
     images, noise = np.asarray(images), np.asarray(noise)
+    return _interleave(images, noise, exact_result_type(images, noise))
+
+
+def _interleave(images: np.ndarray, noise: np.ndarray,
+                dtype: np.dtype) -> np.ndarray:
+    """weave_rows without its checks, into a `dtype` its caller has fixed."""
     *lead, h, w = images.shape
-    woven = np.empty((*lead, 2 * h, w),
-                     dtype=exact_result_type(images, noise))
+    woven = np.empty((*lead, 2 * h, w), dtype=dtype)
     woven[..., 0::2, :] = images
     woven[..., 1::2, :] = noise
     return woven
@@ -92,7 +100,9 @@ def equivalence_report(image: np.ndarray, noise: np.ndarray,
     their diff and magnitude, whose max does not depend on order.
     """
     image, noise = _check_image(image), _check_image(noise)
-    exact_result_type(image, noise)  # the woven path's checks, text and all
+    # the woven path's checks, text and all, run once: a woven noise of
+    # noise's dtype weaves into the same dtype
+    woven_dtype = exact_result_type(image, noise)
     woven_noise = noise if woven_noise is None else np.asarray(woven_noise)
     if woven_noise.shape != noise.shape:
         raise ShapeMismatch(f"woven noise {woven_noise.shape} vs {noise.shape}")
@@ -103,9 +113,9 @@ def equivalence_report(image: np.ndarray, noise: np.ndarray,
     dtype = _result_dtype(x, filters.weights)
     direct = _conv_blocks(x, filters.weights, geom)
     del x  # the stream's copy in its compute dtype replaces it
-    woven = _woven_blocks(image, woven_noise, filters.weights, geom)
+    woven = _woven_blocks(image, woven_noise, woven_dtype, filters.weights,
+                          geom)
     integer = dtype is np.int64
-    bias = filters.bias.astype(dtype, copy=False)[:, None, None, None]
     diffs, refs = [], []
 
     def compare(d: np.ndarray, a: np.ndarray) -> None:
@@ -113,8 +123,9 @@ def equivalence_report(image: np.ndarray, noise: np.ndarray,
         # float64, which holds a float route's products (integers below
         # 2**53) exactly, and an int64 product that equals one there is
         # that integer
-        if integer and np.array_equal(d, a):
+        if integer and (d == a).all():
             return
+        bias = filters.bias.astype(dtype, copy=False)[:, None, None, None]
         d = d.astype(dtype, copy=False) + bias
         a = a.astype(dtype, copy=False) + bias
         diffs.append(np.abs(d.astype(np.float64) - a.astype(np.float64)).max())
@@ -133,12 +144,14 @@ def equivalence_report(image: np.ndarray, noise: np.ndarray,
                              exact=max_abs_diff <= 1e-9 * ref)
 
 
-def _woven_blocks(image: np.ndarray, noise: np.ndarray, weights: np.ndarray,
-                  geom: ConvGeometry):
-    """The _conv_blocks stream of attacked_conv_nchw on one image. The woven
-    input is built only once the stream starts, so it does not sit beside
-    the direct stream's first block."""
-    yield from _conv_blocks(weave_rows(image, noise)[None],
+def _woven_blocks(image: np.ndarray, noise: np.ndarray, dtype: np.dtype,
+                  weights: np.ndarray, geom: ConvGeometry):
+    """The _conv_blocks stream of attacked_conv_nchw on one image, woven
+    into `dtype`, which weave_rows' checks gave. The woven input is built
+    only once the stream starts, so it does not sit beside the direct
+    stream's first block, and no local holds it, so it is freed once
+    _conv_blocks replaces it by a padded or cast copy."""
+    yield from _conv_blocks(_interleave(image, noise, dtype)[None],
                             np.repeat(weights, 2, axis=2),
                             attacked_geometry(geom))
 

@@ -813,6 +813,17 @@ class TestFoolingReport:
             messages.append(str(e.value))
         assert len(set(messages)) == 1
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_perturbation_same_error_on_both_paths(self, trained,
+                                                               value):
+        m, _, held = trained
+        v = np.zeros(m.input_shape)
+        v[0, 3, 4] = value
+        for path in ("direct", "interleaved"):
+            with pytest.raises(ValueError, match="^perturbation holds a NaN "
+                                                 "or infinity$"):
+                fooling_report(m, held[0][:10], held[1][:10], v, path=path)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_attack_path_equivalence(self, trained, seed):
         m, _, held = trained

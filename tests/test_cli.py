@@ -122,6 +122,48 @@ class TestVerifyEquivalence:
                            "--seed", "3", "--float")
         assert code == 0
 
+    @pytest.mark.parametrize("float_mode", [False, True],
+                             ids=["integer", "float"])
+    def test_trial_draw_digests(self, float_mode):
+        # sha256 of every operand of 200 seed-0 trials, per operand: the
+        # draws alone, so they hold on any host, --float included (whose
+        # stdout goes through BLAS); the bench's --sabotage control draws
+        # its trials again through random_instance
+        digests = {
+            False: {"image": "7c9a71a3e2629894e737578058978029"
+                             "be1c7ed3985f46754c353d32c962edca",
+                    "noise": "2437a47c2681f890e68d0decf668363f"
+                             "5ad486cc7aa7332d47466aa978f6c32e",
+                    "weights": "e84248c21b244ddd04be29098c1f7cfa"
+                               "8d45797fe80292e738867c81ece3aed4",
+                    "bias": "f72f95e3b7688bb77d63866b5276020f"
+                            "5a4ea6b47802833f94a3cf5c67c8cb5f",
+                    "geometry": "358a10ab2a5762289e1cb4fb8a34f891"
+                                "2cbe0718d92344cc7aa29c1b309707d0"},
+            True: {"image": "c625c42489da06f7063fbfcc26e66833"
+                            "951469e09171bae4ba8ff6371d445bf3",
+                   "noise": "d2ffcac1397b9580f5a28f08aeddc63c"
+                            "89f4350dc0a56986c07f5340966e917b",
+                   "weights": "337c31a4a906aea96a5d26683d995314"
+                              "b1cf0aef4f60a8193b407f8e38c627ee",
+                   "bias": "982f0b586363506230a9bccbf49991b0"
+                           "8a1007f51706a00bdd79cad5d7590400",
+                   "geometry": "6c448168a454df0f38b8669ff81555f6"
+                               "98f4cbfe90b58ec98e678c478c7be08f"}}
+        rng = np.random.default_rng(0)
+        hashes = {name: hashlib.sha256() for name in digests[float_mode]}
+        for _ in range(200):
+            image, noise, filters, geom = random_instance(rng, 16, float_mode)
+            for name, a in (("image", image), ("noise", noise),
+                            ("weights", filters.weights),
+                            ("bias", filters.bias)):
+                hashes[name].update(f"{a.dtype.str}{a.shape}".encode())
+                hashes[name].update(a.tobytes())
+            hashes["geometry"].update(f"{geom.stride_v},{geom.stride_h},"
+                                      f"{geom.pad_h},{geom.pad_w};".encode())
+        assert {name: h.hexdigest() for name, h in hashes.items()} \
+            == digests[float_mode]
+
 
 class TestSimulate:
     def test_doubling_zero_skip_off(self, capsys, sim_files):
@@ -485,6 +527,19 @@ class TestTrainCraftEval:
                              "low")
         assert code == 2 and out == ""
         assert err == f"error: {ckpt}: block 4 holds a NaN or infinity\n"
+
+    @pytest.mark.parametrize("path", ["direct", "interleaved"])
+    def test_non_finite_perturbation_usage_error(self, capsys, trained_ckpt,
+                                                 tmp_path, path):
+        # a NaN logit's argmax is 0, which once read as a fooling rate
+        v = np.full((1, 8, 8), np.nan)
+        v[0, 0, 0] = 0.01
+        noise = str(tmp_path / "nan.t3b")
+        write_t3b(v, noise)
+        code, out, err = run(capsys, "eval", "--model", trained_ckpt,
+                             "--noise", noise, "--path", path)
+        assert code == 2 and out == ""
+        assert err == "error: perturbation holds a NaN or infinity\n"
 
     def test_zero_epochs_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "train", "--model",

@@ -1,6 +1,7 @@
 import inspect
 import io
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +200,19 @@ class TestQuantize:
         q = QuantSpec(magnitude_bits=4, signed=False, scale=1.0)
         with pytest.raises(OutOfRange):
             quantize(t3([[[-1.0]]]), q)
+
+    @pytest.mark.parametrize("value, span", [(np.nan, "[nan, nan]"),
+                                             (np.inf, "[0, inf]"),
+                                             (-np.inf, "[-inf, 0]")])
+    def test_non_finite_out_of_range(self, value, span):
+        # a NaN fails every comparison, so it once passed the range check
+        # and was cast, with numpy's invalid-cast warning, to int64 min
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange) as e:
+                quantize(t3([[[value]]]), QuantSpec(4, True, 1.0))
+        assert str(e.value) == (f"quantized levels span {span}, "
+                                f"representable range is [-15, 15]")
 
     @given(st.lists(st.floats(-7.0, 7.0), min_size=1, max_size=30),
            st.floats(0.01, 2.0))

@@ -236,6 +236,23 @@ class TestEquivalenceReport:
         # filter row 0 reads it in output row 0, over two kernel columns
         assert rep == EquivalenceReport(max_abs_diff=200.0, exact=False)
 
+    def test_float_woven_side_off_by_1e_7_is_inexact(self):
+        # output 1.0 against 1.0 + 1e-7: far past 1e-9 relative, and past
+        # any rounding-error bound of one product (about 1e-16)
+        img, noi = np.zeros((1, 1, 1)), np.ones((1, 1, 1))
+        f = FilterBank(np.ones((1, 1, 1, 1)), np.zeros(1))
+        rep = equivalence_report(img, noi, f, woven_noise=noi + 1e-7)
+        assert not rep.exact
+        assert rep.max_abs_diff == pytest.approx(1e-7, rel=1e-6)
+
+    def test_float_zero_direct_output_against_1e_3_is_inexact(self):
+        # an all-zero direct output takes 1.0 as its magnitude, so a woven
+        # side of 1e-3 is off by 1e-3 relative
+        zero = np.zeros((1, 2, 2))
+        f = FilterBank(np.ones((1, 1, 1, 1)), np.zeros(1))
+        rep = equivalence_report(zero, zero, f, woven_noise=zero + 1e-3)
+        assert rep == EquivalenceReport(max_abs_diff=1e-3, exact=False)
+
     @staticmethod
     def _full_report(img, noi, f, g, woven_noise=None):
         """The report from both full outputs, compared whole."""
