@@ -6,7 +6,7 @@ of a T3B file, as read_t3b returns it; np.asarray gives its array.
 
 Pieces:
   tensor    - quantization, bit statistics, T3B files
-  conv      - one batched convolution kernel; activation / dense
+  conv      - one batched convolution kernel
   weave     - the interleaving attack transform and its equivalence oracle
   accel     - systolic-array MAC/cycle simulator and memory row layout
   adversary - tiny CNN, FGSM, universal perturbations, fooling metrics
@@ -20,7 +20,7 @@ from .adversary import (FoolingReport, PerturbBudget, TinyCNN, TrainConfig,
                         backward, craft_uap, fgsm, fooling_report, forward,
                         init_model, load_model, make_corpus, predict,
                         random_noise, save_model, softmax, train)
-from .conv import ConvGeometry, FilterBank, conv2d_nchw, dense, relu
+from .conv import ConvGeometry, FilterBank, conv2d_nchw
 from .errors import (BadGeometry, EmptyDataset, FormatError, OutOfRange,
                      ShapeMismatch)
 from .tensor import (BitStats, QuantSpec, Tensor3, bit_stats, linf_norm,

@@ -13,42 +13,44 @@ arrays. One image or perturbation is a (C, H, W) array: fgsm (the only
 one-image model call) takes and returns one, as random_noise and craft_uap
 return and fooling_report applies one.
 
-The first layer works pool-major on both routes: _columns copies a batch's
-im2col columns, cols[j, c, k, dy, dx, n, py, px] = x[n, c, 2py+dy+j,
-2px+dx+k], so the forward GEMM's output (O, 4, N*ph*pw) holds value
-(dy, dx) of every 2x2 pooling window in one contiguous slab, which _pool
-pools. The forward keeps the conv output and the pooled values; backprop
-alone builds the first-maximum mask (_first_max) and routes each window's
-gradient to that maximum with one product, so the conv output's gradient
-dz1 keeps the columns' order: dW is one GEMM of dz1 by the columns, db a
-sum, and dx the exact adjoint of _columns: the columns' gradient
-W.T @ dz1, summed into the input by one np.bincount over _column_index.
+The first layer works pool-major on both routes: _columns copies conv's
+window view of a batch with each output axis split by pooling window,
+cols[c, j, k, dy, dx, n, py, px] = x[n, c, 2py+dy+j, 2px+dx+k], so the
+forward GEMM's output (O, 4, N*ph*pw) holds value (dy, dx) of every 2x2
+pooling window in one contiguous slab, which _pool pools. The columns'
+rows run in the filters' own (C, kh, kw) order, so the layers compute on
+the TinyCNN's arrays as they are: conv1.weights reshaped to (O, C*kh*kw)
+is the GEMM's matrix. The forward keeps the conv output and the pooled
+values; backprop alone builds the first-maximum mask (_first_max) and
+routes each window's gradient to that maximum with one product, so the
+conv output's gradient dz1 keeps the columns' order: dW is one GEMM of dz1
+by the columns, db a sum, and dx the exact adjoint of _columns: the
+columns' gradient W.T @ dz1, summed into the input by one np.bincount over
+_column_index.
 
-The layers take the parameters as one _Params (the conv weights as the
-forward GEMM's matrix, the bias and dense arrays), laid out once per call
-of forward, backward and fgsm and once for all of craft_uap's steps.
-train keeps them as views of one flat float64 buffer: each step takes its
-batch from the corpus's columns (built once, about 1 MB at the CLI
-defaults), writes its gradients into a second flat buffer and updates
-with one subtraction. make_corpus's loop makes only the random draws
-(label, field, bar position), in that order.
+train builds one TinyCNN and one Gradients on views of two flat float64
+buffers, and returns that model: each step takes its batch from the
+corpus's columns (built once, about 1 MB at the CLI defaults), writes its
+gradients into the second buffer and updates the first with one
+subtraction. make_corpus's loop makes only the random draws (label, field,
+bar position), in that order.
 
 The fooling-rate evaluation can route the first layer either through
 ordinary convolution of the explicitly noise-added input ("direct") or
 through the noise-interleaved attacked convolution ("interleaved"): the
 woven batch's columns at vertical stride 2, with j over the 2*kh duplicated
-filter rows, into the same GEMM and tail. The two paths must agree.
+filter rows (np.repeat along the kernel-row axis, as weave does), into the
+same GEMM and tail. The two paths must agree.
 """
 from __future__ import annotations
 
 import struct
 import sys
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .conv import FilterBank
+from .conv import FilterBank, _windows as _conv_windows
 from .errors import Diverged, EmptyDataset, FormatError, ShapeMismatch
 from .tensor import _naming, read_t3b_stream, write_t3b_stream
 from .weave import weave_rows
@@ -191,39 +193,28 @@ class ForwardCache:
     flat: np.ndarray    # (N, features) ReLU output
 
 
-class _Params(NamedTuple):
-    """A model's parameters in the form the layers compute with."""
-
-    # the conv weights as the forward GEMM's (O, kh*C*kw) matrix, unflattened:
-    # (O, kh, C, kw), C-contiguous, so its columns run in _columns' order
-    w: np.ndarray
-    b: np.ndarray     # (O,)
-    fc_w: np.ndarray  # (num_classes, features)
-    fc_b: np.ndarray  # (num_classes,)
-
-
-def _params(model: TinyCNN) -> _Params:
-    """model's _Params, laid out once per entry point."""
-    w = np.ascontiguousarray(model.conv1.weights.transpose(0, 2, 1, 3),
-                             dtype=np.float64)
-    return _Params(w, model.conv1.bias, model.fc_w, model.fc_b)
+def _parameters(model: TinyCNN) -> tuple[np.ndarray, ...]:
+    """model's four parameter arrays, in Gradients' field order."""
+    return model.conv1.weights, model.conv1.bias, model.fc_w, model.fc_b
 
 
 def _windows(x: np.ndarray, kh: int, kw: int, sv: int = 1) -> np.ndarray:
-    """The view of a C-contiguous batch x that _columns copies."""
-    n, c, h, w = x.shape
-    # sv, the vertical stride, is 2 on a woven batch of 2H rows
-    ph, pw = (h // sv - kh + 1) // 2, (w - kw + 1) // 2
-    sn, sc, sy, sx = x.strides
-    return np.ndarray((sv * kh, c, kw, 2, 2, n, ph, pw), x.dtype, x,
-                      strides=(sy, sc, sx, sv * sy, sx, sn, 2 * sv * sy, 2 * sx))
+    """The view of a C-contiguous batch x that _columns copies: conv's
+    window view with each output axis split into (pooling window, offset),
+    offsets first. sv, the vertical stride, is 2 on a woven batch of 2H
+    rows, whose 2*kh kernel rows take the duplicated filter rows."""
+    win = _conv_windows(x, sv * kh, kw, sv)
+    c, j, k, n, oh, ow = win.shape
+    # splitting an axis keeps a view, which craft_uap re-copies
+    return win.reshape(c, j, k, n, oh // 2, 2, ow // 2, 2) \
+        .transpose(0, 1, 2, 5, 7, 3, 4, 6)
 
 
 def _columns(model: TinyCNN, xs: np.ndarray,
              noise: np.ndarray | None = None) -> np.ndarray:
     """The first layer's im2col columns of an (N, C, H, W) batch, pool-major:
-    cols[j, c, k, dy, dx, n, py, px] = xs[n, c, 2py+dy+j, 2px+dx+k], so
-    cols.reshape(kh*C*kw, -1) is the forward GEMM's operand as it is and the
+    cols[c, j, k, dy, dx, n, py, px] = xs[n, c, 2py+dy+j, 2px+dx+k], so
+    cols.reshape(C*kh*kw, -1) is the forward GEMM's operand as it is and the
     GEMM's output holds value (dy, dx) of every pooling window in one slab.
 
     With `noise` (as weave_rows takes it), the woven batch's columns at
@@ -267,22 +258,23 @@ def _first_max(z: np.ndarray, pooled: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _forward(p: _Params,
+def _forward(model: TinyCNN,
              cols: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """forward from a batch's _columns, plain or woven (whose 2*kh kernel
     rows take the duplicated filter rows). ReLU runs after pooling, with
     which it commutes."""
-    w = p.w if len(cols) == p.w.shape[1] else np.repeat(p.w, 2, axis=1)
+    w = model.conv1.weights
+    if cols.shape[1] != w.shape[2]:  # woven
+        w = np.repeat(w, 2, axis=2)
     o, n, s = len(w), cols.shape[5], cols.shape[6] * cols.shape[7]
     z = w.reshape(o, -1) @ cols.reshape(w[0].size, -1)
-    z += p.b[:, None]
+    z += model.conv1.bias[:, None]
     z = z.reshape(o, 4, -1)
     pooled = _pool(z)
     # ReLU, written straight into the dense layer's (n, o, py, px) order
     flat = np.maximum(pooled.reshape(o, n, s).transpose(1, 0, 2), 0,
                       out=np.empty((n, o, s))).reshape(n, o * s)
-    # conv.dense's product, without its per-call shape checks
-    logits = flat @ p.fc_w.T + p.fc_b
+    logits = flat @ model.fc_w.T + model.fc_b
     return logits, ForwardCache(z, pooled, flat)
 
 
@@ -294,7 +286,7 @@ def forward(model: TinyCNN, xs: np.ndarray,
     over xs) the first layer runs the noise-interleaved attacked
     convolution: the woven batch's columns by the duplicated filter rows.
     """
-    return _forward(_params(model), _columns(model, xs, noise))
+    return _forward(model, _columns(model, xs, noise))
 
 
 @dataclass
@@ -320,7 +312,7 @@ def _checked_labels(model: TinyCNN, xs: np.ndarray, labels) -> np.ndarray:
     return labels
 
 
-def _backprop_to_conv(p: _Params, logits: np.ndarray, cache: ForwardCache,
+def _backprop_to_conv(model: TinyCNN, logits: np.ndarray, cache: ForwardCache,
                       targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Loss gradients at the logits and, as the forward GEMM's (O, 4*N*ph*pw)
     output is laid out, at the first layer's: each window's pooled gradient
@@ -331,32 +323,34 @@ def _backprop_to_conv(p: _Params, logits: np.ndarray, cache: ForwardCache,
     # the ReLU gate (pooled > 0 exactly where flat > 0) moves the dense
     # layer's gradient from flat's (n, o, py, px) order to pooled's
     # (o, n, py, px) in one product
-    dpooled = (dlogits @ p.fc_w).reshape(n, o, f // o).transpose(1, 0, 2) \
+    dpooled = (dlogits @ model.fc_w).reshape(n, o, f // o).transpose(1, 0, 2) \
         * (cache.pooled > 0).reshape(o, n, f // o)
     mask = _first_max(cache.z, cache.pooled)
     return dlogits, (mask * dpooled.reshape(o, 1, m)).reshape(o, -1)
 
 
-def _input_gradient(p: _Params, dz1: np.ndarray, index: np.ndarray) -> np.ndarray:
+def _input_gradient(model: TinyCNN, dz1: np.ndarray,
+                    index: np.ndarray) -> np.ndarray:
     """dx, flattened, from a plain batch's pool-major dz1 and _column_index:
     the adjoint of _columns applied to the columns' gradient W.T @ dz1, which
     sums each column entry into the input element it was copied from."""
-    return np.bincount(index, (p.w.reshape(len(p.w), -1).T @ dz1).ravel())
+    w = model.conv1.weights
+    return np.bincount(index, (w.reshape(len(w), -1).T @ dz1).ravel())
 
 
-def _parameter_gradients(p: _Params, cols: np.ndarray, targets: np.ndarray,
-                         out: _Params) -> np.ndarray:
-    """Batch-summed parameter gradients, written into out, from a batch's
-    _columns and one-hot targets. Returns the loss gradient dz1 at the first
-    layer's output, pool-major."""
-    logits, cache = _forward(p, cols)
-    dlogits, dz1 = _backprop_to_conv(p, logits, cache, targets)
+def _parameter_gradients(model: TinyCNN, cols: np.ndarray,
+                         targets: np.ndarray, out: Gradients) -> np.ndarray:
+    """Batch-summed parameter gradients, written into out's C-contiguous
+    arrays, from a batch's _columns and one-hot targets. Returns the loss
+    gradient dz1 at the first layer's output, pool-major."""
+    logits, cache = _forward(model, cols)
+    dlogits, dz1 = _backprop_to_conv(model, logits, cache, targets)
     # dz1 and the columns share one column order, (dy, dx, n, py, px): dW is
-    # one GEMM of dz1 by the columns, whose rows run in the GEMM matrix's
-    # (kh, C, kw) order, and db sums dz1's rows
-    np.matmul(dz1, cols.reshape(out.w[0].size, -1).T,
-              out=out.w.reshape(len(dz1), -1))
-    np.add.reduce(dz1, axis=1, out=out.b)
+    # one GEMM of dz1 by the columns, whose rows run in the filters'
+    # (C, kh, kw) order, and db sums dz1's rows
+    np.matmul(dz1, cols.reshape(out.conv_w[0].size, -1).T,
+              out=out.conv_w.reshape(len(dz1), -1))
+    np.add.reduce(dz1, axis=1, out=out.conv_b)
     np.matmul(dlogits.T, cache.flat, out=out.fc_w)
     np.add.reduce(dlogits, axis=0, out=out.fc_b)
     return dz1
@@ -369,12 +363,11 @@ def backward(model: TinyCNN, xs: np.ndarray, labels) -> Gradients:
     sample's own input gradient, shape (N, C, H, W).
     """
     targets = np.eye(model.num_classes)[_checked_labels(model, xs, labels)]
-    p = _params(model)
-    g = _Params(*(np.empty(a.shape) for a in p))
-    dz1 = _parameter_gradients(p, _columns(model, xs), targets, g)
+    g = Gradients(*(np.empty(a.shape) for a in _parameters(model)))
+    dz1 = _parameter_gradients(model, _columns(model, xs), targets, g)
     index = _column_index(xs.shape, *model.conv1.weights.shape[2:])
-    return Gradients(g.w.transpose(0, 2, 1, 3), g.b, g.fc_w, g.fc_b,
-                     _input_gradient(p, dz1, index).reshape(xs.shape))
+    g.input = _input_gradient(model, dz1, index).reshape(xs.shape)
+    return g
 
 
 def _block_logits(model: TinyCNN, xs: np.ndarray, noise: np.ndarray | None = None,
@@ -405,13 +398,16 @@ def train(model: TinyCNN, xs: np.ndarray, ys: np.ndarray,
     targets = np.eye(model.num_classes)[_checked_labels(model, xs, ys)]
     cols = _columns(model, xs)
     rng = np.random.default_rng(cfg.seed)
-    start = _params(model)
+    start = _parameters(model)
     theta = np.concatenate([a.ravel() for a in start], dtype=np.float64)
     grad = np.empty_like(theta)
     ends = np.cumsum([a.size for a in start])[:-1]
-    p, g = (_Params(*(part.reshape(a.shape) for part, a in
-                      zip(np.split(flat, ends), start)))
-            for flat in (theta, grad))
+    (w, b, fc_w, fc_b), parts = ([part.reshape(a.shape) for part, a in
+                                  zip(np.split(flat, ends), start)]
+                                 for flat in (theta, grad))
+    # the model trained in place and its gradients: views of theta and grad
+    fitted = TinyCNN(FilterBank(w, b), fc_w, fc_b, model.input_shape)
+    g = Gradients(*parts)
     # a diverging step overflows to infinity and NaN quietly; the check
     # after the loop reports it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -419,35 +415,33 @@ def train(model: TinyCNN, xs: np.ndarray, ys: np.ndarray,
             order = rng.permutation(len(xs))
             for i in range(0, len(xs), cfg.batch_size):
                 batch = order[i:i + cfg.batch_size]
-                _parameter_gradients(p, cols.take(batch, axis=5),
+                _parameter_gradients(fitted, cols.take(batch, axis=5),
                                      targets.take(batch, axis=0), g)
                 theta -= cfg.learning_rate / len(batch) * grad
     # one check suffices: a step never turns a NaN or infinity finite again
     if not np.isfinite(theta).all():
         raise Diverged(f"training diverged at learning rate "
                        f"{cfg.learning_rate}: a parameter is not finite")
-    return TinyCNN(FilterBank(p.w.transpose(0, 2, 1, 3), p.b), p.fc_w, p.fc_b,
-                   model.input_shape)
+    return fitted
 
 
-def _fgsm_step(p: _Params, logits: np.ndarray, cache: ForwardCache,
+def _fgsm_step(model: TinyCNN, logits: np.ndarray, cache: ForwardCache,
                target: np.ndarray, epsilon: float,
                index: np.ndarray) -> np.ndarray:
     """epsilon * sign(input gradient of the loss of the (1, num_classes)
     one-hot `target`), flattened, from the logits and cache of a one-sample
     forward and its _column_index; computes no parameter gradient."""
-    _, dz1 = _backprop_to_conv(p, logits, cache, target)
-    return epsilon * np.sign(_input_gradient(p, dz1, index))
+    _, dz1 = _backprop_to_conv(model, logits, cache, target)
+    return epsilon * np.sign(_input_gradient(model, dz1, index))
 
 
 def fgsm(model: TinyCNN, x: np.ndarray, label: int, budget: PerturbBudget) -> np.ndarray:
     """Perturbation = epsilon * sign(input gradient of the loss) of a (C, H, W) x."""
     xs = np.asarray(x)[None]
     target = np.eye(model.num_classes)[_checked_labels(model, xs, [label])]
-    p = _params(model)
-    logits, cache = _forward(p, _columns(model, xs))
+    logits, cache = _forward(model, _columns(model, xs))
     index = _column_index(xs.shape, *model.conv1.weights.shape[2:])
-    step = _fgsm_step(p, logits, cache, target, budget.epsilon, index)
+    step = _fgsm_step(model, logits, cache, target, budget.epsilon, index)
     return step.reshape(xs.shape[1:])
 
 
@@ -484,7 +478,6 @@ def craft_uap(model: TinyCNN, xs: np.ndarray, budget: PerturbBudget,
         return v
     clean_preds = predict(model, xs)
     targets = np.eye(model.num_classes)[clean_preds, None]
-    p = _params(model)
     x = np.empty((1, *v.shape))  # one perturbed sample
     kernel = model.conv1.weights.shape[2:]
     windows, index = _windows(x, *kernel), _column_index(x.shape, *kernel)
@@ -495,13 +488,13 @@ def craft_uap(model: TinyCNN, xs: np.ndarray, budget: PerturbBudget,
             np.add(sample, v, out=x0)
             np.copyto(cols, windows)
             # one forward gives the prediction and, if unfooled, the gradient
-            logits, cache = _forward(p, cols)
+            logits, cache = _forward(model, cols)
             if logits.argmax() != pred:
                 fooled += 1
                 continue
             # ascend the loss of the clean prediction to push the label away,
             # then clip to [-eps, eps] by the ufuncs np.clip wraps
-            flat_v += _fgsm_step(p, logits, cache, target, eps / 4, index)
+            flat_v += _fgsm_step(model, logits, cache, target, eps / 4, index)
             np.maximum(flat_v, -eps, out=flat_v)
             np.minimum(flat_v, eps, out=flat_v)
         if fooled == len(xs):

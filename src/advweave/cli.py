@@ -129,16 +129,16 @@ def cmd_verify_equivalence(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = preset_config(args.config, zero_skip=args.zero_skip == "on")
+    if bool(args.image) == bool(args.corpus):
+        raise ValueError("give exactly one of --image or --corpus")
     if args.corpus:
         paths = sorted(Path(args.corpus).glob("*.t3b"))
         if not paths:
             raise ValueError(f"no .t3b files in {args.corpus}")
         inputs = [args.noise, args.filters, args.corpus]
-    elif args.image:
+    else:
         paths = [Path(args.image)]
         inputs = [args.image, args.noise, args.filters]
-    else:
-        raise ValueError("simulate needs --image or --corpus")
     manifest = _manifest("simulate", None, inputs, args.out, {
         "config": args.config, "zero_skip": args.zero_skip,
         "noise": args.noise, "filters": args.filters})

@@ -1,16 +1,19 @@
-"""Reference convolution, activation and dense layers, on plain arrays:
-conv2d_nchw, relu and dense. _check_batch checks an (N, C, H, W) batch
-against a FilterBank, _check_image one (C, H, W) image.
+"""Reference convolution on plain arrays: conv2d_nchw. _check_batch checks
+an (N, C, H, W) batch against a FilterBank, _check_image one (C, H, W)
+image.
 
 conv2d_nchw is a cross-correlation (no kernel flip), the deep-learning
 convention; every equivalence oracle in this repo uses it on both sides.
-One private kernel, _conv_blocks, computes every convolution, one block of
-output rows at a time: it yields each block's raw GEMM product in the
-compute dtype, with no cast and no bias. _conv assigns each block into the
-result, then adds the bias once; conv2d_nchw and the attacked convolution
-call it. weave.equivalence_report consumes two streams of blocks itself,
-so no full output exists. The model's forward, dW and dx GEMMs run on its
-own pool-major columns instead.
+_windows is the one im2col view, of a C-contiguous batch; its columns run
+in the filters' own (C, kh, kw) order, so (O, C, kh, kw) weights reshaped
+to (O, C*kh*kw) are the GEMM's matrix as they are. One private kernel,
+_conv_blocks, computes every convolution, one block of output rows of that
+view at a time: it yields each block's raw GEMM product in the compute
+dtype, with no cast and no bias. _conv assigns each block into the result,
+then adds the bias once; conv2d_nchw and the attacked convolution call it.
+weave.equivalence_report consumes two streams of blocks itself, so no full
+output exists. The model copies the same view, with each output axis split
+by pooling window, into its own pool-major columns.
 
 Integer inputs give a bit-exact int64 result on one of three routes. A
 layer of at least BLAS_MIN_MACS MACs runs on BLAS in float32 when
@@ -205,6 +208,20 @@ def _conv(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
     return out.transpose(1, 0, 2, 3)
 
 
+def _windows(x: np.ndarray, kh: int, kw: int, sv: int = 1,
+             sh: int = 1) -> np.ndarray:
+    """The im2col view of a C-contiguous (N, C, H, W) batch x, unpadded, at
+    stride (sv, sh): win[c, j, k, n, y, x] = x[n, c, y*sv + j, x*sh + k], of
+    shape (C, kh, kw, N, oh, ow). win[..., y0:y1, :] reshaped to
+    (C*kh*kw, N*(y1-y0)*ow) is the column matrix of output rows y0 to y1,
+    whose rows run in the filters' (C, kh, kw) order."""
+    n, c, h, w = x.shape
+    sn, sc, sy, sx = x.strides
+    # ndarray() on the contiguous buffer is cheaper than as_strided
+    return np.ndarray((c, kh, kw, n, (h - kh) // sv + 1, (w - kw) // sh + 1),
+                      x.dtype, x, strides=(sc, sy, sx, sn, sv * sy, sh * sx))
+
+
 def _conv_blocks(x: np.ndarray, weights: np.ndarray, geom: ConvGeometry):
     """The GEMM products of _conv, one block of output rows at a time.
 
@@ -232,18 +249,10 @@ def _conv_blocks(x: np.ndarray, weights: np.ndarray, geom: ConvGeometry):
         x = padded
     else:
         x = np.ascontiguousarray(x, dtype=compute)
-    sn, sc, sy, sx = x.strides
-    # win[j, c, k, n, y, x] = x[n, c, y * stride_v + j, x * stride_h + k], so
-    # win[..., y0:y1, :] reshaped to (kh*C*kw, N*(y1-y0)*ow) is the column
-    # matrix of output rows y0 to y1; ndarray() on the contiguous buffer is
-    # cheaper than as_strided
-    win = np.ndarray((kh, c, kw, n, oh, ow), dtype=compute, buffer=x,
-                     strides=(sy, sc, sx, sn, sy * geom.stride_v,
-                              sx * geom.stride_h))
-    k = kh * c * kw
-    # the weights in the view's (kh, C, kw) axis order
-    weights = weights.astype(compute, copy=False) \
-        .transpose(0, 2, 1, 3).reshape(o, k)
+    win = _windows(x, kh, kw, geom.stride_v, geom.stride_h)
+    k = c * kh * kw
+    # the filters' own (C, kh, kw) order is the columns' order
+    weights = weights.astype(compute, copy=False).reshape(o, k)
     # as many output rows per block as fit in COLUMN_BYTES, and at least one
     # (all of them when a row has no bytes, as in an empty batch)
     rows = max(1, COLUMN_BYTES // max(1, k * n * ow * win.itemsize))
@@ -252,21 +261,3 @@ def _conv_blocks(x: np.ndarray, weights: np.ndarray, geom: ConvGeometry):
         # no local holds the columns or the product across the yield
         yield y, y + r, (weights @ win[..., y:y + r, :]
                          .reshape(k, n * r * ow)).reshape(o, n, r, ow)
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    """max(x, 0) elementwise, for an array of any shape."""
-    return np.maximum(x, 0)
-
-
-def dense(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Affine map W @ x + b of a vector x, or of each row of an (N, F) batch."""
-    x, W, b = np.asarray(x), np.asarray(W), np.asarray(b)
-    if W.ndim != 2 or x.ndim not in (1, 2) or b.ndim != 1:
-        raise ShapeMismatch("dense expects matrix W, vector or batch x, "
-                            "vector b")
-    if W.shape[1] != x.shape[-1]:
-        raise ShapeMismatch(f"W has {W.shape[1]} columns, x has {x.shape[-1]}")
-    if b.shape[0] != W.shape[0]:
-        raise ShapeMismatch(f"b has {b.shape[0]} rows, W has {W.shape[0]}")
-    return x @ W.T + b

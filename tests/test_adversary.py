@@ -11,7 +11,7 @@ from advweave import adversary
 from advweave.adversary import (BACKGROUND, CONTRAST, FoolingReport,
                                 PerturbBudget, TinyCNN, TrainConfig,
                                 _backprop_to_conv, _column_index,
-                                _columns, _params, backward,
+                                _columns, backward,
                                 craft_uap, cross_entropy, fgsm,
                                 fooling_report, forward, init_model,
                                 load_model, make_corpus, predict,
@@ -39,7 +39,7 @@ def gradient_oracle_case(c, kh, kw, n):
     ys = rng.integers(0, 4, n)
     logits, cache = forward(m, xs)
     # pool-major (O, dy, dx, N, py, px) -> (N, O, 2py+dy, 2px+dx)
-    dz1 = _backprop_to_conv(_params(m), logits, cache, np.eye(4)[ys])[1] \
+    dz1 = _backprop_to_conv(m, logits, cache, np.eye(4)[ys])[1] \
         .reshape(6, 2, 2, n, 3, 3).transpose(3, 0, 4, 1, 5, 2) \
         .reshape(n, 6, 6, 6)
     return m, xs, ys, dz1
@@ -307,10 +307,10 @@ class TestBackward:
     def test_parameter_gradients_match_einsum_oracle(self, c, kh, kw, n):
         # dW[o, c, j, k] = sum over n, y, x of dz1[n, o, y, x] *
         # x[n, c, y+j, x+k] and db[o] = sum of dz1[:, o], on the NCHW dz1;
-        # with C > 1 and kh > 1 a (C, kh, kw) filter order differs from the
-        # model's (kh, C, kw) one. At (3, 2, 3), 810 and 900 samples have
-        # more columns than one conv block's COLUMN_BYTES (2 MiB), where a
-        # dW blocked like the conv would split.
+        # with C > 1 and kh > 1 a swap of the filters' C and kh axes shows.
+        # At (3, 2, 3), 810 and 900 samples have more columns than one conv
+        # block's COLUMN_BYTES (2 MiB), where a dW blocked like the conv
+        # would split.
         m, xs, ys, dz1 = gradient_oracle_case(c, kh, kw, n)
         g = backward(m, xs, ys)
         want_w, scale_w = np.empty((2, 6, c, kh, kw))
@@ -694,10 +694,26 @@ class TestCraftUAP:
         craft_uap(m, make_corpus(200, 0)[0], PerturbBudget(epsilon=0.05))
         assert filter_banks == []
 
+    def test_passes_stop_once_every_sample_is_fooled(self, trained,
+                                                     monkeypatch):
+        # one forward for the clean predictions, then one per sample and
+        # pass: the third pass is the first to find both samples fooled, and
+        # the 47 passes left would each forward both again
+        m, _, _ = trained
+        calls, forward_cols = [], adversary._forward
+
+        def counting(*args):
+            calls.append(None)
+            return forward_cols(*args)
+
+        monkeypatch.setattr(adversary, "_forward", counting)
+        craft_uap(m, make_corpus(2, 0)[0], PerturbBudget(0.05), max_iters=50)
+        assert len(calls) == 1 + 3 * 2
+
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_public_forward_and_fgsm_steps(self, trained, seed):
-        # craft_uap's loop on parameters laid out once and one reused input
-        # buffer, against the same loop through the public calls
+        # craft_uap's loop on one reused input buffer and its window view,
+        # against the same loop through the public calls
         m, _, _ = trained
         xs = make_corpus(30, seed)[0]
         eps, steps, skips = 0.05, 0, 0

@@ -252,6 +252,19 @@ class TestSimulate:
                          "--filters", paths["filters"])
         assert code == 2
 
+    def test_image_and_corpus_usage_error(self, capsys, sim_files, tmp_path):
+        # --image beside --corpus was ignored, even when its file is missing
+        paths, _ = sim_files
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "img.t3b").write_bytes(Path(paths["image"]).read_bytes())
+        code, out, err = run(capsys, "simulate", "--image",
+                             str(tmp_path / "nonexistent.t3b"), "--corpus",
+                             str(corpus), "--noise", paths["noise"],
+                             "--filters", paths["filters"])
+        assert (code, out) == (2, "")
+        assert err == "error: give exactly one of --image or --corpus\n"
+
     def test_tpu_preset(self, capsys, sim_files):
         paths, _ = sim_files
         code, out, _ = run(capsys, "simulate", "--image", paths["image"],

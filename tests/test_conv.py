@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from advweave import conv
 from advweave.adversary import _first_max, _pool, init_model
 from advweave.conv import (BLAS_MIN_MACS, COLUMN_BYTES, ConvGeometry,
-                           FilterBank, conv2d_nchw, dense, relu)
+                           FilterBank, conv2d_nchw)
 from advweave.errors import BadGeometry, ShapeMismatch
 from advweave.weave import attacked_conv_nchw
 
@@ -452,19 +452,6 @@ class TestColumnBlocks:
         assert peak <= allowed + (1 << 16)  # plus Python objects
 
 
-class TestRelu:
-    def test_mixed(self):
-        out = relu(np.array([[[-1.0, 0.0, 2.0]]]))
-        assert list(out[0, 0]) == [0.0, 0.0, 2.0]
-
-    def test_all_negative(self):
-        assert np.all(relu(np.full((2, 2, 2), -3.0)) == 0)
-
-    def test_all_positive_unchanged(self):
-        x = np.full((2, 2, 2), 3.0)
-        assert np.array_equal(relu(x), x)
-
-
 class TestMaxpool2:
     def test_2x2_window(self):
         out, _ = pool2(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
@@ -548,36 +535,3 @@ class TestMaxpool2:
                                       [False, False, False, False, False,
                                        False]]])
 
-
-class TestDense:
-    def test_identity(self):
-        x = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(dense(x, np.eye(3), np.zeros(3)), x)
-
-    def test_zero_matrix_gives_bias(self):
-        b = np.array([5.0, -1.0])
-        assert np.array_equal(dense(np.ones(3), np.zeros((2, 3)), b), b)
-
-    def test_matches_naive_matvec(self):
-        rng = np.random.default_rng(0)
-        W = rng.uniform(-1, 1, (4, 6))
-        x = rng.uniform(-1, 1, 6)
-        b = rng.uniform(-1, 1, 4)
-        want = np.array([sum(W[i, j] * x[j] for j in range(6)) + b[i]
-                         for i in range(4)])
-        assert np.allclose(dense(x, W, b), want, rtol=1e-12)
-
-    def test_batch_rows_match_vectors(self):
-        rng = np.random.default_rng(1)
-        W, b = rng.uniform(-1, 1, (4, 6)), rng.uniform(-1, 1, 4)
-        xs = rng.uniform(-1, 1, (5, 6))
-        want = np.stack([dense(x, W, b) for x in xs])
-        assert np.allclose(dense(xs, W, b), want, rtol=1e-12, atol=1e-15)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            dense(np.zeros((5, 3)), np.zeros((2, 4)), np.zeros(2))
-        with pytest.raises(ShapeMismatch):
-            dense(np.zeros(3), np.zeros((2, 4)), np.zeros(2))
-        with pytest.raises(ShapeMismatch):
-            dense(np.zeros(4), np.zeros((2, 4)), np.zeros(3))
