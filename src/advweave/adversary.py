@@ -425,24 +425,11 @@ def train(model: TinyCNN, xs: np.ndarray, ys: np.ndarray,
     return fitted
 
 
-def _fgsm_step(model: TinyCNN, logits: np.ndarray, cache: ForwardCache,
-               target: np.ndarray, epsilon: float,
-               index: np.ndarray) -> np.ndarray:
-    """epsilon * sign(input gradient of the loss of the (1, num_classes)
-    one-hot `target`), flattened, from the logits and cache of a one-sample
-    forward and its _column_index; computes no parameter gradient."""
-    _, dz1 = _backprop_to_conv(model, logits, cache, target)
-    return epsilon * np.sign(_input_gradient(model, dz1, index))
-
-
 def fgsm(model: TinyCNN, x: np.ndarray, label: int, budget: PerturbBudget) -> np.ndarray:
-    """Perturbation = epsilon * sign(input gradient of the loss) of a (C, H, W) x."""
-    xs = np.asarray(x)[None]
-    target = np.eye(model.num_classes)[_checked_labels(model, xs, [label])]
-    logits, cache = _forward(model, _columns(model, xs))
-    index = _column_index(xs.shape, *model.conv1.weights.shape[2:])
-    step = _fgsm_step(model, logits, cache, target, budget.epsilon, index)
-    return step.reshape(xs.shape[1:])
+    """Perturbation = epsilon * sign(input gradient of the loss) of a (C, H, W)
+    x: the input gradient of a one-sample backward."""
+    return budget.epsilon * np.sign(
+        backward(model, np.asarray(x)[None], [label]).input[0])
 
 
 def random_noise(shape: tuple[int, int, int], budget: PerturbBudget,
@@ -492,9 +479,11 @@ def craft_uap(model: TinyCNN, xs: np.ndarray, budget: PerturbBudget,
             if logits.argmax() != pred:
                 fooled += 1
                 continue
-            # ascend the loss of the clean prediction to push the label away,
-            # then clip to [-eps, eps] by the ufuncs np.clip wraps
-            flat_v += _fgsm_step(model, logits, cache, target, eps / 4, index)
+            # an FGSM step up the loss of the clean prediction, which pushes
+            # the label away, from this forward's cache (no parameter
+            # gradients), then a clip to [-eps, eps] by the ufuncs np.clip wraps
+            _, dz1 = _backprop_to_conv(model, logits, cache, target)
+            flat_v += eps / 4 * np.sign(_input_gradient(model, dz1, index))
             np.maximum(flat_v, -eps, out=flat_v)
             np.minimum(flat_v, eps, out=flat_v)
         if fooled == len(xs):

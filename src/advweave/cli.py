@@ -132,7 +132,9 @@ def cmd_simulate(args) -> int:
     if bool(args.image) == bool(args.corpus):
         raise ValueError("give exactly one of --image or --corpus")
     if args.corpus:
-        paths = sorted(Path(args.corpus).glob("*.t3b"))
+        # iterdir, unlike glob, raises when the directory does not exist
+        paths = sorted(f for f in Path(args.corpus).iterdir()
+                       if f.match("*.t3b"))
         if not paths:
             raise ValueError(f"no .t3b files in {args.corpus}")
         inputs = [args.noise, args.filters, args.corpus]
@@ -144,17 +146,17 @@ def cmd_simulate(args) -> int:
         "noise": args.noise, "filters": args.filters})
     noise = read_t3b(args.noise)
     filters_t = np.asarray(read_t3b(args.filters))
-    o_i, kh, kw = filters_t.shape
+    # every image must have the noise's shape, so the noise fixes C for all
+    (o_i, kh, kw), c = filters_t.shape, np.shape(noise)[0]
+    if o_i % c:
+        raise ShapeMismatch(f"filter tensor channels {o_i} not divisible "
+                            f"by noise channels {c}")
+    w = filters_t.reshape(o_i // c, c, kh, kw)
+    filters = FilterBank(w, np.zeros(w.shape[0], dtype=w.dtype))
     lines = []
     for p in paths:
-        image = np.asarray(read_t3b(p))
-        c = image.shape[0]
-        if o_i % c:
-            raise ShapeMismatch(f"filter tensor channels {o_i} not divisible "
-                                f"by image channels {c}")
-        w = filters_t.reshape(o_i // c, c, kh, kw)
-        filters = FilterBank(w, np.zeros(w.shape[0], dtype=w.dtype))
-        cmp = compare_attack_footprint(image, noise, filters, ConvGeometry(), cfg)
+        cmp = compare_attack_footprint(read_t3b(p), noise, filters,
+                                       ConvGeometry(), cfg)
         lines.append({"image": p.name, "payload": {
             part: getattr(cmp, part).to_dict()
             for part in ("clean", "attacked", "noise_only")}})

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadGeometry, ShapeMismatch
+from .errors import BadGeometry, OutOfRange, ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -173,9 +173,14 @@ def _check_image(x) -> np.ndarray:
         raise ShapeMismatch(f"image needs 3 dims (C, H, W), got {x.ndim}")
     if min(x.shape) < 1:
         raise ShapeMismatch(f"all dims must be >= 1, got {x.shape}")
-    if x.dtype.kind not in "fiu":
-        raise TypeError(f"unsupported dtype {x.dtype}")
+    _check_dtype(x)
     return x
+
+
+def _check_dtype(a: np.ndarray) -> None:
+    """_check_image's dtype rule, which _conv_blocks applies to operands."""
+    if a.dtype.kind not in "fiu":
+        raise TypeError(f"unsupported dtype {a.dtype}")
 
 
 def _result_dtype(x: np.ndarray, weights: np.ndarray) -> type:
@@ -186,10 +191,10 @@ def _result_dtype(x: np.ndarray, weights: np.ndarray) -> type:
     return np.float64
 
 
-def _conv(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
-          geom: ConvGeometry = ConvGeometry()) -> np.ndarray:
+def _conv(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
+          geom: ConvGeometry) -> np.ndarray:
     """conv2d_nchw on plain arrays, unchecked: an (N, C, H, W) x by
-    (O, C, kh, kw) weights, plus `bias` unless it is None.
+    (O, C, kh, kw) weights, plus an (O,) bias.
 
     The one ordinary consumer of _conv_blocks: each block's product is
     assigned straight into the result (a cast that is exact on the integer
@@ -203,8 +208,7 @@ def _conv(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None,
     for y0, y1, product in _conv_blocks(x, weights, geom):
         out[:, :, y0:y1] = product
         del product  # so the next block's columns are not built beside it
-    if bias is not None:
-        out += bias.astype(dtype, copy=False)[:, None, None, None]
+    out += bias.astype(dtype, copy=False)[:, None, None, None]
     return out.transpose(1, 0, 2, 3)
 
 
@@ -234,8 +238,15 @@ def _conv_blocks(x: np.ndarray, weights: np.ndarray, geom: ConvGeometry):
     only on the shapes and the compute dtype's itemsize, so a float product
     is the same for every call on those shapes. Integer operands take the
     narrowest exact route of the module docstring (see _exact_float_dtype);
-    anything else is computed in float64.
+    float operands are computed in float64. A bool, complex or object
+    operand is a TypeError, and a uint64 one beyond int64 an OutOfRange.
     """
+    for a in (x, weights):
+        _check_dtype(a)
+        # uint64: the int64 result holds none of its values from 2**63 up
+        if a.dtype.kind == "u" and a.itemsize == 8 and \
+                int(a.max(initial=0)) >= 2 ** 63:
+            raise OutOfRange(f"uint64 value {int(a.max())} is beyond int64")
     n, c, h, w = x.shape
     o, _, kh, kw = weights.shape
     oh, ow = geom.out_shape(h, w, kh, kw)

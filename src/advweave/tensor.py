@@ -1,6 +1,6 @@
 """Quantization, norms, bit statistics and T3B files of (C, H, W) arrays.
-Tensor3 is only a T3B file's record: what read_t3b returns, and the check
-every array passes on its way into write_t3b.
+Tensor3 is only a T3B file's record, what read_t3b returns; write_t3b
+checks what it writes, an array or a Tensor3, with _check_image.
 
 exact_result_type is the one rule for combining images with noise: their
 (C, H, W) shapes must match and integer operands must stay integer, on
@@ -145,9 +145,9 @@ def bit_stats(x: np.ndarray) -> BitStats:
 
 
 def write_t3b_stream(t: np.ndarray | Tensor3, f) -> None:
-    """T3B framing of a (C, H, W) array, checked as a Tensor3: magic "T3B1",
-    u32le C/H/W, u8 dtype tag (0=f64, 1=i32), raw data."""
-    x = (t if isinstance(t, Tensor3) else Tensor3(t)).data  # checks arrays once
+    """T3B framing of a (C, H, W) array or Tensor3, checked by _check_image:
+    magic "T3B1", u32le C/H/W, u8 dtype tag (0=f64, 1=i32), raw data."""
+    x = _check_image(t)
     if x.dtype.kind in "iu":
         tag, arr = 1, x.astype("<i4")
         if not np.array_equal(arr, x):

@@ -265,6 +265,62 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert err == "error: give exactly one of --image or --corpus\n"
 
+    def test_filter_channels_not_divisible_usage_error(self, capsys,
+                                                       sim_files, tmp_path):
+        # the noise's 3 channels do not divide the filter tensor's 2 rows
+        paths, _ = sim_files
+        image, noise = tmp_path / "image3.t3b", tmp_path / "noise3.t3b"
+        write_t3b(np.ones((3, 8, 8), dtype=np.int64), image)
+        write_t3b(np.ones((3, 8, 8), dtype=np.int64), noise)
+        code, out, err = run(capsys, "simulate", "--image", str(image),
+                             "--noise", str(noise), "--filters",
+                             paths["filters"])
+        assert (code, out) == (2, "")
+        assert err == ("error: filter tensor channels 2 not divisible by "
+                       "noise channels 3\n")
+
+    @pytest.mark.parametrize("shape", [(1, 6, 6), (2, 8, 8)],
+                             ids=["smaller image", "more channels"])
+    def test_corpus_image_of_another_shape_usage_error(self, capsys,
+                                                       sim_files, tmp_path,
+                                                       shape):
+        # the filters are built once, from the noise's channels, so the
+        # image that does not match the noise fails in the loop
+        paths, _ = sim_files
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.t3b").write_bytes(Path(paths["image"]).read_bytes())
+        write_t3b(np.ones(shape, dtype=np.int64), corpus / "b.t3b")
+        code, out, err = run(capsys, "simulate", "--corpus", str(corpus),
+                             "--noise", paths["noise"], "--filters",
+                             paths["filters"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_missing_corpus_directory_usage_error(self, capsys, sim_files,
+                                                  tmp_path):
+        # not "no .t3b files in" it: the directory is not there
+        paths, _ = sim_files
+        missing = tmp_path / "nonexistent"
+        code, out, err = run(capsys, "simulate", "--corpus", str(missing),
+                             "--noise", paths["noise"], "--filters",
+                             paths["filters"])
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 2] No such file or directory: " \
+                      f"'{missing}'\n"
+
+    def test_empty_corpus_directory_usage_error(self, capsys, sim_files,
+                                                tmp_path):
+        paths, _ = sim_files
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "notes.txt").write_text("not a tensor")
+        code, out, err = run(capsys, "simulate", "--corpus", str(empty),
+                             "--noise", paths["noise"], "--filters",
+                             paths["filters"])
+        assert (code, out) == (2, "")
+        assert err == f"error: no .t3b files in {empty}\n"
+
     def test_tpu_preset(self, capsys, sim_files):
         paths, _ = sim_files
         code, out, _ = run(capsys, "simulate", "--image", paths["image"],

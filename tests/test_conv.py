@@ -9,7 +9,7 @@ from advweave import conv
 from advweave.adversary import _first_max, _pool, init_model
 from advweave.conv import (BLAS_MIN_MACS, COLUMN_BYTES, ConvGeometry,
                            FilterBank, conv2d_nchw)
-from advweave.errors import BadGeometry, ShapeMismatch
+from advweave.errors import BadGeometry, OutOfRange, ShapeMismatch
 from advweave.weave import attacked_conv_nchw
 
 
@@ -364,6 +364,65 @@ class TestIntegerBlasRoute:
                                       geom.pad_h, geom.pad_w) for s in xs])
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
+
+
+class TestOperandGate:
+    """_conv_blocks, where the route is chosen, rejects an operand of a dtype
+    kind other than float or integer with _check_image's TypeError, and a
+    uint64 operand that int64 cannot hold with OutOfRange, on the direct and
+    the attacked path alike."""
+
+    @staticmethod
+    def _both_paths(x, f):
+        """conv2d_nchw of an (N, C, H, W) x, and attacked_conv_nchw of x with
+        zero noise of its dtype: one call each."""
+        noise = np.zeros(x.shape[1:], dtype=x.dtype)
+        return (lambda: conv2d_nchw(x, f),
+                lambda: attacked_conv_nchw(x, noise, f))
+
+    @pytest.mark.parametrize("value, x_dtype, w_dtype", [
+        (2 + 3j, np.complex128, np.float64),
+        (True, np.bool_, np.int64),
+        (2, object, np.int64),
+        (2, np.float64, np.complex128),
+        (2, np.int64, np.bool_),
+    ], ids=["complex image", "bool image", "object image", "complex weights",
+            "bool weights"])
+    def test_non_numeric_operand_rejected(self, value, x_dtype, w_dtype):
+        # without the check these ran in float64: 2+3j by a filter of 1
+        # gave 2.0, with only a ComplexWarning
+        x = np.full((1, 1, 2, 2), value, dtype=x_dtype)
+        f = FilterBank(np.ones((1, 1, 1, 1), dtype=w_dtype), np.zeros(1))
+        bad = x if x.dtype.kind not in "fiu" else f.weights
+        with pytest.raises(TypeError) as image_check:
+            conv._check_image(bad[0])
+        for run in self._both_paths(x, f):
+            with pytest.raises(TypeError) as kernel:
+                run()
+            assert str(kernel.value) == str(image_check.value) \
+                == f"unsupported dtype {bad.dtype}"
+
+    @pytest.mark.parametrize("operand", ["image", "weights"])
+    def test_uint64_beyond_int64_out_of_range(self, operand):
+        # without the check, uint64 2**63 + 5 by a 1x1 filter of 1 wrapped
+        # to -9223372036854775803
+        big = np.full((1, 1, 1, 1), 2 ** 63 + 5, dtype=np.uint64)
+        one = np.ones((1, 1, 1, 1), dtype=np.uint64)
+        x, w = (big, one) if operand == "image" else (one, big)
+        for run in self._both_paths(x, FilterBank(w, np.zeros(1, np.uint64))):
+            with pytest.raises(OutOfRange, match="^uint64 value "
+                               "9223372036854775813 is beyond int64$"):
+                run()
+
+    def test_uint64_within_int64_stays_exact(self):
+        x = np.full((1, 1, 1, 1), 2 ** 63 - 1, dtype=np.uint64)
+        f = FilterBank(np.ones((1, 1, 1, 1), dtype=np.uint64),
+                       np.zeros(1, np.uint64))
+        for run in self._both_paths(x, f):
+            got = run()
+            assert got.dtype == np.int64 and got[0, 0, 0, 0] == 2 ** 63 - 1
+        # an empty uint64 batch has no value to scan
+        assert conv2d_nchw(x[:0], f).shape == (0, 1, 1, 1)
 
 
 class TestColumnBlocks:

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import weakref
 
@@ -38,6 +39,43 @@ def rand_attack_instance(rng, max_dim=16, float_mode=False):
         wt = rng.integers(-8, 9, (o, c, kh, kw))
         b = rng.integers(-8, 9, o)
     return img, noi, FilterBank(wt, b), ConvGeometry(sv, sh, ph, pw)
+
+
+def index_structure_differences(max_channels, max_dim):
+    """The geometries on which attacked_conv_nchw(x, n) and conv2d_nchw(x + n)
+    differ, of every geometry with C from 1 to max_channels, H and W from 2
+    to max_dim, kernels 1-4 capped by the input, strides 1-2 and every pad
+    below the kernel; returns (geometries checked, those that differ).
+
+    Both paths are linear in the operands, so agreeing on a basis proves
+    them equal on all operands in exact arithmetic: one one-hot filter per
+    tap (O = C*kh*kw), an image holding i+1 at element i and a noise
+    holding (i+1)*M, M = 2n+1. A direct output is then (i+1)*(M+1) for the
+    one element its tap reads, or 0 in padding, and a woven output equals
+    it only if its two duplicated taps read image element i and noise
+    element i. Every value is an integer far inside float32's exact range,
+    so every route of _conv_blocks is exact.
+    """
+    checked, differ = 0, []
+    for c, h, w in itertools.product(range(1, max_channels + 1),
+                                     range(2, max_dim + 1),
+                                     range(2, max_dim + 1)):
+        n = c * h * w
+        image = np.arange(1, n + 1).reshape(1, c, h, w)
+        noise = image[0] * (2 * n + 1)
+        direct = image + noise
+        for kh, kw in itertools.product(range(1, min(4, h) + 1),
+                                        range(1, min(4, w) + 1)):
+            k = c * kh * kw
+            f = FilterBank(np.eye(k, dtype=np.int64).reshape(k, c, kh, kw),
+                           np.zeros(k, dtype=np.int64))
+            for geom in itertools.starmap(ConvGeometry, itertools.product(
+                    (1, 2), (1, 2), range(kh), range(kw))):
+                checked += 1
+                if not np.array_equal(attacked_conv_nchw(image, noise, f, geom),
+                                      conv2d_nchw(direct, f, geom)):
+                    differ.append((c, h, w, kh, kw, geom))
+    return checked, differ
 
 
 class TestInterleave:
@@ -200,6 +238,14 @@ class TestAttackedConv:
         attacked_path = conv2d(attacked_conv(img, noi, f1), f2)
         direct_path = conv2d(conv2d(img + noi, f1), f2)
         assert np.array_equal(attacked_path, direct_path)
+
+
+class TestIndexStructure:
+    def test_every_small_geometry(self):
+        # the random trials check the arithmetic routes; this checks which
+        # element every woven tap reads, for every geometry up to 8x8 (CI
+        # runs the same proof up to C = 3 and 16x16)
+        assert index_structure_differences(2, 8) == (27_848, [])
 
 
 class TestEquivalenceReport:
