@@ -14,8 +14,8 @@ import numpy as np
 
 from .conv import (ConvGeometry, FilterBank, _check_batch, _check_image,
                    _exact_float)
-from .tensor import exact_result_type
-from .weave import attacked_geometry, duplicate_filter_rows, weave_rows
+from .weave import (attacked_geometry, duplicate_filter_rows,
+                    exact_result_type, weave_rows)
 
 
 @dataclass(frozen=True)

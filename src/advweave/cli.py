@@ -26,8 +26,8 @@ from .adversary import (IMAGENET_FOOLING_RATES, PerturbBudget, TrainConfig,
                         make_corpus, predict, random_noise, save_model, train)
 from .conv import ConvGeometry, FilterBank
 from .errors import EmptyDataset, ShapeMismatch
-from .tensor import QuantSpec, bit_stats, linf_norm, quantize, read_t3b, \
-    write_t3b
+from .tensor import QuantSpec, _naming, bit_stats, linf_norm, quantize, \
+    read_t3b, write_t3b
 from .weave import equivalence_report
 
 EXIT_OK = 0
@@ -155,8 +155,10 @@ def cmd_simulate(args) -> int:
     filters = FilterBank(w, np.zeros(w.shape[0], dtype=w.dtype))
     lines = []
     for p in paths:
-        cmp = compare_attack_footprint(read_t3b(p), noise, filters,
-                                       ConvGeometry(), cfg)
+        image = read_t3b(p)  # its own errors name p already
+        with _naming(p):
+            cmp = compare_attack_footprint(image, noise, filters,
+                                           ConvGeometry(), cfg)
         lines.append({"image": p.name, "payload": {
             part: getattr(cmp, part).to_dict()
             for part in ("clean", "attacked", "noise_only")}})

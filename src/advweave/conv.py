@@ -22,9 +22,8 @@ every product and partial sum is then an integer below the float's 2**24
 or 2**53, which it holds exactly, so BLAS may sum in any order; _conv
 casts each block's product straight into the int64 result. Any other integer
 layer runs in int64. The kernel multiplies the full C*kh*kw filter once
-per block of output rows; the block height depends only on the input and
-filter shapes (and, through its itemsize, the compute dtype), so float
-results are deterministic for given shapes.
+per block of output rows, whose height depends only on shapes (see
+_conv_blocks), so float results are deterministic for given shapes.
 """
 from __future__ import annotations
 
@@ -105,10 +104,11 @@ class ConvGeometry:
 # 39 / 35 us, 121,104 MACs 106 / 68 us), so the gate sits just above.
 BLAS_MIN_MACS = 1 << 15
 
-# Bytes of one block's column matrix in conv2d_nchw. It bounds peak memory
-# and is not tuned for speed: on a 3x448x224 input by 64x3x14x7 filters at
-# stride (4, 2), blocks of 4 rows to the whole output all ran in 11-18 ms
-# on 2 cores.
+# Bytes of one block's column matrix in conv2d_nchw, counting every value at
+# 8 bytes, so a float32 block holds half that. It bounds peak memory and is
+# not tuned for speed: on a 3x448x224 input by 64x3x14x7 filters at stride
+# (4, 2), blocks of 4 rows to the whole output all ran in 11-18 ms on 2
+# cores.
 COLUMN_BYTES = 1 << 21
 
 
@@ -183,6 +183,13 @@ def _check_dtype(a: np.ndarray) -> None:
         raise TypeError(f"unsupported dtype {a.dtype}")
 
 
+def _check_uint64(a: np.ndarray) -> None:
+    """OutOfRange for a uint64 array holding 2**63 or more (beyond int64)."""
+    if a.dtype.kind == "u" and a.itemsize == 8 and \
+            int(a.max(initial=0)) >= 2 ** 63:
+        raise OutOfRange(f"uint64 value {int(a.max())} is beyond int64")
+
+
 def _result_dtype(x: np.ndarray, weights: np.ndarray) -> type:
     """The dtype of _conv's result: int64 for integer x and weights, else
     float64."""
@@ -191,24 +198,33 @@ def _result_dtype(x: np.ndarray, weights: np.ndarray) -> type:
     return np.float64
 
 
+def _bias(bias: np.ndarray, dtype: type) -> np.ndarray:
+    """The (O,) bias in the result `dtype`, to add to (O, N, oh, ow) blocks;
+    an int64 result takes no uint64 bias beyond int64."""
+    if dtype is np.int64:
+        _check_uint64(bias)
+    return bias.astype(dtype, copy=False)[:, None, None, None]
+
+
 def _conv(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
           geom: ConvGeometry) -> np.ndarray:
     """conv2d_nchw on plain arrays, unchecked: an (N, C, H, W) x by
     (O, C, kh, kw) weights, plus an (O,) bias.
 
-    The one ordinary consumer of _conv_blocks: each block's product is
-    assigned straight into the result (a cast that is exact on the integer
-    routes), so no full-size array of the compute dtype exists, and the
-    bias is added once at the end.
+    The one ordinary consumer of _conv_blocks, whose blocks it sizes by its
+    own C*kh*kw: each block's product is assigned straight into the result
+    (a cast that is exact on the integer routes), so no full-size array of
+    the compute dtype exists, and the bias is added once at the end.
     """
-    n, _, h, w = x.shape
+    n, c, h, w = x.shape
     o, _, kh, kw = weights.shape
     dtype = _result_dtype(x, weights)
     out = np.empty((o, n, *geom.out_shape(h, w, kh, kw)), dtype=dtype)
-    for y0, y1, product in _conv_blocks(x, weights, geom):
+    bias = _bias(bias, dtype)
+    for y0, y1, product in _conv_blocks(x, weights, geom, c * kh * kw):
         out[:, :, y0:y1] = product
         del product  # so the next block's columns are not built beside it
-    out += bias.astype(dtype, copy=False)[:, None, None, None]
+    out += bias
     return out.transpose(1, 0, 2, 3)
 
 
@@ -226,30 +242,30 @@ def _windows(x: np.ndarray, kh: int, kw: int, sv: int = 1,
                       x.dtype, x, strides=(sc, sy, sx, sn, sv * sy, sh * sx))
 
 
-def _conv_blocks(x: np.ndarray, weights: np.ndarray, geom: ConvGeometry):
+def _conv_blocks(x: np.ndarray, weights: np.ndarray, geom: ConvGeometry,
+                 k: int):
     """The GEMM products of _conv, one block of output rows at a time.
 
     Yields (y0, y1, product) for consecutive blocks that cover all output
     rows: product is the (O, N, y1 - y0, ow) product of the weights and the
-    block's columns in the compute dtype, without cast or bias. im2col by
-    blocks of output rows: each block's windows are copied into one
-    (C*kh*kw, N*rows*ow) column matrix of at most COLUMN_BYTES, which the
-    (O, C*kh*kw) weights multiply in one GEMM. The block height depends
-    only on the shapes and the compute dtype's itemsize, so a float product
-    is the same for every call on those shapes. Integer operands take the
-    narrowest exact route of the module docstring (see _exact_float_dtype);
-    float operands are computed in float64. A bool, complex or object
-    operand is a TypeError, and a uint64 one beyond int64 an OutOfRange.
+    block's (C*kh*kw, N*rows*ow) im2col columns in the compute dtype,
+    without cast or bias. A block holds as many rows as a k-high column
+    matrix fits in COLUMN_BYTES at 8 bytes a value, whatever the compute
+    dtype, so streams of equal k, N and output shape share block edges.
+    Integer operands take the narrowest exact route of the module docstring
+    (see _exact_float_dtype); float operands are computed in float64. A
+    bool, complex or object operand is a TypeError, and a uint64 one beyond
+    int64 an OutOfRange.
     """
     for a in (x, weights):
         _check_dtype(a)
-        # uint64: the int64 result holds none of its values from 2**63 up
-        if a.dtype.kind == "u" and a.itemsize == 8 and \
-                int(a.max(initial=0)) >= 2 ** 63:
-            raise OutOfRange(f"uint64 value {int(a.max())} is beyond int64")
+        _check_uint64(a)
     n, c, h, w = x.shape
     o, _, kh, kw = weights.shape
     oh, ow = geom.out_shape(h, w, kh, kw)
+    # as many output rows per block as fit in COLUMN_BYTES, and at least one
+    # (all of them when a row has no bytes, as in an empty batch)
+    rows = max(1, COLUMN_BYTES // max(1, k * n * ow * 8))
     compute = _result_dtype(x, weights)
     if compute is np.int64 and o * c * kh * kw * n * oh * ow >= BLAS_MIN_MACS:
         compute = _exact_float_dtype(x, weights) or np.int64
@@ -261,14 +277,11 @@ def _conv_blocks(x: np.ndarray, weights: np.ndarray, geom: ConvGeometry):
     else:
         x = np.ascontiguousarray(x, dtype=compute)
     win = _windows(x, kh, kw, geom.stride_v, geom.stride_h)
-    k = c * kh * kw
+    taps = c * kh * kw
     # the filters' own (C, kh, kw) order is the columns' order
-    weights = weights.astype(compute, copy=False).reshape(o, k)
-    # as many output rows per block as fit in COLUMN_BYTES, and at least one
-    # (all of them when a row has no bytes, as in an empty batch)
-    rows = max(1, COLUMN_BYTES // max(1, k * n * ow * win.itemsize))
+    weights = weights.astype(compute, copy=False).reshape(o, taps)
     for y in range(0, oh, rows):
         r = min(rows, oh - y)
         # no local holds the columns or the product across the yield
         yield y, y + r, (weights @ win[..., y:y + r, :]
-                         .reshape(k, n * r * ow)).reshape(o, n, r, ow)
+                         .reshape(taps, n * r * ow)).reshape(o, n, r, ow)

@@ -2,10 +2,6 @@
 Tensor3 is only a T3B file's record, what read_t3b returns; write_t3b
 checks what it writes, an array or a Tensor3, with _check_image.
 
-exact_result_type is the one rule for combining images with noise: their
-(C, H, W) shapes must match and integer operands must stay integer, on
-the direct (image + noise) and the woven path alike.
-
 The layout is channel-major, row-major: element (c, y, x) lives at flat
 index c*H*W + y*W + x, so a single row (c, y, :) is contiguous. Rows are
 the unit the interleaving attack and the memory-layout model operate on.
@@ -23,27 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conv import _check_image
-from .errors import FormatError, OutOfRange, ShapeMismatch
+from .errors import FormatError, OutOfRange
 
 T3B_MAGIC = b"T3B1"
 _DTYPE_TAGS = {0: np.dtype("<f8"), 1: np.dtype("<i4")}
-
-
-def exact_result_type(a: np.ndarray, b: np.ndarray) -> np.dtype:
-    """The dtype that combining images `a` with noise `b` gives.
-
-    Raises ShapeMismatch unless their last three (C, H, W) axes match, and
-    TypeError where two integer arrays would promote to float (uint64 with
-    a signed type gives float64), which cannot hold both exactly; every
-    path that combines an image with noise uses this rule.
-    """
-    if b.shape[-3:] != a.shape[-3:]:
-        raise ShapeMismatch(f"{a.shape[-3:]} vs {b.shape[-3:]}")
-    dtype = np.result_type(a, b)
-    if a.dtype.kind in "iu" and b.dtype.kind in "iu" and dtype.kind not in "iu":
-        raise TypeError(f"{a.dtype} and {b.dtype} promote to {dtype}, "
-                        f"which is not exact")
-    return dtype
 
 
 @dataclass(frozen=True, eq=False)

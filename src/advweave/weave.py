@@ -9,14 +9,16 @@ the direct sum. Doubled vertical padding adds a zero row pair for each
 padded row, so every image row keeps its even woven index and the identity
 holds for padded geometries too.
 
+exact_result_type is the one rule for combining images with noise: their
+(C, H, W) shapes must match and integer operands must stay integer, on
+the direct (image + noise) and the woven path alike.
+
 equivalence_report checks that identity in one form, without building
-either full output: it walks conv._conv_blocks' direct and woven streams
-together by output row, whatever noise the woven side weaves in. Each
-side casts integer products exactly to int64 and adds the same bias, which
-is injective, so the raw products are compared, and only rows that differ
-build the bias. It runs weave_rows' dtype rule once: weave_rows is that
-check plus the private _interleave, which the woven stream calls with the
-dtype already fixed.
+either full output: it walks conv._conv_blocks' direct and woven streams in
+lockstep, both sized by the woven 2*C*kh*kw so that their blocks cover the
+same output rows, whatever noise the woven side weaves in. It runs
+weave_rows' dtype rule once: weave_rows is that check plus the private
+_interleave, which the woven stream calls with the dtype already fixed.
 """
 from __future__ import annotations
 
@@ -25,16 +27,32 @@ from functools import cache
 
 import numpy as np
 
-from .conv import (ConvGeometry, FilterBank, _check_batch, _check_image,
-                   _conv, _conv_blocks, _result_dtype)
+from .conv import (ConvGeometry, FilterBank, _bias, _check_batch,
+                   _check_image, _conv, _conv_blocks, _result_dtype)
 from .errors import ShapeMismatch
-from .tensor import exact_result_type
 
 
 @dataclass(frozen=True)
 class EquivalenceReport:
     max_abs_diff: float
     exact: bool
+
+
+def exact_result_type(a: np.ndarray, b: np.ndarray) -> np.dtype:
+    """The dtype that combining images `a` with noise `b` gives.
+
+    Raises ShapeMismatch unless their last three (C, H, W) axes match, and
+    TypeError where two integer arrays would promote to float (uint64 with
+    a signed type gives float64), which cannot hold both exactly; every
+    path that combines an image with noise uses this rule.
+    """
+    if b.shape[-3:] != a.shape[-3:]:
+        raise ShapeMismatch(f"{a.shape[-3:]} vs {b.shape[-3:]}")
+    dtype = np.result_type(a, b)
+    if a.dtype.kind in "iu" and b.dtype.kind in "iu" and dtype.kind not in "iu":
+        raise TypeError(f"{a.dtype} and {b.dtype} promote to {dtype}, "
+                        f"which is not exact")
+    return dtype
 
 
 def weave_rows(images: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -92,12 +110,15 @@ def equivalence_report(image: np.ndarray, noise: np.ndarray,
     weaving in `woven_noise`: `noise`, or a control of its shape and dtype.
 
     The report is that of comparing the full direct and attacked outputs,
-    but neither is built: the direct and woven block streams of _conv_blocks
-    are walked together by output row (_zip_rows), so at most one block of
-    each is alive. Integer rows are compared as unbiased products, equal iff
-    the outputs are (module docstring); only rows that differ get the cast
-    and bias, for max_abs_diff. Float rows get _conv's cast and bias before
-    their diff and magnitude, whose max does not depend on order.
+    but neither is built: one block of each stream is alive at a time (see
+    the module docstring). Each side would cast integer products exactly to
+    int64 and add the same bias, which is injective, so integer blocks are
+    compared as raw products; only blocks that differ get the cast and
+    bias, for max_abs_diff. Float blocks get _conv's cast and bias before
+    their diff and magnitude, whose max does not depend on order; their
+    direct blocks are shorter than conv2d_nchw's, so a float layer of
+    several blocks may differ from a full-output comparison in the last
+    bits of max_abs_diff.
     """
     image, noise = _check_image(image), _check_image(noise)
     # the woven path's checks, text and all, run once: a woven noise of
@@ -111,30 +132,30 @@ def equivalence_report(image: np.ndarray, noise: np.ndarray,
     x = (image + noise)[None]
     _check_batch(x, filters)
     dtype = _result_dtype(x, filters.weights)
-    direct = _conv_blocks(x, filters.weights, geom)
+    bias = _bias(filters.bias, dtype)
+    # the woven column height
+    k = 2 * filters.in_channels * filters.kernel_h * filters.kernel_w
+    direct = _conv_blocks(x, filters.weights, geom, k)
     del x  # the stream's copy in its compute dtype replaces it
     woven = _woven_blocks(image, woven_noise, woven_dtype, filters.weights,
-                          geom)
+                          geom, k)
     integer = dtype is np.int64
     diffs, refs = [], []
-
-    def compare(d: np.ndarray, a: np.ndarray) -> None:
+    # direct first: on the footprint layer the woven-first order faulted
+    # about 1,200 freed heap pages back in per image, this order none
+    for _, _, d in direct:
+        a = next(woven)[2]
         # the two sides' exact routes may differ: numpy then compares in
         # float64, which holds a float route's products (integers below
         # 2**53) exactly, and an int64 product that equals one there is
         # that integer
-        if integer and (d == a).all():
-            return
-        bias = filters.bias.astype(dtype, copy=False)[:, None, None, None]
-        d = d.astype(dtype, copy=False) + bias
-        a = a.astype(dtype, copy=False) + bias
-        diffs.append(np.abs(d.astype(np.float64) - a.astype(np.float64)).max())
-        if not integer:
-            refs.append(np.max(np.abs(d)))
-
-    # direct first: on the footprint layer the woven-first order faulted
-    # about 1,200 freed heap pages back in per image, this order none
-    _zip_rows(direct, woven, compare)
+        if not (integer and (d == a).all()):
+            d = d.astype(dtype, copy=False) + bias
+            a = a.astype(dtype, copy=False) + bias
+            diffs.append(np.abs(d.astype(np.float64) - a).max())
+            if not integer:
+                refs.append(np.max(np.abs(d)))
+        del d, a  # released before either stream builds its next block
     # np.max, not max(): a NaN anywhere is the result, as over full outputs
     max_abs_diff = float(np.max(diffs)) if diffs else 0.0
     if integer:
@@ -145,33 +166,12 @@ def equivalence_report(image: np.ndarray, noise: np.ndarray,
 
 
 def _woven_blocks(image: np.ndarray, noise: np.ndarray, dtype: np.dtype,
-                  weights: np.ndarray, geom: ConvGeometry):
-    """The _conv_blocks stream of attacked_conv_nchw on one image, woven
-    into `dtype`, which weave_rows' checks gave. The woven input is built
-    only once the stream starts, so it does not sit beside the direct
-    stream's first block, and no local holds it, so it is freed once
+                  weights: np.ndarray, geom: ConvGeometry, k: int):
+    """The _conv_blocks stream, sized by k, of attacked_conv_nchw on one
+    image woven into `dtype`, which weave_rows' checks gave. The woven input
+    is built only once the stream starts, so it does not sit beside the
+    direct stream's first block, and no local holds it, so it is freed once
     _conv_blocks replaces it by a padded or cast copy."""
     yield from _conv_blocks(_interleave(image, noise, dtype)[None],
                             np.repeat(weights, 2, axis=2),
-                            attacked_geometry(geom))
-
-
-def _zip_rows(first, second, visit) -> None:
-    """Call visit(a, b) on the rows of a block of `first` and a block of
-    `second` that cover the same output rows, over all rows in order.
-
-    Both are streams of (y0, y1, block) over the same rows, as _conv_blocks
-    yields them; their block heights need not nest. Each block is released
-    before its stream builds the next, so at most one of each is alive.
-    """
-    b0 = b1 = 0
-    for a0, a1, a in first:
-        y0 = a0
-        while y0 < a1:
-            if y0 == b1:
-                b = None  # released before the next is built
-                b0, b1, b = next(second)
-            y1 = min(a1, b1)
-            visit(a[:, :, y0 - a0:y1 - a0], b[:, :, y0 - b0:y1 - b0])
-            y0 = y1
-        del a  # as b
+                            attacked_geometry(geom), k)

@@ -295,7 +295,8 @@ class TestSimulate:
                              "--noise", paths["noise"], "--filters",
                              paths["filters"])
         assert (code, out) == (2, "")
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {corpus / 'b.t3b'}: ")
+        assert len(err.splitlines()) == 1
 
     def test_missing_corpus_directory_usage_error(self, capsys, sim_files,
                                                   tmp_path):

@@ -10,7 +10,7 @@ from advweave.adversary import _first_max, _pool, init_model
 from advweave.conv import (BLAS_MIN_MACS, COLUMN_BYTES, ConvGeometry,
                            FilterBank, conv2d_nchw)
 from advweave.errors import BadGeometry, OutOfRange, ShapeMismatch
-from advweave.weave import attacked_conv_nchw
+from advweave.weave import attacked_conv_nchw, equivalence_report
 
 
 def conv2d(x, f, geom=ConvGeometry()):
@@ -244,6 +244,10 @@ class TestConv2dBatch:
         assert got.shape == (0, 2, *geom.out_shape(8, 8, 3, 3))
         assert got.dtype == (np.int64 if dtype == np.int64 else np.float64)
 
+    def test_no_filters(self):
+        f = FilterBank(np.ones((0, 1, 3, 3)), np.ones(0))
+        assert conv2d_nchw(np.ones((2, 1, 8, 8)), f).shape == (2, 0, 6, 6)
+
 
 class TestIntegerBlasRoute:
     """Integer convolutions of at least BLAS_MIN_MACS MACs run on float32
@@ -414,6 +418,30 @@ class TestOperandGate:
                                "9223372036854775813 is beyond int64$"):
                 run()
 
+    @pytest.mark.parametrize("x_dtype", [np.uint64, np.int64])
+    def test_uint64_bias_beyond_int64_out_of_range(self, x_dtype):
+        # without the check, 1 by a 1x1 uint64 filter of 1 plus a uint64
+        # bias of 2**63 + 5 wrapped to -9223372036854775802 on both paths,
+        # and the oracle with a woven noise raised by 1 reported
+        # exact=False, max_abs_diff=0.0
+        x = np.ones((1, 1, 1, 1), dtype=x_dtype)
+        f = FilterBank(np.ones((1, 1, 1, 1), dtype=np.uint64),
+                       np.full(1, 2 ** 63 + 5, dtype=np.uint64))
+        noise = np.zeros(x.shape[1:], dtype=x_dtype)
+        for run in (*self._both_paths(x, f), lambda: equivalence_report(
+                x[0], noise, f, woven_noise=noise + 1)):
+            with pytest.raises(OutOfRange, match="^uint64 value "
+                               "9223372036854775813 is beyond int64$"):
+                run()
+
+    def test_uint64_bias_on_a_float_result_is_not_scanned(self):
+        # a float64 result holds 2**63 + 5 as nearly as any float operand
+        x = np.ones((1, 1, 1, 1))
+        f = FilterBank(np.ones((1, 1, 1, 1)),
+                       np.full(1, 2 ** 63 + 5, dtype=np.uint64))
+        for run in self._both_paths(x, f):
+            assert run()[0, 0, 0, 0] == 2.0 ** 63  # 1 + 2**63 + 5, rounded
+
     def test_uint64_within_int64_stays_exact(self):
         x = np.full((1, 1, 1, 1), 2 ** 63 - 1, dtype=np.uint64)
         f = FilterBank(np.ones((1, 1, 1, 1), dtype=np.uint64),
@@ -464,8 +492,7 @@ class TestColumnBlocks:
         assert (o * c * kh * kw * n * oh * ow >= BLAS_MIN_MACS) == blas
         if blas:
             assert conv._exact_float_dtype(xs, w) is self.ROUTES[route]
-        itemsize = np.dtype(self.ROUTES[route]).itemsize
-        row_bytes = c * kh * kw * n * ow * itemsize
+        row_bytes = c * kh * kw * n * ow * 8  # 8 bytes a value on every route
         if budget == "one row":
             monkeypatch.setattr(conv, "COLUMN_BYTES", 1)
         elif budget == "partial":
@@ -498,7 +525,7 @@ class TestColumnBlocks:
         assert conv._exact_float_dtype(xs, f.weights) is np.float32
         oh, ow = geom.out_shape(448, 224, 14, 7)
         k = 3 * 14 * 7
-        rows = COLUMN_BYTES // (k * ow * 4)
+        rows = COLUMN_BYTES // (k * ow * 8)  # values counted at 8 bytes
         tracemalloc.start()
         try:
             got = conv2d_nchw(xs, f, geom)

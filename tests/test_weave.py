@@ -7,7 +7,7 @@ import pytest
 
 from advweave import conv, weave
 from advweave.conv import ConvGeometry, FilterBank, conv2d_nchw
-from advweave.errors import ShapeMismatch
+from advweave.errors import BadGeometry, OutOfRange, ShapeMismatch
 from advweave.weave import (attacked_conv_nchw, attacked_geometry,
                             duplicate_filter_rows, EquivalenceReport,
                             equivalence_report, weave_rows)
@@ -301,8 +301,13 @@ class TestEquivalenceReport:
 
     @staticmethod
     def _full_report(img, noi, f, g, woven_noise=None):
-        """The report from both full outputs, compared whole."""
-        direct = conv2d(img + noi, f, g)
+        """The report from both full outputs, compared whole. The direct
+        output is built at the report's block height: half of COLUMN_BYTES
+        at the direct C*kh*kw cuts the rows where the report's 2*C*kh*kw
+        does, so a float layer of several blocks sums each row the same."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(conv, "COLUMN_BYTES", conv.COLUMN_BYTES // 2)
+            direct = conv2d(img + noi, f, g)
         attacked = attacked_conv(img, noi if woven_noise is None
                                  else woven_noise, f, g)
         integer = direct.dtype.kind in "iu" and attacked.dtype.kind in "iu"
@@ -345,18 +350,18 @@ class TestEquivalenceReport:
         self._check_instances(np.random.default_rng(column_bytes), 30,
                               max_dim=24)
 
-    def test_blocks_that_do_not_nest(self, monkeypatch):
-        # the woven K = C*2kh*kw is twice the direct one, so its blocks hold
-        # fewer rows: here 2 against 5 (of 6*6*8 and 12*6*8 column bytes per
-        # output row), whose edges do not nest
+    def test_both_streams_share_block_edges(self, monkeypatch):
+        # the woven K = C*2kh*kw sizes both streams: 2 rows a block (of
+        # 12*6*8 column bytes per output row), though the direct K alone
+        # would give 5
         monkeypatch.setattr(conv, "COLUMN_BYTES", 1500)
-        edges = []  # each stream's block starts, in the order they start
+        edges = []  # each stream's blocks, in the order the streams start
 
-        def recording(x, weights, geom):
-            starts = []
-            edges.append(starts)
-            for y0, y1, product in conv._conv_blocks(x, weights, geom):
-                starts.append(y0)
+        def recording(x, weights, geom, k):
+            blocks = []
+            edges.append(blocks)
+            for y0, y1, product in conv._conv_blocks(x, weights, geom, k):
+                blocks.append((y0, y1))
                 yield y0, y1, product
 
         monkeypatch.setattr(weave, "_conv_blocks", recording)
@@ -368,35 +373,56 @@ class TestEquivalenceReport:
             f = FilterBank(f.weights[:1, :1, :1, :1].repeat(3, axis=2)
                            .repeat(2, axis=3), f.bias[:1])
             g = ConvGeometry(1, 1)
-            del edges[:]
-            assert equivalence_report(img, noi, f, g) \
-                == self._full_report(img, noi, f, g)
-            assert edges == [[0, 5, 10], [0, 2, 4, 6, 8, 10]]  # direct first
-            del edges[:]
-            wrong = self._sabotaged(noi)
-            assert equivalence_report(img, noi, f, g, woven_noise=wrong) \
-                == self._full_report(img, noi, f, g, wrong)
-            assert edges == [[0, 5, 10], [0, 2, 4, 6, 8, 10]]
+            for woven_noise in (noi, self._sabotaged(noi)):
+                del edges[:]
+                assert equivalence_report(img, noi, f, g, woven_noise) \
+                    == self._full_report(img, noi, f, g, woven_noise)
+                blocks = [(y, min(y + 2, 12)) for y in range(0, 12, 2)]
+                assert edges == [blocks, blocks]  # direct, then woven
 
-    def test_each_block_released_before_the_next(self):
-        def stream(heights):
-            y, refs = 0, []
-            for h in heights:
-                assert all(r() is None for r in refs)  # earlier blocks gone
-                block = np.arange(y, y + h).reshape(1, 1, h, 1)
-                refs.append(weakref.ref(block))
-                yield y, y + h, block
-                del block
-                y += h
+    def test_each_block_released_before_the_next(self, monkeypatch):
+        # when either stream goes on to build its next block, none of its
+        # own blocks is alive, and at most one of the other's
+        monkeypatch.setattr(conv, "COLUMN_BYTES", 700)
+        refs = []  # a weakref to every block of both streams
 
-        rows = []
+        def tracked(x, weights, geom, k):
+            own = []
+            blocks = conv._conv_blocks(x, weights, geom, k)
+            while True:
+                assert all(r() is None for r in own)
+                assert sum(r() is not None for r in refs) <= 1
+                try:
+                    y0, y1, product = next(blocks)
+                except StopIteration:
+                    return
+                own.append(weakref.ref(product))
+                refs.append(own[-1])
+                yield y0, y1, product
+                del product
 
-        def visit(a, b):
-            assert np.array_equal(a, b)  # the same output rows
-            rows.extend(a.ravel())
+        monkeypatch.setattr(weave, "_conv_blocks", tracked)
+        rng = np.random.default_rng(17)
+        for float_mode in (False, True):
+            img, noi, f, g = rand_attack_instance(rng, 24, float_mode)
+            for woven_noise in (noi, self._sabotaged(noi)):
+                del refs[:]
+                assert equivalence_report(img, noi, f, g, woven_noise) \
+                    == self._full_report(img, noi, f, g, woven_noise)
+                assert len(refs) > 2  # several blocks a stream
 
-        weave._zip_rows(stream([5, 5, 2]), stream([2] * 6), visit)
-        assert rows == list(range(12))
+    def test_error_order_through_the_oracle(self):
+        # a 4x4 kernel on a 3x3 image: the operand gate runs before the
+        # geometry check, so a weight dtype or range error comes first
+        img = np.ones((1, 3, 3), dtype=np.int64)
+        noi = np.zeros_like(img)
+        for weights, error in (
+                (np.ones((1, 1, 4, 4), dtype=np.complex128), TypeError),
+                (np.full((1, 1, 4, 4), 2 ** 63, dtype=np.uint64), OutOfRange),
+                (np.ones((1, 1, 4, 4), dtype=np.int64), BadGeometry)):
+            f = FilterBank(weights, np.zeros(1, dtype=np.int64))
+            with pytest.raises(error):
+                equivalence_report(img, noi, f)
 
     def test_nan_in_a_late_block(self, monkeypatch):
         # a NaN in any block makes the whole report NaN and inexact, as
