@@ -15,7 +15,12 @@ weave.equivalence_report consumes two streams of blocks itself, so no full
 output exists. The model copies the same view, with each output axis split
 by pooling window, into its own pool-major columns.
 
-Integer inputs give a bit-exact int64 result on one of three routes. A
+A layer's dtype is one _result_dtype of every array it reads (x, weights,
+bias; the oracle's woven input too): int64 only when all are integer, else
+float64. Every entry point checks shapes, then dtype and range, then
+geometry, so all reject a bad layer with the same error.
+
+An integer layer gives a bit-exact int64 result on one of three routes. A
 layer of at least BLAS_MIN_MACS MACs runs on BLAS in float32 when
 max|x| * max_o sum|W[o]| < 2**24 and in float64 when it is below 2**53:
 every product and partial sum is then an integer below the float's 2**24
@@ -134,17 +139,15 @@ def _exact_float_dtype(x: np.ndarray,
     exactly: _exact_float of bound = max|x| * max_o sum|W[o]|.
 
     Every product and every partial sum of an output is an integer of
-    magnitude at most bound. The operands convert exactly too, unless the
-    other operand is all zero, and then every product is 0 either way.
-    The bias is added in the integer result.
+    magnitude at most bound. With both operands nonzero each element is at
+    most bound too, so a float route converts them exactly; with one all
+    zero, bound is 0 and every product is 0 on any route, however the other
+    converts. The bias is added in the integer result.
     """
-    xmax = _max_abs(x)
-    if xmax >= 2 ** 53 or _max_abs(weights) >= 2 ** 53:
-        return None
-    # a float64 sum of such |W| is exact while the true sum is below 2**53,
-    # and at least 2**53 once the true sum is
-    return _exact_float(xmax * int(np.abs(weights.astype(np.float64))
-                                   .sum(axis=(1, 2, 3)).max()))
+    # a float64 sum of |W| is exact while the true sum is below 2**53, and
+    # at least 2**53 once the true sum is
+    return _exact_float(_max_abs(x) * int(np.abs(weights.astype(np.float64))
+                                          .sum(axis=(1, 2, 3)).max()))
 
 
 def conv2d_nchw(x: np.ndarray, filters: FilterBank,
@@ -178,38 +181,30 @@ def _check_image(x) -> np.ndarray:
 
 
 def _check_dtype(a: np.ndarray) -> None:
-    """_check_image's dtype rule, which _conv_blocks applies to operands."""
+    """_check_image's dtype rule; _result_dtype applies it to a layer."""
     if a.dtype.kind not in "fiu":
         raise TypeError(f"unsupported dtype {a.dtype}")
 
 
-def _check_uint64(a: np.ndarray) -> None:
-    """OutOfRange for a uint64 array holding 2**63 or more (beyond int64)."""
-    if a.dtype.kind == "u" and a.itemsize == 8 and \
-            int(a.max(initial=0)) >= 2 ** 63:
-        raise OutOfRange(f"uint64 value {int(a.max())} is beyond int64")
-
-
-def _result_dtype(x: np.ndarray, weights: np.ndarray) -> type:
-    """The dtype of _conv's result: int64 for integer x and weights, else
-    float64."""
-    if x.dtype.kind in "iu" and weights.dtype.kind in "iu":
-        return np.int64
-    return np.float64
-
-
-def _bias(bias: np.ndarray, dtype: type) -> np.ndarray:
-    """The (O,) bias in the result `dtype`, to add to (O, N, oh, ow) blocks;
-    an int64 result takes no uint64 bias beyond int64."""
-    if dtype is np.int64:
-        _check_uint64(bias)
-    return bias.astype(dtype, copy=False)[:, None, None, None]
+def _result_dtype(*arrays: np.ndarray) -> type:
+    """The result dtype of a layer reading `arrays` (x, weights, bias, ...):
+    float64 if any is float, else int64. The layer's one dtype gate, run
+    before its geometry: _check_dtype's TypeError, and OutOfRange for a
+    uint64 value of 2**63 or more on an int64 result, which cannot hold it."""
+    for a in arrays:
+        _check_dtype(a)
+    if any(a.dtype.kind == "f" for a in arrays):
+        return np.float64
+    for a in arrays:
+        if a.dtype == np.uint64 and int(a.max(initial=0)) >= 2 ** 63:
+            raise OutOfRange(f"uint64 value {int(a.max())} is beyond int64")
+    return np.int64
 
 
 def _conv(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
           geom: ConvGeometry) -> np.ndarray:
-    """conv2d_nchw on plain arrays, unchecked: an (N, C, H, W) x by
-    (O, C, kh, kw) weights, plus an (O,) bias.
+    """conv2d_nchw on plain arrays, shapes unchecked: an (N, C, H, W) x by
+    (O, C, kh, kw) weights plus an (O,) bias, in _result_dtype of all three.
 
     The one ordinary consumer of _conv_blocks, whose blocks it sizes by its
     own C*kh*kw: each block's product is assigned straight into the result
@@ -218,13 +213,12 @@ def _conv(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     """
     n, c, h, w = x.shape
     o, _, kh, kw = weights.shape
-    dtype = _result_dtype(x, weights)
+    dtype = _result_dtype(x, weights, bias)
     out = np.empty((o, n, *geom.out_shape(h, w, kh, kw)), dtype=dtype)
-    bias = _bias(bias, dtype)
-    for y0, y1, product in _conv_blocks(x, weights, geom, c * kh * kw):
+    for y0, y1, product in _conv_blocks(x, weights, dtype, geom, c * kh * kw):
         out[:, :, y0:y1] = product
         del product  # so the next block's columns are not built beside it
-    out += bias
+    out += bias.astype(dtype, copy=False)[:, None, None, None]
     return out.transpose(1, 0, 2, 3)
 
 
@@ -242,9 +236,10 @@ def _windows(x: np.ndarray, kh: int, kw: int, sv: int = 1,
                       x.dtype, x, strides=(sc, sy, sx, sn, sv * sy, sh * sx))
 
 
-def _conv_blocks(x: np.ndarray, weights: np.ndarray, geom: ConvGeometry,
-                 k: int):
-    """The GEMM products of _conv, one block of output rows at a time.
+def _conv_blocks(x: np.ndarray, weights: np.ndarray, dtype: type,
+                 geom: ConvGeometry, k: int):
+    """The GEMM products of _conv, one block of output rows at a time, of a
+    layer of its caller's _result_dtype `dtype`: only geometry is checked.
 
     Yields (y0, y1, product) for consecutive blocks that cover all output
     rows: product is the (O, N, y1 - y0, ow) product of the weights and the
@@ -252,22 +247,17 @@ def _conv_blocks(x: np.ndarray, weights: np.ndarray, geom: ConvGeometry,
     without cast or bias. A block holds as many rows as a k-high column
     matrix fits in COLUMN_BYTES at 8 bytes a value, whatever the compute
     dtype, so streams of equal k, N and output shape share block edges.
-    Integer operands take the narrowest exact route of the module docstring
-    (see _exact_float_dtype); float operands are computed in float64. A
-    bool, complex or object operand is a TypeError, and a uint64 one beyond
-    int64 an OutOfRange.
+    An int64 `dtype` takes the narrowest exact route of the module docstring
+    (see _exact_float_dtype); a float64 one is computed in float64.
     """
-    for a in (x, weights):
-        _check_dtype(a)
-        _check_uint64(a)
     n, c, h, w = x.shape
     o, _, kh, kw = weights.shape
     oh, ow = geom.out_shape(h, w, kh, kw)
     # as many output rows per block as fit in COLUMN_BYTES, and at least one
     # (all of them when a row has no bytes, as in an empty batch)
     rows = max(1, COLUMN_BYTES // max(1, k * n * ow * 8))
-    compute = _result_dtype(x, weights)
-    if compute is np.int64 and o * c * kh * kw * n * oh * ow >= BLAS_MIN_MACS:
+    compute = dtype
+    if dtype is np.int64 and o * c * kh * kw * n * oh * ow >= BLAS_MIN_MACS:
         compute = _exact_float_dtype(x, weights) or np.int64
     if geom.pad_h or geom.pad_w:
         ph, pw = geom.pad_h, geom.pad_w

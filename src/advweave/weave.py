@@ -27,8 +27,8 @@ from functools import cache
 
 import numpy as np
 
-from .conv import (ConvGeometry, FilterBank, _bias, _check_batch,
-                   _check_image, _conv, _conv_blocks, _result_dtype)
+from .conv import (ConvGeometry, FilterBank, _check_batch, _check_image,
+                   _conv, _conv_blocks, _result_dtype)
 from .errors import ShapeMismatch
 
 
@@ -119,6 +119,9 @@ def equivalence_report(image: np.ndarray, noise: np.ndarray,
     direct blocks are shorter than conv2d_nchw's, so a float layer of
     several blocks may differ from a full-output comparison in the last
     bits of max_abs_diff.
+
+    Checks run in conv2d_nchw's order: shapes, then one _result_dtype for
+    both streams, then geometry as the direct stream starts.
     """
     image, noise = _check_image(image), _check_image(noise)
     # the woven path's checks, text and all, run once: a woven noise of
@@ -131,14 +134,16 @@ def equivalence_report(image: np.ndarray, noise: np.ndarray,
         raise TypeError(f"woven noise {woven_noise.dtype} vs {noise.dtype}")
     x = (image + noise)[None]
     _check_batch(x, filters)
-    dtype = _result_dtype(x, filters.weights)
-    bias = _bias(filters.bias, dtype)
+    # one dtype for both layers: the woven input holds image and woven
+    # noise values that a wrapped uint64 sum need not show
+    dtype = _result_dtype(x, image, woven_noise, filters.weights, filters.bias)
+    bias = filters.bias.astype(dtype, copy=False)[:, None, None, None]
     # the woven column height
     k = 2 * filters.in_channels * filters.kernel_h * filters.kernel_w
-    direct = _conv_blocks(x, filters.weights, geom, k)
+    direct = _conv_blocks(x, filters.weights, dtype, geom, k)
     del x  # the stream's copy in its compute dtype replaces it
     woven = _woven_blocks(image, woven_noise, woven_dtype, filters.weights,
-                          geom, k)
+                          dtype, geom, k)
     integer = dtype is np.int64
     diffs, refs = [], []
     # direct first: on the footprint layer the woven-first order faulted
@@ -152,9 +157,10 @@ def equivalence_report(image: np.ndarray, noise: np.ndarray,
         if not (integer and (d == a).all()):
             d = d.astype(dtype, copy=False) + bias
             a = a.astype(dtype, copy=False) + bias
-            diffs.append(np.abs(d.astype(np.float64) - a).max())
+            # initial=0.0: a bank of no filters has empty blocks
+            diffs.append(np.abs(d.astype(np.float64) - a).max(initial=0.0))
             if not integer:
-                refs.append(np.max(np.abs(d)))
+                refs.append(np.max(np.abs(d), initial=0.0))
         del d, a  # released before either stream builds its next block
     # np.max, not max(): a NaN anywhere is the result, as over full outputs
     max_abs_diff = float(np.max(diffs)) if diffs else 0.0
@@ -165,13 +171,15 @@ def equivalence_report(image: np.ndarray, noise: np.ndarray,
                              exact=max_abs_diff <= 1e-9 * ref)
 
 
-def _woven_blocks(image: np.ndarray, noise: np.ndarray, dtype: np.dtype,
-                  weights: np.ndarray, geom: ConvGeometry, k: int):
+def _woven_blocks(image: np.ndarray, noise: np.ndarray,
+                  woven_dtype: np.dtype, weights: np.ndarray, dtype: type,
+                  geom: ConvGeometry, k: int):
     """The _conv_blocks stream, sized by k, of attacked_conv_nchw on one
-    image woven into `dtype`, which weave_rows' checks gave. The woven input
-    is built only once the stream starts, so it does not sit beside the
-    direct stream's first block, and no local holds it, so it is freed once
-    _conv_blocks replaces it by a padded or cast copy."""
-    yield from _conv_blocks(_interleave(image, noise, dtype)[None],
-                            np.repeat(weights, 2, axis=2),
+    image woven into `woven_dtype`, which weave_rows' checks gave, for a
+    layer of the checked result `dtype`. The woven input is built only once
+    the stream starts, so it does not sit beside the direct stream's first
+    block, and no local holds it, so it is freed once _conv_blocks replaces
+    it by a padded or cast copy."""
+    yield from _conv_blocks(_interleave(image, noise, woven_dtype)[None],
+                            np.repeat(weights, 2, axis=2), dtype,
                             attacked_geometry(geom), k)

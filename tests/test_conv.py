@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advweave import conv
+from advweave import conv, weave
 from advweave.adversary import _first_max, _pool, init_model
 from advweave.conv import (BLAS_MIN_MACS, COLUMN_BYTES, ConvGeometry,
                            FilterBank, conv2d_nchw)
 from advweave.errors import BadGeometry, OutOfRange, ShapeMismatch
-from advweave.weave import attacked_conv_nchw, equivalence_report
+from advweave.weave import (EquivalenceReport, attacked_conv_nchw,
+                            equivalence_report)
 
 
 def conv2d(x, f, geom=ConvGeometry()):
@@ -282,6 +283,22 @@ class TestIntegerBlasRoute:
     def test_exact_float_gates(self, bound, want):
         assert conv._exact_float(bound) is want
 
+    @pytest.mark.parametrize("operand", ["weights", "image"])
+    def test_all_zero_operand_gives_the_bias(self, operand):
+        # bound 0 takes float32 whatever the other operand holds: 2**62
+        # rounds there, but every product is 0 on any route
+        x = np.full((1, 2, 48, 48), 2 ** 62)
+        w = np.zeros((4, 2, 4, 4), dtype=np.int64)
+        if operand == "image":
+            x, w = np.zeros_like(x), np.full_like(w, 2 ** 62)
+        b = np.array([-2 ** 62, -1, 0, 2 ** 62])
+        assert 45 * 45 * w.size >= BLAS_MIN_MACS  # above the gate
+        assert conv._exact_float_dtype(x, w) is np.float32
+        got = conv2d_nchw(x, FilterBank(w, b))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.broadcast_to(b[:, None, None],
+                                                   (1, 4, 45, 45)))
+
     @staticmethod
     def _check(xs, w, b, geom):
         n, c, h, wd = xs.shape
@@ -371,10 +388,11 @@ class TestIntegerBlasRoute:
 
 
 class TestOperandGate:
-    """_conv_blocks, where the route is chosen, rejects an operand of a dtype
-    kind other than float or integer with _check_image's TypeError, and a
-    uint64 operand that int64 cannot hold with OutOfRange, on the direct and
-    the attacked path alike."""
+    """_result_dtype, each layer's one dtype gate, rejects an input, weight
+    or bias array of a dtype kind other than float or integer with
+    _check_image's TypeError, and a uint64 value that an int64 result
+    cannot hold with OutOfRange, on the direct and the attacked path
+    alike."""
 
     @staticmethod
     def _both_paths(x, f):
@@ -451,6 +469,110 @@ class TestOperandGate:
             assert got.dtype == np.int64 and got[0, 0, 0, 0] == 2 ** 63 - 1
         # an empty uint64 batch has no value to scan
         assert conv2d_nchw(x[:0], f).shape == (0, 1, 1, 1)
+
+    @staticmethod
+    def _three_paths(x, f):
+        """_both_paths, and equivalence_report of x[0] with that zero noise."""
+        noise = np.zeros(x.shape[1:], dtype=x.dtype)
+        return (*TestOperandGate._both_paths(x, f),
+                lambda: equivalence_report(x[0], noise, f))
+
+    def test_float_bias_on_integer_operands(self):
+        # the bias takes part in the rule: cast to the int64 that x and W
+        # alone give, 0.5 gave 1, and NaN or 1e30 gave int64's minimum with
+        # only a RuntimeWarning
+        x = np.ones((1, 1, 2, 2), dtype=np.int64)
+        w = np.ones((1, 1, 1, 1), dtype=np.int64)
+        for b, want in ((0.5, 1.5), (1e30, 1e30)):
+            conv_, attacked, report = self._three_paths(
+                x, FilterBank(w, np.array([b])))
+            for run in (conv_, attacked):
+                got = run()
+                assert got.dtype == np.float64 and np.all(got == want)
+            assert report() == EquivalenceReport(max_abs_diff=0.0, exact=True)
+        conv_, attacked, report = self._three_paths(
+            x, FilterBank(w, np.array([np.nan])))
+        for run in (conv_, attacked):
+            assert np.isnan(run()).all()
+        rep = report()  # NaN on both sides, as over full outputs
+        assert np.isnan(rep.max_abs_diff) and not rep.exact
+
+    def test_complex_bias_rejected(self):
+        # cast to the result dtype, it lost its imaginary part with only a
+        # ComplexWarning
+        x = np.ones((1, 1, 2, 2), dtype=np.int64)
+        f = FilterBank(np.ones((1, 1, 1, 1), dtype=np.int64),
+                       np.array([1 + 2j]))
+        for run in self._three_paths(x, f):
+            with pytest.raises(TypeError,
+                               match="^unsupported dtype complex128$"):
+                run()
+
+    def test_uint64_beyond_int64_on_a_float_result(self):
+        # a float64 result holds 2**63 as a float64 image of 2**63 does; a
+        # uint64 gate blind to the result dtype raised OutOfRange here
+        x = np.full((1, 1, 2, 2), 2 ** 63, dtype=np.uint64)
+        f = FilterBank(np.ones((1, 1, 1, 1)), np.zeros(1))
+        conv_, attacked, report = self._three_paths(x, f)
+        for run in (conv_, attacked):
+            got = run()
+            assert got.dtype == np.float64 and np.all(got == 2.0 ** 63)
+        assert report() == EquivalenceReport(max_abs_diff=0.0, exact=True)
+
+    # one value set per dtype kind: 2**63 only where uint64 holds it
+    DTYPES = [np.bool_, np.int8, np.int16, np.int32, np.int64, np.uint8,
+              np.uint16, np.uint32, np.uint64, np.float16, np.float32,
+              np.float64, np.complex128, object]
+    VALUES = {"b": (False, True), "i": (0, -1, 2), "u": (0, 1, 2),
+              "f": (0.0, -1.5, 0.5), "c": (0j, 1 + 1j), "O": (0, 2)}
+
+    @staticmethod
+    @st.composite
+    def _layer_arrays(draw):
+        """An (x, weights, bias) triple of a (1, 1, 2, 2) x and a 1x1 bank of
+        2 filters, each array of its own drawn dtype and values."""
+        out = []
+        for shape in ((1, 1, 2, 2), (2, 1, 1, 1), (2,)):
+            dtype = np.dtype(draw(st.sampled_from(TestOperandGate.DTYPES)))
+            values = TestOperandGate.VALUES[dtype.kind]
+            if dtype == np.uint64:
+                values = (0, 1, 2 ** 63)
+            a = np.empty(shape, dtype=dtype)
+            a.flat = draw(st.lists(st.sampled_from(values), min_size=a.size,
+                                   max_size=a.size))
+            out.append(a)
+        return out
+
+    @given(_layer_arrays())
+    @settings(max_examples=100, deadline=None)
+    def test_one_dtype_rule_on_every_entry_point(self, arrays):
+        # every entry point raises alike or computes in one dtype: int64
+        # exactly when x, weights and bias are all integer
+        x, w, b = arrays
+        f = FilterBank(w, b)
+        outcomes, dtypes = [], []
+
+        def recording(x, weights, dtype, geom, k):
+            dtypes.append(dtype)
+            return conv._conv_blocks(x, weights, dtype, geom, k)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weave, "_conv_blocks", recording)
+            for run in self._three_paths(x, f):
+                try:
+                    outcomes.append(run())
+                except (TypeError, OutOfRange) as e:
+                    outcomes.append((type(e), str(e)))
+        if isinstance(outcomes[0], tuple):
+            assert outcomes[1] == outcomes[2] == outcomes[0]
+            return
+        direct, attacked, report = outcomes
+        integer = all(a.dtype.kind in "iu" for a in arrays)
+        want = np.int64 if integer else np.float64
+        assert direct.dtype == attacked.dtype == want
+        assert dtypes == [want, want]  # the report's two streams
+        assert np.array_equal(direct, attacked)
+        assert report == EquivalenceReport(max_abs_diff=0.0, exact=True)
 
 
 class TestColumnBlocks:

@@ -357,10 +357,11 @@ class TestEquivalenceReport:
         monkeypatch.setattr(conv, "COLUMN_BYTES", 1500)
         edges = []  # each stream's blocks, in the order the streams start
 
-        def recording(x, weights, geom, k):
+        def recording(x, weights, dtype, geom, k):
             blocks = []
             edges.append(blocks)
-            for y0, y1, product in conv._conv_blocks(x, weights, geom, k):
+            for y0, y1, product in conv._conv_blocks(x, weights, dtype, geom,
+                                                     k):
                 blocks.append((y0, y1))
                 yield y0, y1, product
 
@@ -386,9 +387,9 @@ class TestEquivalenceReport:
         monkeypatch.setattr(conv, "COLUMN_BYTES", 700)
         refs = []  # a weakref to every block of both streams
 
-        def tracked(x, weights, geom, k):
+        def tracked(x, weights, dtype, geom, k):
             own = []
-            blocks = conv._conv_blocks(x, weights, geom, k)
+            blocks = conv._conv_blocks(x, weights, dtype, geom, k)
             while True:
                 assert all(r() is None for r in own)
                 assert sum(r() is not None for r in refs) <= 1
@@ -412,17 +413,39 @@ class TestEquivalenceReport:
                 assert len(refs) > 2  # several blocks a stream
 
     def test_error_order_through_the_oracle(self):
-        # a 4x4 kernel on a 3x3 image: the operand gate runs before the
-        # geometry check, so a weight dtype or range error comes first
+        # a 4x4 kernel on a 3x3 image: shapes, then dtype and range, then
+        # geometry, on the oracle and on both convolutions; a dtype or range
+        # error has one text, where the attacked path's geometry error names
+        # the woven layer
         img = np.ones((1, 3, 3), dtype=np.int64)
         noi = np.zeros_like(img)
-        for weights, error in (
-                (np.ones((1, 1, 4, 4), dtype=np.complex128), TypeError),
-                (np.full((1, 1, 4, 4), 2 ** 63, dtype=np.uint64), OutOfRange),
-                (np.ones((1, 1, 4, 4), dtype=np.int64), BadGeometry)):
-            f = FilterBank(weights, np.zeros(1, dtype=np.int64))
-            with pytest.raises(error):
-                equivalence_report(img, noi, f)
+        zero = np.zeros(1, dtype=np.int64)
+        for weights, bias, error in (
+                (np.ones((1, 1, 4, 4), dtype=np.complex128), zero, TypeError),
+                (np.ones((1, 1, 4, 4), dtype=np.int64), np.array([1j]),
+                 TypeError),
+                (np.full((1, 1, 4, 4), 2 ** 63, dtype=np.uint64), zero,
+                 OutOfRange),
+                (np.ones((1, 1, 4, 4), dtype=np.int64), zero, BadGeometry)):
+            f = FilterBank(weights, bias)
+            texts = set()
+            for run in (lambda: equivalence_report(img, noi, f),
+                        lambda: conv2d_nchw(img[None], f),
+                        lambda: attacked_conv_nchw(img[None], noi, f)):
+                with pytest.raises(error) as e:
+                    run()
+                texts.add(str(e.value))
+            assert len(texts) == (2 if error is BadGeometry else 1)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_bank_of_no_filters(self, dtype):
+        # empty blocks on both routes: a float maximum without an initial
+        # value raised numpy's "zero-size array to reduction operation"
+        img = np.ones((1, 4, 4), dtype=dtype)
+        f = FilterBank(np.zeros((0, 1, 2, 2), dtype=dtype), np.zeros(0, dtype))
+        for woven_noise in (None, img + 1):
+            assert equivalence_report(img, img, f, woven_noise=woven_noise) \
+                == EquivalenceReport(max_abs_diff=0.0, exact=True)
 
     def test_nan_in_a_late_block(self, monkeypatch):
         # a NaN in any block makes the whole report NaN and inexact, as
