@@ -65,29 +65,36 @@ def random_instance(rng: np.random.Generator, max_dim: int = 16,
     """Random (image, noise, filters, geometry) tuple for equivalence trials.
 
     Channels 1-3, spatial dims 2..max_dim, kernels 1-4 (capped by the input),
-    strides 1-2.
+    out-channels 1-3, strides 1-2, and no padding: only without it does a
+    raised noise row 0 move just the outputs that the bench's --sabotage
+    check predicts from filter row 0.
 
-    Operands of one value range come from one call, sliced: a sized call
-    costs the same few microseconds at any size, and one call for n + m
-    values yields the values of two calls for n and m (integers below 2**32
-    take the bit generator's 32-bit stream, uniform one 64-bit word each).
+    Each trial makes two Generator calls, as a call costs far more than the
+    values it draws. One rng.random(8) gives the eight shape fields, field
+    lo..hi as lo + int(u * (hi - lo + 1)). One call gives every value: in
+    float mode uniform(-1, 1) for image, noise, weights and bias in turn; in
+    integer mode one integer below 256 * 33 * 17 per element of the longer
+    of image and filters, whose mixed-radix digits are an image value in
+    [-128, 127], a noise value in [-16, 16] and a weight or bias value in
+    [-8, 8], each uniform and independent of the other two.
     """
-    c = int(rng.integers(1, 4))
-    h = int(rng.integers(2, max_dim + 1))
-    w = int(rng.integers(2, max_dim + 1))
-    kh = int(rng.integers(1, min(4, h) + 1))
-    kw = int(rng.integers(1, min(4, w) + 1))
-    out_ch = int(rng.integers(1, 4))
-    sv = int(rng.integers(1, 3))
-    sh = int(rng.integers(1, 3))
+    if max_dim < 2:
+        raise ValueError(f"max_dim must be >= 2, got {max_dim}")
+    u = rng.random(8).tolist()
+    span = max_dim - 1
+    c, h, w = 1 + int(u[0] * 3), 2 + int(u[1] * span), 2 + int(u[2] * span)
+    kh, kw = 1 + int(u[3] * min(4, h)), 1 + int(u[4] * min(4, w))
+    out_ch, sv, sh = 1 + int(u[5] * 3), 1 + int(u[6] * 2), 1 + int(u[7] * 2)
     n, k = c * h * w, out_ch * c * kh * kw
     if float_mode:
         values = rng.uniform(-1, 1, 2 * n + k + out_ch)
         image, noise, params = values[:n], values[n:2 * n], values[2 * n:]
     else:
-        image = rng.integers(-128, 128, n)
-        noise = rng.integers(-16, 17, n)
-        params = rng.integers(-8, 9, k + out_ch)
+        rest, image = np.divmod(rng.integers(0, 256 * 33 * 17,
+                                             max(n, k + out_ch)), 256)
+        params, noise = np.divmod(rest, 33)
+        image, noise, params = (image[:n] - 128, noise[:n] - 16,
+                                params[:k + out_ch] - 8)
     return (image.reshape(c, h, w), noise.reshape(c, h, w),
             FilterBank(params[:k].reshape(out_ch, c, kh, kw), params[k:]),
             ConvGeometry(sv, sh))

@@ -153,9 +153,10 @@ def _exact_float_dtype(x: np.ndarray,
 def conv2d_nchw(x: np.ndarray, filters: FilterBank,
                 geom: ConvGeometry = ConvGeometry()) -> np.ndarray:
     """Convolution of an (N, C, H, W) batch -> (N, out_channels, oh, ow),
-    plus bias: _check_batch, then _conv."""
+    plus bias: _check_batch, _result_dtype, then _conv."""
     _check_batch(x, filters)
-    return _conv(x, filters.weights, filters.bias, geom)
+    return _conv(x, filters.weights, filters.bias, geom,
+                 _result_dtype(x, filters.weights, filters.bias))
 
 
 def _check_batch(x: np.ndarray, filters: FilterBank) -> None:
@@ -202,9 +203,10 @@ def _result_dtype(*arrays: np.ndarray) -> type:
 
 
 def _conv(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
-          geom: ConvGeometry) -> np.ndarray:
+          geom: ConvGeometry, dtype: type) -> np.ndarray:
     """conv2d_nchw on plain arrays, shapes unchecked: an (N, C, H, W) x by
-    (O, C, kh, kw) weights plus an (O,) bias, in _result_dtype of all three.
+    (O, C, kh, kw) weights plus an (O,) bias, in their _result_dtype `dtype`,
+    which the caller has fixed; only geometry is checked.
 
     The one ordinary consumer of _conv_blocks, whose blocks it sizes by its
     own C*kh*kw: each block's product is assigned straight into the result
@@ -213,7 +215,6 @@ def _conv(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     """
     n, c, h, w = x.shape
     o, _, kh, kw = weights.shape
-    dtype = _result_dtype(x, weights, bias)
     out = np.empty((o, n, *geom.out_shape(h, w, kh, kw)), dtype=dtype)
     for y0, y1, product in _conv_blocks(x, weights, dtype, geom, c * kh * kw):
         out[:, :, y0:y1] = product

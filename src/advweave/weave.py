@@ -94,13 +94,20 @@ def attacked_conv_nchw(images: np.ndarray, noise: np.ndarray,
     """Convolution over the woven (N, C, H, W) images, noise as in
     weave_rows; equals conv2d_nchw(images + noise, filters, geom).
 
-    The woven batch gets conv2d_nchw's checks, then runs _conv on the
-    duplicated filter rows as a plain array: no FilterBank is built.
+    The woven batch gets conv2d_nchw's checks in its order, with the
+    direct layer's geometry error: the woven layer has the direct one's
+    output shape, so it fails exactly when the direct one does. _conv then
+    runs on the duplicated filter rows as a plain array: no FilterBank is
+    built.
     """
     woven = weave_rows(images, noise)
     _check_batch(woven, filters)
+    # duplicating rows changes neither the weights' dtype nor their values
+    dtype = _result_dtype(woven, filters.weights, filters.bias)
+    geom.out_shape(woven.shape[2] // 2, woven.shape[3], filters.kernel_h,
+                   filters.kernel_w)
     return _conv(woven, np.repeat(filters.weights, 2, axis=2), filters.bias,
-                 attacked_geometry(geom))
+                 attacked_geometry(geom), dtype)
 
 
 def equivalence_report(image: np.ndarray, noise: np.ndarray,

@@ -130,26 +130,26 @@ class TestVerifyEquivalence:
         # stdout goes through BLAS); the bench's --sabotage control draws
         # its trials again through random_instance
         digests = {
-            False: {"image": "7c9a71a3e2629894e737578058978029"
-                             "be1c7ed3985f46754c353d32c962edca",
-                    "noise": "2437a47c2681f890e68d0decf668363f"
-                             "5ad486cc7aa7332d47466aa978f6c32e",
-                    "weights": "e84248c21b244ddd04be29098c1f7cfa"
-                               "8d45797fe80292e738867c81ece3aed4",
-                    "bias": "f72f95e3b7688bb77d63866b5276020f"
-                            "5a4ea6b47802833f94a3cf5c67c8cb5f",
-                    "geometry": "358a10ab2a5762289e1cb4fb8a34f891"
-                                "2cbe0718d92344cc7aa29c1b309707d0"},
-            True: {"image": "c625c42489da06f7063fbfcc26e66833"
-                            "951469e09171bae4ba8ff6371d445bf3",
-                   "noise": "d2ffcac1397b9580f5a28f08aeddc63c"
-                            "89f4350dc0a56986c07f5340966e917b",
-                   "weights": "337c31a4a906aea96a5d26683d995314"
-                              "b1cf0aef4f60a8193b407f8e38c627ee",
-                   "bias": "982f0b586363506230a9bccbf49991b0"
-                           "8a1007f51706a00bdd79cad5d7590400",
-                   "geometry": "6c448168a454df0f38b8669ff81555f6"
-                               "98f4cbfe90b58ec98e678c478c7be08f"}}
+            False: {"image": "276a73fa57e403ac6ab63d2b57c0d328"
+                             "475564aa09ac4172f0ecee000761d7da",
+                    "noise": "1e81c9f54978b0504b5b873cae377db0"
+                             "97ac178035c5cf52ea9cb8d6336a4dab",
+                    "weights": "fc0fda62684d484b87d617be92a116d7"
+                               "4ab59cc96ecfe4bfd71aaefa5c53246b",
+                    "bias": "8c2235b3a166fcaad856e7c51ce2e11f"
+                            "c35bf23021cfce63e7558f08bf64cbfc",
+                    "geometry": "5e6dd5ebbce9669bcc0a673d7f1ff17c"
+                                "a7421e7c578541ff93150ad346c89b09"},
+            True: {"image": "a40e0f9e690f20088e954c4f6d141fe3"
+                            "ed0d4f71c7864ebad31aee166e111216",
+                   "noise": "48b1b2a4a1ac52cdb312ad2e0ead062b"
+                            "3af00b6c0876d86bd5b307e9e9cbb668",
+                   "weights": "e40a4ca3c2664fd4296174e3a6695cac"
+                              "ac9f7acabccaa4ebfd25d7943d676924",
+                   "bias": "2ff35836fca1703c496b740b78f1568c"
+                           "73eecda1db8507c846c7933be450b347",
+                   "geometry": "e0dbb10aa7aae0d100f763473597cacb"
+                               "19ed132e1a1f295b0baf221423b03caa"}}
         rng = np.random.default_rng(0)
         hashes = {name: hashlib.sha256() for name in digests[float_mode]}
         for _ in range(200):
@@ -163,6 +163,109 @@ class TestVerifyEquivalence:
                                       f"{geom.pad_h},{geom.pad_w};".encode())
         assert {name: h.hexdigest() for name, h in hashes.items()} \
             == digests[float_mode]
+
+
+class CountingGenerator:
+    """A Generator that forwards every method call and counts them."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+        return counted
+
+
+def draw_trials(float_mode, trials=2000, max_dim=16):
+    rng = np.random.default_rng(0)
+    return [random_instance(rng, max_dim, float_mode) for _ in range(trials)]
+
+
+class TestRandomInstance:
+    @pytest.mark.parametrize("float_mode", [False, True],
+                             ids=["integer", "float"])
+    def test_two_generator_calls_per_trial(self, float_mode):
+        # one call for the shape, one for every value: a call costs far
+        # more than the values it draws
+        rng = CountingGenerator(np.random.default_rng(0))
+        plain = np.random.default_rng(0)
+        for trial in range(1, 101):
+            image, noise, filters, geom = random_instance(rng, 16, float_mode)
+            assert rng.calls == 2 * trial
+            # the proxy only counts: the draws are the plain Generator's
+            want = random_instance(plain, 16, float_mode)
+            for a, b in ((image, want[0]), (noise, want[1]),
+                         (filters.weights, want[2].weights),
+                         (filters.bias, want[2].bias)):
+                assert np.array_equal(a, b)
+            assert geom == want[3]
+
+    @pytest.mark.parametrize("float_mode", [False, True],
+                             ids=["integer", "float"])
+    def test_shape_fields_cover_their_ranges(self, float_mode):
+        fields = {name: set() for name in
+                  ("c", "h", "w", "out_ch", "sv", "sh")}
+        kernels = {"kh": set(), "kw": set()}  # (input dim, kernel dim)
+        for image, noise, filters, geom in draw_trials(float_mode):
+            c, h, w = image.shape
+            out_ch, in_ch, kh, kw = filters.weights.shape
+            assert noise.shape == image.shape and in_ch == c
+            assert filters.bias.shape == (out_ch,)
+            # unpadded: the bench's --sabotage check counts a trial exact
+            # exactly when every filter's row 0 sums to zero, which holds
+            # only while noise row 0 is read by filter row 0 of output
+            # row 0 alone
+            assert (geom.pad_h, geom.pad_w) == (0, 0)
+            for name, value in (("c", c), ("h", h), ("w", w),
+                                ("out_ch", out_ch), ("sv", geom.stride_v),
+                                ("sh", geom.stride_h)):
+                fields[name].add(value)
+            kernels["kh"].add((h, kh))
+            kernels["kw"].add((w, kw))
+        assert fields == {"c": {1, 2, 3}, "h": set(range(2, 17)),
+                          "w": set(range(2, 17)), "out_ch": {1, 2, 3},
+                          "sv": {1, 2}, "sh": {1, 2}}
+        # every kernel dim from 1 to min(4, input dim) for every input dim,
+        # and none larger
+        every = {(d, k) for d in range(2, 17) for k in range(1, min(4, d) + 1)}
+        assert kernels == {"kh": every, "kw": every}
+
+    def test_integer_values_cover_their_ranges(self):
+        trials = draw_trials(False)
+        values = {name: np.concatenate([a.ravel() for a in arrays])
+                  for name, arrays in (
+                      ("image", [t[0] for t in trials]),
+                      ("noise", [t[1] for t in trials]),
+                      ("params", [a for t in trials
+                                  for a in (t[2].weights, t[2].bias)]))}
+        for name, (lo, hi) in (("image", (-128, 127)), ("noise", (-16, 16)),
+                               ("params", (-8, 8))):
+            assert values[name].dtype == np.int64
+            assert np.array_equal(np.unique(values[name]),
+                                  np.arange(lo, hi + 1)), name
+
+    def test_float_values_in_unit_interval(self):
+        for image, noise, filters, _ in draw_trials(True):
+            for a in (image, noise, filters.weights, filters.bias):
+                assert a.dtype == np.float64
+                assert -1 <= a.min() and a.max() < 1
+
+    @pytest.mark.parametrize("float_mode", [False, True],
+                             ids=["integer", "float"])
+    def test_max_dim_two(self, float_mode):
+        for image, _, filters, _ in draw_trials(float_mode, 200, max_dim=2):
+            assert image.shape[1:] == (2, 2)
+            assert filters.kernel_h <= 2 and filters.kernel_w <= 2
+
+    @pytest.mark.parametrize("max_dim", [1, 0, -3])
+    def test_max_dim_below_two_rejected(self, max_dim):
+        # a shape draw of u * (max_dim - 1) would give 2x2 or worse images
+        with pytest.raises(ValueError, match="max_dim must be >= 2"):
+            random_instance(np.random.default_rng(0), max_dim)
 
 
 class TestSimulate:
@@ -682,10 +785,10 @@ class TestGoldenOutputs:
     def test_seed_zero_outputs(self, capsys, tmp_path):
         # the outputs of the source revision these values were taken from;
         # a change to the oracle, the model or the attack loops moves them
-        digests = {(): "75bd6b82520363fc790049c8f9427a79"
-                       "aa6963a1b7530ffcfabef2dd719abe0d",
-                   ("--sabotage",): "e0658447be016bcfa86e9e1d232e92e9"
-                                    "9f1fc4324781892a4d9c80e647b51623"}
+        digests = {(): "5059016ac820e0575525886e52e2c864"
+                       "fdcfd414059cde0b7baf4a7b9f283bd6",
+                   ("--sabotage",): "0930b041051622e430aa8d7f5758d635"
+                                    "5f4fceaad8b393ae3d20c4a6a544a3fb"}
         for flags, digest in digests.items():
             _, out, _ = run(capsys, "verify-equivalence", "--trials", "1000",
                             "--seed", "0", *flags)

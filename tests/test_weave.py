@@ -413,29 +413,37 @@ class TestEquivalenceReport:
                 assert len(refs) > 2  # several blocks a stream
 
     def test_error_order_through_the_oracle(self):
-        # a 4x4 kernel on a 3x3 image: shapes, then dtype and range, then
-        # geometry, on the oracle and on both convolutions; a dtype or range
-        # error has one text, where the attacked path's geometry error names
-        # the woven layer
+        # a kernel larger than the 3x3 image, unpadded and padded: shapes,
+        # then dtype and range, then geometry, on the oracle and on both
+        # convolutions, each error with one text; the attacked path's
+        # geometry error names the direct layer, not the woven one
         img = np.ones((1, 3, 3), dtype=np.int64)
         noi = np.zeros_like(img)
         zero = np.zeros(1, dtype=np.int64)
-        for weights, bias, error in (
-                (np.ones((1, 1, 4, 4), dtype=np.complex128), zero, TypeError),
-                (np.ones((1, 1, 4, 4), dtype=np.int64), np.array([1j]),
-                 TypeError),
+        ones = np.ones((1, 1, 4, 4), dtype=np.int64)
+        for weights, bias, geom, error in (
+                (ones.astype(np.complex128), zero, ConvGeometry(), TypeError),
+                (ones, np.array([1j]), ConvGeometry(), TypeError),
                 (np.full((1, 1, 4, 4), 2 ** 63, dtype=np.uint64), zero,
-                 OutOfRange),
-                (np.ones((1, 1, 4, 4), dtype=np.int64), zero, BadGeometry)):
+                 ConvGeometry(), OutOfRange),
+                (ones, zero, ConvGeometry(), BadGeometry),
+                (np.ones((1, 1, 6, 6), dtype=np.int64), zero,
+                 ConvGeometry(2, 1, 1, 1), BadGeometry)):
             f = FilterBank(weights, bias)
             texts = set()
-            for run in (lambda: equivalence_report(img, noi, f),
-                        lambda: conv2d_nchw(img[None], f),
-                        lambda: attacked_conv_nchw(img[None], noi, f)):
+            for run in (lambda: equivalence_report(img, noi, f, geom),
+                        lambda: conv2d_nchw(img[None], f, geom),
+                        lambda: attacked_conv_nchw(img[None], noi, f, geom)):
                 with pytest.raises(error) as e:
                     run()
                 texts.add(str(e.value))
-            assert len(texts) == (2 if error is BadGeometry else 1)
+            assert len(texts) == 1
+            if error is BadGeometry:
+                kh, kw = weights.shape[2:]
+                assert texts.pop().startswith(
+                    f"kernel {kh}x{kw} stride ({geom.stride_v},"
+                    f"{geom.stride_h}) pad ({geom.pad_h},{geom.pad_w}) "
+                    f"on 3x3 input")
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
     def test_bank_of_no_filters(self, dtype):
