@@ -27,7 +27,8 @@ class RowDescriptor:
 
 @dataclass(frozen=True)
 class MemoryImage:
-    base_address: int
+    # row i is at address i * row_stride: W elements of weave_rows' dtype,
+    # or of the image's without noise, so rows neither overlap nor leave gaps
     row_stride: int
     rows: tuple[RowDescriptor, ...]
 
@@ -74,26 +75,20 @@ class FootprintComparison:
     noise_only: SimReport
 
 
-def layout_rows(image: np.ndarray, noise: np.ndarray | None = None,
-                base: int = 0, row_stride: int | None = None) -> MemoryImage:
-    """Assign memory addresses to a (C, H, W) image's rows: in order, or with
-    noise, image row r / noise row r in weave_rows' order, dtype and checks."""
+def layout_rows(image: np.ndarray,
+                noise: np.ndarray | None = None) -> MemoryImage:
+    """Assign memory addresses to a (C, H, W) image's rows, one row apart: in
+    order, or with noise, image row r / noise row r in weave_rows' order,
+    dtype and checks."""
     image = _check_image(image)
     c, h, w = image.shape
     dtype = image.dtype if noise is None else \
         exact_result_type(image, _check_image(noise))
-    row_bytes = w * dtype.itemsize
-    if row_stride is None:
-        row_stride = row_bytes
-    # rows that overlap, or start below address 0, model no buffer
-    if row_stride < row_bytes or base < 0:
-        raise ValueError(f"need row_stride >= {row_bytes} (one row) and "
-                         f"base >= 0, got {row_stride} and {base}")
+    row_stride = w * dtype.itemsize
     sources = ("image",) if noise is None else ("image", "noise")
-    rows = [(source, flat) for flat in range(c * h) for source in sources]
-    return MemoryImage(base_address=base, row_stride=row_stride, rows=tuple(
-        RowDescriptor(source, flat, base + i * row_stride)
-        for i, (source, flat) in enumerate(rows)))
+    return MemoryImage(row_stride=row_stride, rows=tuple(
+        RowDescriptor(source, i // len(sources), i * row_stride)
+        for i, source in enumerate(sources * (c * h))))
 
 
 def _taps(size: int, k: int, out: int, stride: int, dtype) -> np.ndarray:

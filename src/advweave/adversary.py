@@ -187,7 +187,7 @@ def cross_entropy(logits: np.ndarray, label: int) -> float:
 
 
 @dataclass
-class ForwardCache:
+class _ForwardCache:
     z: np.ndarray       # (O, 4, N*ph*pw) conv output, pool-major
     pooled: np.ndarray  # (O, N*ph*pw) its 2x2 maxima, before ReLU
     flat: np.ndarray    # (N, features) ReLU output
@@ -259,10 +259,10 @@ def _first_max(z: np.ndarray, pooled: np.ndarray) -> np.ndarray:
 
 
 def _forward(model: TinyCNN,
-             cols: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """forward from a batch's _columns, plain or woven (whose 2*kh kernel
-    rows take the duplicated filter rows). ReLU runs after pooling, with
-    which it commutes."""
+             cols: np.ndarray) -> tuple[np.ndarray, _ForwardCache]:
+    """forward's logits, and the cache _backprop_to_conv reads, from a batch's
+    _columns, plain or woven (whose 2*kh kernel rows take the duplicated
+    filter rows). ReLU runs after pooling, with which it commutes."""
     w = model.conv1.weights
     if cols.shape[1] != w.shape[2]:  # woven
         w = np.repeat(w, 2, axis=2)
@@ -275,18 +275,18 @@ def _forward(model: TinyCNN,
     flat = np.maximum(pooled.reshape(o, n, s).transpose(1, 0, 2), 0,
                       out=np.empty((n, o, s))).reshape(n, o * s)
     logits = flat @ model.fc_w.T + model.fc_b
-    return logits, ForwardCache(z, pooled, flat)
+    return logits, _ForwardCache(z, pooled, flat)
 
 
 def forward(model: TinyCNN, xs: np.ndarray,
-            noise: np.ndarray | None = None) -> tuple[np.ndarray, ForwardCache]:
-    """Logits (N, num_classes) and backward cache of an (N, C, H, W) batch.
+            noise: np.ndarray | None = None) -> np.ndarray:
+    """The (N, num_classes) logits of an (N, C, H, W) batch.
 
     With `noise` (a (C, H, W) pattern, or a batch of them that broadcasts
     over xs) the first layer runs the noise-interleaved attacked
     convolution: the woven batch's columns by the duplicated filter rows.
     """
-    return _forward(model, _columns(model, xs, noise))
+    return _forward(model, _columns(model, xs, noise))[0]
 
 
 @dataclass
@@ -312,7 +312,7 @@ def _checked_labels(model: TinyCNN, xs: np.ndarray, labels) -> np.ndarray:
     return labels
 
 
-def _backprop_to_conv(model: TinyCNN, logits: np.ndarray, cache: ForwardCache,
+def _backprop_to_conv(model: TinyCNN, logits: np.ndarray, cache: _ForwardCache,
                       targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Loss gradients at the logits and, as the forward GEMM's (O, 4*N*ph*pw)
     output is laid out, at the first layer's: each window's pooled gradient
@@ -378,8 +378,8 @@ def _block_logits(model: TinyCNN, xs: np.ndarray, noise: np.ndarray | None = Non
     blocks = [xs[i:i + EVAL_BLOCK]
               for i in range(0, max(len(xs), 1), EVAL_BLOCK)]
     if path == "direct":
-        return np.concatenate([forward(model, b + noise)[0] for b in blocks])
-    return np.concatenate([forward(model, b, noise)[0] for b in blocks])
+        return np.concatenate([forward(model, b + noise) for b in blocks])
+    return np.concatenate([forward(model, b, noise) for b in blocks])
 
 
 def predict(model: TinyCNN, xs: np.ndarray) -> np.ndarray:

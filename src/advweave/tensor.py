@@ -64,10 +64,12 @@ class QuantSpec:
     scale: float
 
     def __post_init__(self):
-        if self.magnitude_bits < 1:
-            raise ValueError("magnitude_bits must be >= 1")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        # quantize returns int64 levels: 63 bits is the most they hold
+        if not 1 <= self.magnitude_bits <= 63:
+            raise ValueError(f"magnitude_bits {self.magnitude_bits} not in [1, 63]")
+        # written so that a NaN fails it; an infinite scale maps all to 0
+        if not 0 < self.scale < float("inf"):
+            raise ValueError(f"scale {self.scale} is not positive and finite")
 
     @property
     def max_level(self) -> int:
@@ -91,8 +93,11 @@ def quantize(x: np.ndarray, q: QuantSpec) -> np.ndarray:
     r = np.asarray(x, dtype=np.float64) / q.scale
     levels = np.sign(r) * np.floor(np.abs(r) + 0.5)
     lo, hi = levels.min(initial=0), levels.max(initial=0)
-    # written so that a NaN (which min and max propagate) fails it
-    if not (q.min_level <= lo and hi <= q.max_level):
+    # levels are whole, so |level| <= max_level is |level| < 2**b, which a
+    # float holds exactly where max_level (b > 53) rounds up to 2**b; written
+    # so that a NaN (which min and max propagate) fails it
+    top = 2.0 ** q.magnitude_bits
+    if not (hi < top and (-lo < top if q.signed else lo >= 0)):
         span = [int(v) if np.isfinite(v) else float(v) for v in (lo, hi)]
         raise OutOfRange(
             f"quantized levels span {span}, representable "

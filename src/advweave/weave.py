@@ -41,13 +41,18 @@ class EquivalenceReport:
 def exact_result_type(a: np.ndarray, b: np.ndarray) -> np.dtype:
     """The dtype that combining images `a` with noise `b` gives.
 
-    Raises ShapeMismatch unless their last three (C, H, W) axes match, and
-    TypeError where two integer arrays would promote to float (uint64 with
-    a signed type gives float64), which cannot hold both exactly; every
-    path that combines an image with noise uses this rule.
+    Raises ShapeMismatch unless b broadcasts to a's shape with the same last
+    three (C, H, W) axes, and TypeError where two integer arrays would
+    promote to float (uint64 with a signed type gives float64), which cannot
+    hold both exactly; every path that combines an image with noise uses it.
     """
-    if b.shape[-3:] != a.shape[-3:]:
-        raise ShapeMismatch(f"{a.shape[-3:]} vs {b.shape[-3:]}")
+    if b.shape != a.shape:  # equal shapes, as the oracle's, pass at once
+        if b.shape[-3:] != a.shape[-3:]:
+            raise ShapeMismatch(f"{a.shape[-3:]} vs {b.shape[-3:]}")
+        # one pattern, or one per image: b's leading axes are 1 or a's
+        if b.ndim > a.ndim or any(m not in (1, n) for m, n in
+                                  zip(b.shape[::-1], a.shape[::-1])):
+            raise ShapeMismatch(f"noise batch {b.shape} vs images {a.shape}")
     dtype = np.result_type(a, b)
     if a.dtype.kind in "iu" and b.dtype.kind in "iu" and dtype.kind not in "iu":
         raise TypeError(f"{a.dtype} and {b.dtype} promote to {dtype}, "
@@ -139,7 +144,9 @@ def equivalence_report(image: np.ndarray, noise: np.ndarray,
         raise ShapeMismatch(f"woven noise {woven_noise.shape} vs {noise.shape}")
     if woven_noise.dtype != noise.dtype:
         raise TypeError(f"woven noise {woven_noise.dtype} vs {noise.dtype}")
-    x = (image + noise)[None]
+    # the sum in 64 bits of the pair's kind: numpy's own image + noise wraps
+    # int8 and rounds float32, which the woven side does not
+    x = np.add(image, noise, dtype=woven_dtype.kind + "8")[None]
     _check_batch(x, filters)
     # one dtype for both layers: the woven input holds image and woven
     # noise values that a wrapped uint64 sum need not show

@@ -79,7 +79,7 @@ def test_criterion_4_gradient_check():
         g = backward(model, x[None], [y])
 
         def loss():
-            return cross_entropy(forward(model, x[None])[0][0], y)
+            return cross_entropy(forward(model, x[None])[0], y)
 
         def fd_check(arr, grad):
             for idx in np.ndindex(arr.shape):
@@ -101,9 +101,9 @@ def test_criterion_4_gradient_check():
         for idx in np.ndindex(xd.shape):
             orig = xd[idx]
             xd[idx] = orig + h
-            lp = cross_entropy(forward(model, xd[None])[0][0], y)
+            lp = cross_entropy(forward(model, xd[None])[0], y)
             xd[idx] = orig - h
-            lm = cross_entropy(forward(model, xd[None])[0][0], y)
+            lm = cross_entropy(forward(model, xd[None])[0], y)
             xd[idx] = orig
             fd = (lp - lm) / (2 * h)
             denom = max(abs(fd), abs(g.input[0][idx]), 1e-8)

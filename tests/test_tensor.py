@@ -1,5 +1,6 @@
 import inspect
 import io
+import re
 import struct
 import warnings
 
@@ -213,6 +214,35 @@ class TestQuantize:
                 quantize(t3([[[value]]]), QuantSpec(4, True, 1.0))
         assert str(e.value) == (f"quantized levels span {span}, "
                                 f"representable range is [-15, 15]")
+
+    @pytest.mark.parametrize("bits, scale, text", [
+        (0, 1.0, "magnitude_bits 0 not in [1, 63]"),
+        (64, 1.0, "magnitude_bits 64 not in [1, 63]"),
+        (120, 1.0, "magnitude_bits 120 not in [1, 63]"),
+        (4, 0.0, "scale 0.0 is not positive and finite"),
+        (4, -1.0, "scale -1.0 is not positive and finite"),
+        (4, np.inf, "scale inf is not positive and finite"),
+        (4, np.nan, "scale nan is not positive and finite")])
+    def test_spec_that_quantize_cannot_honour_rejected(self, bits, scale, text):
+        # 120 bits once quantized 1e30 to int64's minimum, with only a
+        # RuntimeWarning; an infinite scale quantized every value to 0
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            QuantSpec(bits, True, scale)
+
+    def test_63_bits_hold_every_int64_level(self):
+        # 2**63 - 1 rounds up to 2**63 as a float, so the range check once
+        # passed a level of 2**63 and the cast wrapped it to int64's minimum
+        q = QuantSpec(63, True, 1.0)
+        below = 2.0 ** 63 - 1024  # the float just below 2**63
+        assert list(quantize(t3([[[below, -below]]]), q)[0, 0]) \
+            == [2 ** 63 - 1024, -(2 ** 63 - 1024)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for value in (2.0 ** 63, -2.0 ** 63, 1e30):
+                with pytest.raises(OutOfRange):
+                    quantize(t3([[[value]]]), q)
+            with pytest.raises(OutOfRange):
+                quantize(t3([[[2.0 ** 63]]]), QuantSpec(63, False, 1.0))
 
     @given(st.lists(st.floats(-7.0, 7.0), min_size=1, max_size=30),
            st.floats(0.01, 2.0))

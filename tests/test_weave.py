@@ -299,6 +299,42 @@ class TestEquivalenceReport:
         rep = equivalence_report(zero, zero, f, woven_noise=zero + 1e-3)
         assert rep == EquivalenceReport(max_abs_diff=1e-3, exact=False)
 
+    @pytest.mark.parametrize("dtype, value", [(np.int8, 100), (np.uint8, 200),
+                                              (np.int16, 20000)])
+    def test_narrow_integer_sum_does_not_wrap(self, dtype, value):
+        # numpy's own image + noise wrapped 100 + 100 to -56 in int8, and the
+        # report read exact=False, max_abs_diff=256.0 against the woven 200
+        img = np.full((1, 3, 3), value, dtype=dtype)
+        f = FilterBank(np.ones((1, 1, 1, 1), dtype=np.int64),
+                       np.zeros(1, dtype=np.int64))
+        assert equivalence_report(img, img, f) \
+            == EquivalenceReport(max_abs_diff=0.0, exact=True)
+        # the control still reads inexact, by the one unit it moves
+        rep = equivalence_report(img, img, f, woven_noise=img - 1)
+        assert rep == EquivalenceReport(max_abs_diff=1.0, exact=False)
+
+    def test_uint64_sum_beyond_int64_out_of_range(self):
+        # each operand fits int64, their sum 2**63 does not
+        img = np.full((1, 2, 2), 2 ** 62, dtype=np.uint64)
+        f = FilterBank(np.ones((1, 1, 1, 1), dtype=np.int64),
+                       np.zeros(1, dtype=np.int64))
+        with pytest.raises(OutOfRange, match="^uint64 value "
+                           "9223372036854775808 is beyond int64$"):
+            equivalence_report(img, img, f)
+
+    @pytest.mark.parametrize("image_dtype, noise_dtype", [
+        (np.float16, np.float16), (np.float32, np.float32),
+        (np.float16, np.float32), (np.int8, np.float16)])
+    def test_narrow_float_sum_is_exact(self, image_dtype, noise_dtype):
+        # numpy's own float32 image + noise rounds, which the woven side
+        # never does: the report read exact=False at about 2e-7
+        rng = np.random.default_rng(0)
+        img = rng.uniform(-100, 100, (1, 6, 6)).astype(image_dtype)
+        noi = rng.uniform(-1, 1, (1, 6, 6)).astype(noise_dtype)
+        f = FilterBank(rng.normal(size=(2, 1, 3, 3)), rng.normal(size=2))
+        rep = equivalence_report(img, noi, f)
+        assert rep.exact and rep.max_abs_diff < 1e-12
+
     @staticmethod
     def _full_report(img, noi, f, g, woven_noise=None):
         """The report from both full outputs, compared whole. The direct
